@@ -12,6 +12,7 @@ import concurrent.futures
 import math
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,8 @@ from . import pointcloud as pc
 from . import simulator as sim
 from . import voxelmap as vm
 from .config import RunConfig, dump_config, load_config
-from .errors import (ConfigError, DegenerateGeometry, LidarCalibError,
-                     NoCorrespondences, ParseError, Unobservable)
+from .errors import (ConfigError, DegenerateGeometry, NoCorrespondences,
+                     ParseError, Unobservable)
 from .geometry import Pose
 
 EXIT_OK = 0
@@ -243,8 +244,10 @@ def _trial_task(payload):
         row.pop("gt", None)
         row.pop("lba_windows", None)
         return row
-    except LidarCalibError as exc:
-        return {"trial": trial, "seed": base_seed + trial, "error": str(exc)}
+    except Exception as exc:  # one bad trial must not end the sweep
+        traceback.print_exc(file=sys.stderr)
+        return {"trial": trial, "seed": base_seed + trial,
+                "error": f"{type(exc).__name__}: {exc}"}
 
 
 def cmd_sweep(args) -> int:

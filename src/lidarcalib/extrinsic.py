@@ -235,7 +235,8 @@ class _NearestPlaneLookup:
             owner[plane.point_indices] = index.leaf_to_plane[leaf_idx]
         owned = owner >= 0
         self.plane_ids = owner[owned]
-        self.tree = cKDTree(index.points[owned])
+        self.tree = cKDTree(index.points[owned], balanced_tree=False,
+                            compact_nodes=False)
 
     def query(self, points: np.ndarray, radius: float) -> np.ndarray:
         dist, idx = self.tree.query(points, k=1, distance_upper_bound=radius)
@@ -247,7 +248,7 @@ class _NearestPlaneLookup:
 
 def _local_normals(points: np.ndarray, k: int = 6) -> np.ndarray:
     """Unit normals of each point's k-neighborhood within its own cloud."""
-    tree = cKDTree(points)
+    tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
     _, idx = tree.query(points, k=min(k, len(points)))
     nbr = points[idx]
     centered = nbr - nbr.mean(axis=1, keepdims=True)

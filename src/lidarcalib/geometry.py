@@ -257,13 +257,15 @@ def translation_error(est: Pose, gt: Pose) -> float:
 
 
 def rotation_error(est: Pose, gt: Pose) -> float:
-    """Angle of the relative rotation, arccos((trace(Rgt' Rest) - 1) / 2).
+    """Angle of the relative rotation R = Rgt' Rest, from its sine and cosine:
+    atan2(|vee(R - R')| / 2, (trace(R) - 1) / 2).
 
-    The arccos argument is clamped to [-1, 1] because a floating-point trace
-    can exceed the bounds by ~1e-16.
+    An arccos of the trace alone cannot resolve angles below ~1.5e-8 rad,
+    where the trace rounds to 3; the axis part keeps them.
     """
-    arg = (np.trace(gt.rotation.T @ est.rotation) - 1.0) / 2.0
-    return math.acos(min(1.0, max(-1.0, arg)))
+    rel = gt.rotation.T @ est.rotation
+    sin_part = 0.5 * float(np.linalg.norm(_vee(rel - rel.T)))
+    return math.atan2(sin_part, 0.5 * (float(np.trace(rel)) - 1.0))
 
 
 def rot_to_quat(rot: np.ndarray) -> np.ndarray:

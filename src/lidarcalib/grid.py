@@ -1,0 +1,33 @@
+"""Integer grid cells packed into sortable int64 keys.
+
+Grouping points by cell with `np.unique(cells, axis=0)` sorts rows through a
+structured view, several times slower than sorting one integer per point.
+Shifting the cells to the occupied box's lower corner and ravelling them in
+C order gives one key per cell whose ascending order is the lexicographic
+order of the (ix, iy, iz) rows.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+_KEY_MAX = int(np.iinfo(np.int64).max)
+
+
+def pack_cells(cells: np.ndarray) -> np.ndarray:
+    """One int64 key per row of a non-empty (N, 3) integer cell array.
+
+    Keys are equal exactly when the rows are, and ascend in the rows'
+    lexicographic order. Raises ValueError when the occupied box has more
+    cells than int64 keys can tell apart, rather than alias two cells.
+    """
+    cells = np.asarray(cells, dtype=np.int64)
+    lo = cells.min(axis=0)
+    # spans in Python integers: hi - lo + 1 can wrap in int64
+    dims = [int(h) - int(l) + 1 for l, h in zip(lo, cells.max(axis=0))]
+    if math.prod(dims) > _KEY_MAX:
+        raise ValueError(f"cell box {dims} has more cells than int64 keys "
+                         "can tell apart; use a larger cell size")
+    return np.ravel_multi_index((cells - lo).T, dims)

@@ -16,6 +16,7 @@ import numpy as np
 from . import geometry as geo
 from .errors import NonMonotonicStamps, ParseError, StampMismatch, UnsupportedField
 from .geometry import Pose
+from .grid import pack_cells
 
 STAMP_TOL = 1e-6
 
@@ -139,18 +140,15 @@ def voxel_downsample(f: Frame, leaf: float) -> Frame:
         raise ValueError("leaf must be positive")
     if len(f) == 0:
         return f
-    cells = np.floor(f.positions / leaf).astype(np.int64)
-    uniq, inv = np.unique(cells, axis=0, return_inverse=True)
-    counts = np.bincount(inv, minlength=len(uniq)).astype(float)
+    keys = pack_cells(np.floor(f.positions / leaf).astype(np.int64))
+    _, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
 
     def cell_mean(values):
-        sums = np.zeros((len(uniq),) + values.shape[1:])
-        np.add.at(sums, inv, values)
-        return sums / counts.reshape(-1, *([1] * (values.ndim - 1)))
+        return np.bincount(inv, weights=values) / counts
 
-    positions = cell_mean(f.positions)
-    offsets = cell_mean(f.time_offsets.reshape(-1, 1)).reshape(-1)
-    inten = None if f.intensities is None else cell_mean(f.intensities.reshape(-1, 1)).reshape(-1)
+    positions = np.column_stack([cell_mean(f.positions[:, a]) for a in range(3)])
+    offsets = cell_mean(f.time_offsets)
+    inten = None if f.intensities is None else cell_mean(f.intensities)
     return Frame(positions, f.stamp, f.sensor_id, f.scan_duration, offsets, inten)
 
 

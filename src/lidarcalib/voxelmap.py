@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Degenerate
+from .grid import pack_cells
 
 _COLLINEAR_EPS = 1e-12
 
@@ -343,19 +344,25 @@ def associate_batch(points: np.ndarray, index: VoxelMapIndex,
         if len(active) == 0:
             break
         edge = index.edge_length(depth)
-        keys = np.floor(points[active] / edge).astype(np.int64)
-        uniq, inv = np.unique(keys, axis=0, return_inverse=True)
+        cells = np.floor(points[active] / edge).astype(np.int64)
+        keys = pack_cells(cells)
+        # members of one cell are a run of the key-sorted order
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+        ends = np.r_[starts[1:], len(order)]
         keep_mask = np.zeros(len(active), dtype=bool)
-        for u, coords in enumerate(uniq):
-            node = index.nodes.get((depth, int(coords[0]), int(coords[1]), int(coords[2])))
+        for (ix, iy, iz), s, e in zip(cells[order[starts]].tolist(),
+                                      starts.tolist(), ends.tolist()):
+            node = index.nodes.get((depth, ix, iy, iz))
             if node is None:
                 continue
             status, leaf_idx = node
-            members = inv == u
+            members = order[s:e]
             if status == PLANAR:
                 out[active[members]] = index.leaf_to_plane[leaf_idx]
             elif status == SUBDIVIDED:
-                keep_mask |= members
+                keep_mask[members] = True
         active = active[keep_mask]
     matched = out >= 0
     if matched.any():

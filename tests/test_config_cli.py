@@ -240,6 +240,27 @@ class TestSweepCommand:
         for col in (2, 3, 4, 5):
             assert float(mean[col]) == pytest.approx(float(row[col]), rel=1e-9)
 
+    def test_failing_trial_counts_against_quota(self, tmp_path, monkeypatch,
+                                                capsys):
+        def run_trial(cfg, trial, base_seed, perturb_spec):
+            if trial == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            row = {c: 0.001 for c in cli._CSV_COLUMNS}
+            row.update(trial=trial, seed=base_seed + trial)
+            return row
+
+        monkeypatch.setattr(cli, "run_trial", run_trial)
+        csv_path = tmp_path / "sweep.csv"
+        rc = cli.main(["sweep", "--trials", "2", "--jobs", "1",
+                       "--out-csv", str(csv_path), "--seed", "3"])
+        assert rc == cli.EXIT_SWEEP_QUOTA
+        lines = csv_path.read_text().strip().splitlines()
+        assert lines[1].startswith("0,3,0.001,")
+        assert lines[2] == "1,4,nan,nan,nan,nan,nan,nan"
+        captured = capsys.readouterr()
+        assert "trial 1: FAILED (LinAlgError: Singular matrix)" in captured.out
+        assert "only 1/2 trials succeeded" in captured.err
+
     def test_deterministic_modulo_wall_time(self, cli_dataset, tmp_path):
         _, cfg_path, _ = cli_dataset
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]

@@ -228,6 +228,13 @@ class TestErrorMetrics:
             est = Pose(geo.rot_x(theta) @ gt.rotation, gt.translation)
             assert geo.rotation_error(est, gt) == pytest.approx(theta, abs=1e-9)
 
+    def test_tiny_angle_resolved(self):
+        # an arccos of the trace reads 0.0 here: the trace rounds to 3
+        for theta in (1e-9, 3e-12):
+            est = Pose(geo.rot_x(theta), np.zeros(3))
+            assert geo.rotation_error(est, Pose.identity()) == pytest.approx(
+                theta, rel=1e-6)
+
     def test_rotation_error_symmetric(self):
         rng = np.random.default_rng(11)
         for _ in range(30):

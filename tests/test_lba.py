@@ -84,6 +84,78 @@ def synthetic_correspondences(rng, n_frames=3, per_frame=40):
         np.vstack(centroids), n_frames)
 
 
+class TestMatchFrameToPool:
+    """Neighbor sets against a brute-force kNN over the same pool."""
+
+    PARAMS = lba.LbaParams(k_neighbors=5, max_corr_dist=0.5)
+
+    @staticmethod
+    def brute_force(world, pool, k, radius):
+        """(has k neighbors within radius, centroid of the k nearest)."""
+        dist = np.linalg.norm(world[:, None, :] - pool[None, :, :], axis=2)
+        nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        kth = np.take_along_axis(dist, nearest[:, -1:], axis=1)[:, 0]
+        return kth < radius, pool[nearest].mean(axis=1)
+
+    def pool_and_points(self):
+        rng = np.random.default_rng(31)
+        # a flat pool (every neighbor set passes the planarity gates), an
+        # isolated cluster of exactly k points and one of k - 2 points
+        floor = np.column_stack([rng.uniform(0, 4, (300, 2)), np.zeros(300)])
+        five = np.array([[10.0, 10.0, 0.0], [10.2, 10.0, 0.0], [10.0, 10.2, 0.0],
+                         [10.2, 10.2, 0.0], [10.1, 10.3, 0.0]])
+        three = np.array([[20.0, 20.0, 0.0], [20.2, 20.0, 0.0], [20.0, 20.2, 0.0]])
+        pool = np.vstack([floor, five, three])
+        world = np.vstack([
+            np.column_stack([rng.uniform(-0.3, 4.3, (200, 2)),
+                             rng.normal(0, 0.01, 200)]),
+            [[10.1, 10.1, 0.01], [20.1, 20.1, 0.01], [40.0, 0.0, 0.0]]])
+        return pool, world
+
+    def test_matches_brute_force(self):
+        pool, world = self.pool_and_points()
+        pose = Pose(geo.rot_z(0.3), [0.5, -1.0, 0.2])
+        local = geo.apply(geo.inverse(pose), world)
+        pts, normal, centroid, weight = lba._match_frame_to_pool(
+            local, pose, pool, self.PARAMS)
+        world = geo.apply(pose, local)
+        enough, ref_centroid = self.brute_force(world, pool, 5, 0.5)
+        # the cluster of exactly k is kept, the k - 2 cluster and the far
+        # point are dropped, and so are floor-edge points short of neighbors
+        assert enough[-3] and not enough[-2] and not enough[-1]
+        assert 0 < np.count_nonzero(~enough[:-3]) < 200
+        np.testing.assert_array_equal(pts, local[enough])
+        np.testing.assert_allclose(centroid, ref_centroid[enough], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(normal[:, 2]), 1.0, atol=1e-12)
+        assert len(weight) == len(pts)
+
+    def test_unbounded_radius_takes_k_nearest(self):
+        pool, world = self.pool_and_points()
+        params = lba.LbaParams(k_neighbors=5, max_corr_dist=1e9)
+        pts, _, centroid, _ = lba._match_frame_to_pool(
+            world, Pose.identity(), pool, params)
+        _, ref_centroid = self.brute_force(world, pool, 5, 1e9)
+        # every neighbor set lies in the plane z = 0, so every point matches
+        np.testing.assert_array_equal(pts, world)
+        np.testing.assert_allclose(centroid, ref_centroid, rtol=0, atol=1e-12)
+
+    def test_pool_smaller_than_k(self):
+        pool, world = self.pool_and_points()
+        for size in (0, 1, 4):
+            out = lba._match_frame_to_pool(world, Pose.identity(), pool[:size],
+                                           self.PARAMS)
+            assert all(len(a) == 0 for a in out)
+
+    def test_pool_of_exactly_k(self):
+        pool, _ = self.pool_and_points()
+        five = pool[300:305]
+        query = np.array([[10.1, 10.1, 0.01]])
+        pts, _, centroid, _ = lba._match_frame_to_pool(
+            query, Pose.identity(), five, self.PARAMS)
+        np.testing.assert_array_equal(pts, query)
+        np.testing.assert_allclose(centroid[0], five.mean(axis=0), atol=1e-12)
+
+
 class TestPointToPlaneCost:
     def test_points_on_planes_zero_cost(self):
         rng = np.random.default_rng(0)
@@ -201,7 +273,7 @@ class TestOptimizeWindow:
         chain = result.refined_poses[0]
         for j, rel in enumerate(result.relative_poses):
             chain = geo.compose(chain, rel)
-            # matrix comparison: rotation_error saturates at sqrt(eps)
+            # whole-matrix comparison: rotation and translation at once
             np.testing.assert_allclose(chain.as_matrix(),
                                        result.refined_poses[j + 1].as_matrix(),
                                        atol=1e-9)

@@ -131,6 +131,58 @@ class TestVoxelDownsample:
             key = tuple(np.floor(row / 1.0).astype(int))
             np.testing.assert_allclose(row, expected[key], atol=1e-9)
 
+    @staticmethod
+    def unique_rows_reference(f, leaf):
+        """Cell means through np.unique over the cell rows."""
+        cells = np.floor(f.positions / leaf).astype(np.int64)
+        uniq, inv = np.unique(cells, axis=0, return_inverse=True)
+        inv = inv.reshape(-1)
+        counts = np.bincount(inv, minlength=len(uniq)).astype(float)
+
+        def cell_mean(values):
+            sums = np.zeros((len(uniq),) + values.shape[1:])
+            np.add.at(sums, inv, values)
+            return sums / counts.reshape(-1, *([1] * (values.ndim - 1)))
+
+        inten = (None if f.intensities is None
+                 else cell_mean(f.intensities))
+        return cell_mean(f.positions), cell_mean(f.time_offsets), inten
+
+    @pytest.mark.parametrize("with_intensity", [False, True])
+    def test_matches_unique_rows_reference(self, with_intensity):
+        rng = np.random.default_rng(5)
+        # negative and positive coordinates, shuffled, many points per cell
+        pts = rng.uniform(-3.7, 2.9, size=(4000, 3))
+        inten = rng.uniform(0, 100, 4000) if with_intensity else None
+        f = make_frame(pts, duration=0.1, offsets=rng.uniform(0, 0.1, 4000),
+                       intensities=inten)
+        for leaf in (0.25, 0.9):
+            out = pc.voxel_downsample(f, leaf)
+            pos, offs, ref_inten = self.unique_rows_reference(f, leaf)
+            np.testing.assert_array_equal(out.positions, pos)
+            np.testing.assert_array_equal(out.time_offsets, offs)
+            if with_intensity:
+                np.testing.assert_array_equal(out.intensities, ref_inten)
+            else:
+                assert out.intensities is None
+
+    def test_single_occupied_cell(self):
+        rng = np.random.default_rng(6)
+        pts = rng.uniform(-0.99, -0.01, size=(50, 3))
+        f = make_frame(pts, duration=0.1, offsets=rng.uniform(0, 0.1, 50),
+                       intensities=rng.uniform(0, 1, 50))
+        out = pc.voxel_downsample(f, 1.0)
+        pos, offs, inten = self.unique_rows_reference(f, 1.0)
+        assert len(out) == 1
+        np.testing.assert_array_equal(out.positions, pos)
+        np.testing.assert_array_equal(out.time_offsets, offs)
+        np.testing.assert_array_equal(out.intensities, inten)
+
+    def test_cell_span_beyond_int64_raises(self):
+        f = make_frame([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], duration=0.0)
+        with pytest.raises(ValueError, match="int64"):
+            pc.voxel_downsample(f, 1e-7)
+
     def test_output_within_input_bbox(self):
         rng = np.random.default_rng(4)
         pts = rng.uniform(-5, 5, size=(500, 3))

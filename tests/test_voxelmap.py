@@ -312,6 +312,37 @@ class TestAssociate:
                 assert single is index.planes[i]
 
 
+    def test_batch_matches_node_walk(self):
+        """associate_batch against a per-point walk down index.nodes."""
+        rng = np.random.default_rng(18)
+        floor = plane_patch(rng, [0, 0, 1], [0.0, 0.0, -0.5], 1.9, 3000)
+        wall = plane_patch(rng, [1, 0, 0], [-1.5, 0.0, 0.5], 1.4, 2000)
+        tilted = plane_patch(rng, [1, 1, 1], [0.7, 0.7, 0.3], 0.6, 1500, 0.002)
+        index = vm.build_adaptive(np.vstack([floor, wall, tilted]),
+                                  vm.VoxelParams(max_depth=3, min_points=8))
+        index = vm.merge_neighbors(index, math.radians(5.0), 0.5)
+        statuses = {status for status, _ in index.nodes.values()}
+        assert statuses == {vm.PLANAR, vm.SUBDIVIDED, vm.DISCARDED}
+        queries = np.vstack([rng.uniform(-2.5, 2.5, size=(3000, 3)),
+                             floor[:300] + rng.normal(0, 0.05, (300, 3))])
+        reject = 0.2
+        expected = np.full(len(queries), -1)
+        for i, q in enumerate(queries):
+            for depth in range(index.params.max_depth + 1):
+                cell = np.floor(q / index.edge_length(depth)).astype(int)
+                node = index.nodes.get((depth, *map(int, cell)))
+                if node is None or node[0] == vm.DISCARDED:
+                    break
+                if node[0] == vm.PLANAR:
+                    plane_id = index.leaf_to_plane[node[1]]
+                    if abs(index.planes[plane_id].distance(q)) <= reject:
+                        expected[i] = plane_id
+                    break
+        assert np.count_nonzero(expected >= 0) > 300
+        np.testing.assert_array_equal(
+            vm.associate_batch(queries, index, reject_dist=reject), expected)
+
+
 class TestExport:
     def test_export_format(self, tmp_path):
         rng = np.random.default_rng(18)
