@@ -1,8 +1,17 @@
 """Batch command-line pipeline: simulate, lba, calibrate, evaluate, sweep.
 
-Exit codes are fixed for scripting: 0 ok, 2 config/parse error, 3 I/O
-failure, 4 degenerate window geometry, 5 no correspondences, 6 unobservable
-plane geometry, 7 sweep failure quota exceeded.
+Exit codes are fixed for scripting:
+
+- 0 ok;
+- 2 bad configuration or input: ConfigError, ParseError, InvalidParams,
+  UnsupportedField (PCD fields), NonMonotonicStamps, StampMismatch, and
+  EmptyFrame (a simulated sweep with no returns);
+- 3 I/O failure, including a missing input file;
+- 4 degenerate window geometry;
+- 5 no correspondences;
+- 6 unobservable plane geometry, or AngleNearPi (a rotation within 1e-6 rad
+  of pi, where the logarithm is ill conditioned);
+- 7 sweep failure quota exceeded.
 """
 
 from __future__ import annotations
@@ -24,8 +33,9 @@ from . import pointcloud as pc
 from . import simulator as sim
 from . import voxelmap as vm
 from .config import RunConfig, dump_config, load_config
-from .errors import (ConfigError, DegenerateGeometry, NoCorrespondences,
-                     ParseError, Unobservable)
+from .errors import (AngleNearPi, ConfigError, DegenerateGeometry, EmptyFrame,
+                     InvalidParams, NoCorrespondences, NonMonotonicStamps,
+                     ParseError, StampMismatch, Unobservable, UnsupportedField)
 from .geometry import Pose
 
 EXIT_OK = 0
@@ -74,14 +84,8 @@ def _deskew_all(frames, traj, scan_period):
     return [pc.deskew(f, p, e) for f, p, e in zip(frames, traj.poses, ends)]
 
 
-def _voxel_params(cfg: RunConfig) -> vm.VoxelParams:
-    v = cfg.voxel
-    return vm.VoxelParams(v.l_parent, v.eta_max, v.max_depth, v.min_points,
-                          v.gamma, v.sigma_mode, v.max_dev_floor, v.max_dev_ratio)
-
-
 def build_map_index(map_points: np.ndarray, cfg: RunConfig) -> vm.VoxelMapIndex:
-    index = vm.build_adaptive(map_points, _voxel_params(cfg))
+    index = vm.build_adaptive(map_points, cfg.voxel)
     return vm.merge_neighbors(index, math.radians(cfg.voxel.tau_theta_deg),
                               cfg.voxel.tau_d)
 
@@ -146,7 +150,9 @@ def cmd_calibrate(args) -> int:
     traj_path = args.traj or str(Path(args.lba_dir or args.dataset)
                                  / "trajectory_refined.txt")
     if not Path(traj_path).exists():
-        traj_path = root / "trajectory_gt.txt"
+        raise FileNotFoundError(
+            f"trajectory {traj_path} not found (run `lidarcalib lba` first, "
+            "or pass --traj)")
     map_frame = pc.load_cloud(map_path)
     traj = pc.load_trajectory(traj_path)
     anchors = [traj.poses[traj.index_for_stamp(f.stamp)] for f in ds.frames_b]
@@ -358,12 +364,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ConfigError, ParseError) as exc:
+    except (ConfigError, ParseError, InvalidParams, UnsupportedField,
+            NonMonotonicStamps, StampMismatch, EmptyFrame) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -373,7 +377,7 @@ def main(argv=None) -> int:
     except NoCorrespondences as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CORRESPONDENCES
-    except Unobservable as exc:
+    except (Unobservable, AngleNearPi) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNOBSERVABLE
 

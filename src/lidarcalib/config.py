@@ -1,20 +1,19 @@
 """Run configuration: flat `section.key = value` text files.
 
 Sections map onto the pipeline stages (sim, lba, voxel, calib); unknown keys
-are rejected so typos fail loudly. The lba and calib sections reuse the
+are rejected so typos fail loudly. The lba, voxel and calib sections are the
 parameter dataclasses of their modules, so every tunable the optimizers
 expose is reachable from a config file.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import math
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParams
 from .extrinsic import CalibConfig
 from .lba import LbaParams
+from .voxelmap import VoxelParams
 
 
 @dataclass
@@ -45,25 +44,10 @@ class SimSection:
 
 
 @dataclass
-class VoxelSection:
-    l_parent: float = 1.0
-    eta_max: float = 0.1
-    max_depth: int = 3
-    min_points: int = 10
-    gamma: float = 1.0
-    sigma_mode: str = "eigenvalues"
-    max_dev_floor: float = 0.04
-    max_dev_ratio: float = 0.3
-    tau_theta_deg: float = 5.0
-    tau_d: float = 0.5
-    reject_dist: float = 0.3
-
-
-@dataclass
 class RunConfig:
     sim: SimSection = field(default_factory=SimSection)
     lba: LbaParams = field(default_factory=LbaParams)
-    voxel: VoxelSection = field(default_factory=VoxelSection)
+    voxel: VoxelParams = field(default_factory=VoxelParams)
     calib: CalibConfig = field(default_factory=CalibConfig)
 
     def validate(self):
@@ -78,24 +62,14 @@ class RunConfig:
         if self.sim.rig not in ("custom", "config1", "config2", "config3",
                                 "config4", "config5"):
             raise ConfigError(f"sim.rig: unknown preset {self.sim.rig!r}")
-        if self.voxel.l_parent <= 0:
-            raise ConfigError("voxel.l_parent must be positive")
-        if self.voxel.min_points < 3:
-            raise ConfigError("voxel.min_points must be >= 3")
-        if self.voxel.max_depth < 0:
-            raise ConfigError("voxel.max_depth must be >= 0")
-        if self.voxel.sigma_mode not in ("eigenvalues", "smallest"):
-            raise ConfigError(f"voxel.sigma_mode: unknown mode {self.voxel.sigma_mode!r}")
-        if not 0 < self.voxel.eta_max < 1:
-            raise ConfigError("voxel.eta_max must be in (0, 1)")
-        try:
-            self.lba.validate()
-            self.calib.validate()
-        except Exception as exc:
-            raise ConfigError(str(exc)) from exc
+        for name in ("lba", "voxel", "calib"):
+            try:
+                getattr(self, name).validate()
+            except InvalidParams as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
 
 
-_SECTIONS = {"sim": SimSection, "lba": LbaParams, "voxel": VoxelSection,
+_SECTIONS = {"sim": SimSection, "lba": LbaParams, "voxel": VoxelParams,
              "calib": CalibConfig}
 
 

@@ -4,7 +4,9 @@ Each source frame's points are carried into the map's world frame through
 the synchronized reference-sensor pose (the anchor) composed with the
 current extrinsic estimate, matched to voxel planes by containment, and the
 extrinsic is refined by weighted point-to-plane Levenberg-Marquardt on the
-Lie algebra. An outer loop re-associates every frame under a shrinking
+Lie algebra: each frame's matches form a `ptplane.PlaneBatch` anchored at
+its reference pose, solved by `ptplane.lm_refine`, the solver the LBA
+uses too. An outer loop re-associates every frame under a shrinking
 distance gate, solves each frame independently from the shared estimate to
 pick the consensus frames (discarding outliers beyond 3x the median twist
 norm), takes one joint LM step over the consensus frames with the
@@ -30,7 +32,8 @@ from . import voxelmap as vm
 from .errors import AngleNearPi, InvalidParams, NoCorrespondences, Unobservable
 from .geometry import Pose
 from .pointcloud import Frame
-from .voxelmap import PlaneFeature, VoxelMapIndex
+from .ptplane import PlaneBatch, cauchy_weights, lm_refine, normal_equations
+from .voxelmap import VoxelMapIndex
 
 
 @dataclass
@@ -88,15 +91,6 @@ class CalibConfig:
             raise InvalidParams("frame stride must be >= 1")
 
 
-@dataclass(frozen=True)
-class Correspondence:
-    """One source point paired with a map plane through its anchor pose."""
-
-    point: np.ndarray
-    plane: PlaneFeature
-    anchor: Pose
-
-
 @dataclass
 class OuterIteration:
     iteration: int
@@ -120,103 +114,21 @@ class CalibrationResult:
     lm_traces: list[list[dict]] = field(default_factory=list)
 
 
-def residual(corr: Correspondence, transform: Pose) -> float:
-    """Signed point-to-plane distance after mapping the source point into
-    the map frame: n . (anchor * transform * point - centroid)."""
-    world = geo.apply(corr.anchor, geo.apply(transform, corr.point))
-    return float(np.dot(corr.plane.normal, world - corr.plane.centroid))
-
-
-def global_objective(correspondences: list[Correspondence], transform: Pose) -> float:
-    """Confidence-weighted sum of squared residuals (meters squared)."""
-    return float(sum(c.plane.weight * residual(c, transform) ** 2
-                     for c in correspondences))
-
-
-def jacobian_row(corr: Correspondence, transform: Pose) -> np.ndarray:
-    """Derivative of the residual along a right-multiplied twist update,
-    ordered (rotation, translation): [p x u, u] with u = (R_anchor R)^T n."""
-    u = (corr.anchor.rotation @ transform.rotation).T @ corr.plane.normal
-    return np.concatenate([np.cross(corr.point, u), u])
-
-
-class _FrameBatch:
-    """Vectorized residual/Jacobian evaluation for one frame's matches."""
-
-    def __init__(self, points: np.ndarray, normals: np.ndarray,
-                 centroids: np.ndarray, weights: np.ndarray, anchor: Pose):
-        self.points = points
-        self.normals = normals
-        self.centroids = centroids
-        self.weights = weights
-        self.anchor = anchor
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def residuals(self, transform: Pose) -> np.ndarray:
-        world = geo.apply(self.anchor, geo.apply(transform, self.points))
-        return np.einsum("ij,ij->i", self.normals, world - self.centroids)
-
-    def objective(self, transform: Pose) -> float:
-        r = self.residuals(transform)
-        return float(self.weights @ (r * r))
-
-    def jacobian(self, transform: Pose) -> np.ndarray:
-        u = self.normals @ (self.anchor.rotation @ transform.rotation)
-        rows = np.empty((len(self.points), 6))
-        rows[:, :3] = np.cross(self.points, u)
-        rows[:, 3:] = u
-        return rows
-
-
-def lm_solve(batch: _FrameBatch | list[Correspondence], t_init: Pose,
+def lm_solve(batch: PlaneBatch, t_init: Pose,
              cfg: CalibConfig) -> tuple[Pose, list[dict]]:
-    """Weighted point-to-plane LM for a single frame.
+    """Weighted point-to-plane LM (`ptplane.lm_refine`) for one batch.
 
-    Normal equations use H = J^T W J + mu*I and g = J^T W r; accepted steps
-    strictly decrease the weighted objective. Raises Unobservable when the
-    undamped H at the initial estimate has condition number above the limit.
+    Raises Unobservable for fewer than 6 matches, or when the undamped
+    Gauss-Newton H at the initial estimate has condition number above
+    cfg.cond_limit.
     """
-    if isinstance(batch, list):
-        batch = _FrameBatch(
-            np.stack([c.point for c in batch]),
-            np.stack([c.plane.normal for c in batch]),
-            np.stack([c.plane.centroid for c in batch]),
-            np.array([c.plane.weight for c in batch]),
-            batch[0].anchor)
     if len(batch) < 6:
         raise Unobservable(f"only {len(batch)} correspondences (< 6)")
-    pose = t_init
-    r = batch.residuals(pose)
-    jac = batch.jacobian(pose)
-    h0 = jac.T @ (batch.weights[:, None] * jac)
+    h0, _ = normal_equations(batch, t_init)
     if np.linalg.cond(h0) > cfg.cond_limit:
         raise Unobservable("normal equations are ill conditioned "
                            "(degenerate plane geometry)")
-    cost = float(batch.weights @ (r * r))
-    mu = cfg.mu0
-    trace: list[dict] = []
-    for it in range(cfg.max_inner):
-        g = jac.T @ (batch.weights * r)
-        h = jac.T @ (batch.weights[:, None] * jac)
-        step = -np.linalg.solve(h + mu * np.eye(6), g)
-        cand = geo.compose(pose, geo.exp_se3(step))
-        cand_r = batch.residuals(cand)
-        cand_cost = float(batch.weights @ (cand_r * cand_r))
-        accepted = cand_cost < cost
-        trace.append({"iter": it, "cost": cost, "cand_cost": cand_cost,
-                      "accepted": accepted, "mu": mu,
-                      "step_inf": float(np.max(np.abs(step)))})
-        if accepted:
-            pose, cost, r = cand, cand_cost, cand_r
-            jac = batch.jacobian(pose)
-            mu *= cfg.mu_down
-        else:
-            mu *= cfg.mu_up
-        if np.max(np.abs(step)) < cfg.inner_tol:
-            break
-    return pose, trace
+    return lm_refine(batch, t_init, cfg)
 
 
 class _NearestPlaneLookup:
@@ -317,7 +229,7 @@ def _seed_initial(map_index: VoxelMapIndex, nearest: "_NearestPlaneLookup",
                 continue
             plane_ids = nearest.plane_ids[idx[hit]]
             agree = np.abs(np.einsum(
-                "ij,ij->i", map_index._normals[plane_ids], n_world[hit]))
+                "ij,ij->i", map_index.normals[plane_ids], n_world[hit]))
             prox = 1.0 / (1.0 + (dist[hit] / kernel) ** 2)
             np.add.at(bucket_sum, buckets[hit], prox * (agree >= 0.85))
         occupied = bucket_cnt > 0
@@ -363,20 +275,20 @@ def _associate_frame(index: VoxelMapIndex, points: np.ndarray, anchor: Pose,
                      estimate: Pose, reject_dist: float, cap: int,
                      cfg: CalibConfig,
                      nearest: _NearestPlaneLookup | None = None,
-                     local_normals: np.ndarray | None = None) -> _FrameBatch | None:
+                     local_normals: np.ndarray | None = None) -> PlaneBatch | None:
     world = geo.apply(anchor, geo.apply(estimate, points))
     if nearest is not None:
         ids = nearest.query(world, reject_dist)
         if (ids >= 0).any():
             resid = np.abs(np.einsum(
-                "ij,ij->i", index._normals[np.maximum(ids, 0)],
-                world - index._centroids[np.maximum(ids, 0)]))
+                "ij,ij->i", index.normals[np.maximum(ids, 0)],
+                world - index.centroids[np.maximum(ids, 0)]))
             ids = np.where(resid <= reject_dist, ids, -1)
     else:
         ids = vm.associate_batch(world, index, reject_dist)
     if local_normals is not None and cfg.normal_gate > 0.0 and (ids >= 0).any():
         rot_w = anchor.rotation @ estimate.rotation
-        agree = np.abs(np.einsum("ij,ij->i", index._normals[np.maximum(ids, 0)],
+        agree = np.abs(np.einsum("ij,ij->i", index.normals[np.maximum(ids, 0)],
                                  local_normals @ rot_w.T))
         ids = np.where(agree >= cfg.normal_gate, ids, -1)
     matched = ids >= 0
@@ -391,9 +303,8 @@ def _associate_frame(index: VoxelMapIndex, points: np.ndarray, anchor: Pose,
             sel = np.nonzero(ids == plane_id)[0]
             keep[sel[:cap]] = True
         ids, pts, world = ids[keep], pts[keep], world[keep]
-    normals = index._normals[ids]
-    centroids = index._centroids[ids]
-    weights = np.array([index.planes[i].weight for i in ids])
+    normals = index.normals[ids]
+    centroids = index.centroids[ids]
     resid = np.abs(np.einsum("ij,ij->i", normals, world - centroids))
     # robust scale per dominant normal axis: residual magnitudes are highly
     # anisotropic while converging, and a single global scale would crush
@@ -405,20 +316,20 @@ def _associate_frame(index: VoxelMapIndex, points: np.ndarray, anchor: Pose,
         if not sel.any():
             continue
         scale = max(cfg.cauchy_scale_floor, float(np.median(resid[sel])))
-        robust[sel] = 1.0 / (1.0 + (resid[sel] / (cfg.cauchy_factor * scale)) ** 2)
-    return _FrameBatch(pts, normals, centroids, weights * robust, anchor)
+        robust[sel] = cauchy_weights(resid[sel], cfg.cauchy_factor, scale)
+    return PlaneBatch(pts, normals, centroids, index.weights[ids] * robust,
+                      anchor)
 
 
-def _joint_batch(batches: list[_FrameBatch]) -> _FrameBatch:
+def _joint_batch(batches: list[PlaneBatch]) -> PlaneBatch:
     """One batch over several frames with each anchor folded into its planes:
     n . (A T p - c) = (R_A^T n) . (T p - A^-1 c), so every residual depends
     on the shared extrinsic alone."""
-    return _FrameBatch(
+    return PlaneBatch(
         np.vstack([b.points for b in batches]),
         np.vstack([b.normals @ b.anchor.rotation for b in batches]),
         np.vstack([geo.apply(geo.inverse(b.anchor), b.centroids) for b in batches]),
-        np.concatenate([b.weights for b in batches]),
-        Pose.identity())
+        np.concatenate([b.weights for b in batches]))
 
 
 def _step_size(twist: geo.Twist) -> float:
@@ -494,7 +405,7 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
         reject = _reject_schedule(cfg, stage)
         coarse = stage < cfg.reject_iters - 1
         prev_inv = geo.inverse(t_prev)
-        batches: list[_FrameBatch | None] = []
+        batches: list[PlaneBatch | None] = []
         skipped: list[int] = []
         for k, (f, anchor, rel) in enumerate(zip(frames, anchor_list, rels)):
             cur = f

@@ -3,10 +3,11 @@
 The frame sequence is cut into overlapping windows (window size w, step d,
 overlap o = d/2, count k = ceil((n-d)/(d-o)) + 1, m-th window starting at
 frame 1 + (m-1)(d-o), 1-based). Within a window the first pose is held fixed
-and the remaining poses are refined by point-to-plane Levenberg-Marquardt:
-each point of a non-reference frame is matched to a local plane fit over its
-k nearest neighbors from the other frames, planes are frozen during the
-inner LM solve, and association is repeated for a few rounds. Windows are
+and the remaining poses are refined by point-to-plane Levenberg-Marquardt
+(`ptplane.lm_refine`, the solver calibration uses too): each point of a
+non-reference frame is matched to a local plane fit over its k nearest
+neighbors from the other frames, planes are frozen during the inner LM
+solve, and association is repeated for a few rounds. Windows are
 stitched by seeding the shared frames from the previous window's result and
 tying the first o of them with a quadratic prior on log(prev^-1 * current).
 
@@ -26,6 +27,7 @@ from . import pointcloud as pc
 from .errors import DegenerateGeometry, InvalidParams, StampMismatch
 from .geometry import Pose
 from .pointcloud import Frame, Trajectory
+from .ptplane import PlaneBatch, cauchy_weights, lm_refine, prior_residual
 
 
 @dataclass
@@ -200,9 +202,8 @@ def _match_frame_to_pool(points_local: np.ndarray, pose: Pose,
     keep &= dev <= dev_gate
     if not keep.any():
         return empty
-    resid = resid_all[keep]
     factor = params.cauchy_factor if cauchy_factor is None else cauchy_factor
-    weight = 1.0 / (1.0 + (resid / (factor * scale)) ** 2)
+    weight = cauchy_weights(resid_all[keep], factor, scale)
     return pts[keep], normal[keep], centroid[keep], weight
 
 
@@ -240,114 +241,43 @@ def _build_correspondences(frames: list[Frame], poses: list[Pose],
 
 def point_to_plane_cost(poses: list[Pose], corr: WindowCorrespondences,
                         prior: tuple[list[int], list[Pose], float] | None = None,
-                        ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Window objective with its gradient and Gauss-Newton Hessian.
+                        ) -> float:
+    """Window objective: the weighted point-to-plane cost of every
+    non-reference frame against its frozen planes, summed in frame order.
 
-    The state stacks one twist per non-reference frame (frames 1..w-1), so
-    gradient length and Hessian side are 6(w-1). Plane parameters are fixed;
-    each residual depends only on its owner frame's pose, which makes the
-    Hessian block diagonal. Residuals are scaled by the correspondence
-    weights when present. `prior` = (frame indices, reference poses, weight)
-    adds quadratic terms weight * |log(ref^-1 pose)|^2.
+    Residuals are scaled by the correspondence weights when present.
+    `prior` = (frame indices, reference poses, weight) adds quadratic terms
+    weight * |log(ref^-1 pose)|^2, frame 0 excepted.
     """
-    w = corr.n_frames
-    dim = 6 * (w - 1)
-    grad = np.zeros(dim)
-    hess = np.zeros((dim, dim))
     cost = 0.0
     weights = np.ones(len(corr)) if corr.weight is None else corr.weight
-    for j in range(1, w):
+    for j in range(1, corr.n_frames):
         sel = corr.frame == j
         if not sel.any():
             continue
-        p_local = corr.pt_local[sel]
-        n = corr.normal[sel]
-        c = corr.centroid[sel]
-        wt = weights[sel]
-        rot, trans = poses[j].rotation, poses[j].translation
-        q = p_local @ rot.T + trans
-        r = np.einsum("ij,ij->i", n, q - c)
-        cost += float(wt @ (r * r))
-        u = n @ rot                       # = R^T n per row
-        jrow = np.empty((len(r), 6))
-        jrow[:, :3] = np.cross(p_local, u)
-        jrow[:, 3:] = u
-        s = slice(6 * (j - 1), 6 * j)
-        grad[s] += 2.0 * jrow.T @ (wt * r)
-        hess[s, s] += 2.0 * jrow.T @ (wt[:, None] * jrow)
+        cost += PlaneBatch(corr.pt_local[sel], corr.normal[sel],
+                           corr.centroid[sel], weights[sel]).objective(poses[j])
     if prior is not None:
         indices, refs, weight = prior
         for idx, ref in zip(indices, refs):
             if idx == 0:
                 continue
-            rho = geo.log_se3(geo.compose(geo.inverse(ref), poses[idx])).as_vector()
+            rho = prior_residual(ref, poses[idx])
             cost += weight * float(rho @ rho)
-            s = slice(6 * (idx - 1), 6 * idx)
-            grad[s] += 2.0 * weight * rho
-            hess[s, s] += 2.0 * weight * np.eye(6)
-    return cost, grad, hess
+    return cost
 
 
-def _check_frame_constraints(j: int, pts: np.ndarray, normal: np.ndarray):
-    count = len(pts)
+def _check_frame_constraints(j: int, batch: PlaneBatch):
+    count = len(batch)
     if count < 6:
         raise DegenerateGeometry(
             f"frame {j} has {count} point-to-plane constraints (< 6)")
-    jrow = np.empty((count, 6))
-    jrow[:, :3] = np.cross(pts, normal)
-    jrow[:, 3:] = normal
+    jrow = batch.jacobian(Pose.identity())
     evals = np.linalg.eigvalsh(jrow.T @ jrow)
     if evals[0] < 1e-10 * max(evals[-1], 1e-30):
         raise DegenerateGeometry(
             f"frame {j} constraints are rank deficient (plane geometry "
             "does not pin down 6 DoF)")
-
-
-def _lm_refine_frame(pose: Pose, pts: np.ndarray, normal: np.ndarray,
-                     centroid: np.ndarray, weight: np.ndarray,
-                     prior: tuple[Pose, float] | None,
-                     params: LbaParams) -> tuple[Pose, list[dict], float]:
-    """Damped point-to-plane solve of a single frame against frozen planes."""
-
-    def objective(p: Pose):
-        q = geo.apply(p, pts)
-        r = np.einsum("ij,ij->i", normal, q - centroid)
-        cost = float(weight @ (r * r))
-        if prior is not None:
-            ref, lam = prior
-            rho = geo.log_se3(geo.compose(geo.inverse(ref), p)).as_vector()
-            cost += lam * float(rho @ rho)
-        return cost, r
-
-    mu = params.mu0
-    cost, r = objective(pose)
-    trace: list[dict] = []
-    for it in range(params.max_inner):
-        u = normal @ pose.rotation
-        jrow = np.empty((len(r), 6))
-        jrow[:, :3] = np.cross(pts, u)
-        jrow[:, 3:] = u
-        h = jrow.T @ (weight[:, None] * jrow)
-        g = jrow.T @ (weight * r)
-        if prior is not None:
-            ref, lam = prior
-            rho = geo.log_se3(geo.compose(geo.inverse(ref), pose)).as_vector()
-            h += lam * np.eye(6)
-            g += lam * rho
-        step = -np.linalg.solve(h + mu * np.eye(6), g)
-        cand = geo.compose(pose, geo.exp_se3(step))
-        cand_cost, cand_r = objective(cand)
-        accepted = cand_cost < cost
-        trace.append({"iter": it, "cost": cost, "cand_cost": cand_cost,
-                      "accepted": accepted, "step_inf": float(np.max(np.abs(step)))})
-        if accepted:
-            pose, cost, r = cand, cand_cost, cand_r
-            mu *= params.mu_down
-        else:
-            mu *= params.mu_up
-        if np.max(np.abs(step)) < params.inner_tol:
-            break
-    return pose, trace, cost
 
 
 def optimize_window(frames: list[Frame], init_poses: list[Pose],
@@ -388,15 +318,15 @@ def optimize_window(frames: list[Frame], init_poses: list[Pose],
         pool = world[0]
         max_move = 0.0
         for j in range(1, w):
-            pts, normal, centroid, weight = _match_frame_to_pool(
-                frames[j].positions, poses[j], pool, params, factor)
+            batch = PlaneBatch(*_match_frame_to_pool(
+                frames[j].positions, poses[j], pool, params, factor))
             if rnd == 0:
-                _check_frame_constraints(j, pts, normal)
+                _check_frame_constraints(j, batch)
             frame_prior = None
             if 0 < j < n_prefix:
                 frame_prior = (fixed_prefix[j], params.overlap_weight)
-            new_pose, frame_trace, _ = _lm_refine_frame(
-                poses[j], pts, normal, centroid, weight, frame_prior, params)
+            new_pose, frame_trace = lm_refine(batch, poses[j], params,
+                                              frame_prior)
             move = geo.translation_error(new_pose, poses[j]) + \
                 geo.rotation_error(new_pose, poses[j])
             max_move = max(max_move, move)
@@ -410,8 +340,8 @@ def optimize_window(frames: list[Frame], init_poses: list[Pose],
             break
 
     final_corr = _build_correspondences(frames, poses, params)
-    final_cost, _, _ = point_to_plane_cost(poses, final_corr, prior)
-    initial_cost, _, _ = point_to_plane_cost(start_poses, final_corr, prior)
+    final_cost = point_to_plane_cost(poses, final_corr, prior)
+    initial_cost = point_to_plane_cost(start_poses, final_corr, prior)
     if initial_cost < final_cost:
         # refinement lost ground on the final association: reject it
         poses = start_poses

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import pointcloud as pc
-from .errors import EmptyFrame, InvalidParams
+from .errors import EmptyFrame, InvalidParams, ParseError
 from .geometry import EulerZYX, Pose
 from .pointcloud import Frame, Trajectory
 
@@ -369,19 +369,29 @@ def read_meta(path) -> dict[str, str]:
 
 
 def read_dataset(dataset_dir) -> SimDataset:
-    """Load a dataset directory written by write_dataset."""
+    """Load a dataset directory written by write_dataset.
+
+    Frame j of each sensor is stamped with trajectory stamp j. Raises
+    ParseError when the sensors hold different frame counts or more frames
+    than the trajectory has poses.
+    """
     root = Path(dataset_dir)
     meta = read_meta(root / "meta.txt")
     period = float(meta.get("scan_period", 0.1))
     trajectory = pc.load_trajectory(root / "trajectory_gt.txt")
     extrinsic = pc.load_pose(root / "extrinsic_gt.txt")
+    files = {sensor: sorted((root / sensor).glob("*.pcd")) for sensor in "AB"}
+    if len(files["A"]) != len(files["B"]):
+        raise ParseError(f"{root}: {len(files['A'])} sensor A frames but "
+                         f"{len(files['B'])} sensor B frames")
+    if len(files["A"]) > len(trajectory):
+        raise ParseError(f"{root}: {len(files['A'])} frames per sensor but "
+                         f"only {len(trajectory)} trajectory poses")
     frames_a, frames_b = [], []
     for sensor, sink in (("A", frames_a), ("B", frames_b)):
-        files = sorted((root / sensor).glob("*.pcd"))
-        for j, path in enumerate(files):
-            stamp = float(trajectory.stamps[j]) if j < len(trajectory) else 0.0
-            sink.append(pc.load_cloud(path, stamp=stamp, sensor_id=sensor,
-                                      scan_duration=period))
+        for j, path in enumerate(files[sensor]):
+            sink.append(pc.load_cloud(path, stamp=float(trajectory.stamps[j]),
+                                      sensor_id=sensor, scan_duration=period))
     model = LidarModel(
         beams=int(meta.get("beams", 16)),
         vertical_fov_deg=float(meta.get("vertical_fov_deg", 30.0)),

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Degenerate
+from .errors import Degenerate, InvalidParams
 from .grid import pack_cells
 
 _COLLINEAR_EPS = 1e-12
@@ -45,16 +45,22 @@ class VoxelParams:
     # wall strips) pass as "planar" with a blended 45-degree normal
     max_dev_floor: float = 0.04
     max_dev_ratio: float = 0.3
+    # merge_neighbors gates: normals within tau_theta_deg, centroids within
+    # tau_d (cli.build_map_index passes them on)
+    tau_theta_deg: float = 5.0
+    tau_d: float = 0.5
 
     def validate(self):
         if self.l_parent <= 0.0:
-            raise ValueError("l_parent must be positive")
+            raise InvalidParams("l_parent must be positive")
+        if not 0.0 < self.eta_max < 1.0:
+            raise InvalidParams("eta_max must be in (0, 1)")
         if self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
+            raise InvalidParams("max_depth must be >= 0")
         if self.min_points < 3:
-            raise ValueError("min_points must be >= 3")
+            raise InvalidParams("min_points must be >= 3")
         if self.sigma_mode not in ("eigenvalues", "smallest"):
-            raise ValueError(f"unknown sigma_mode {self.sigma_mode!r}")
+            raise InvalidParams(f"unknown sigma_mode {self.sigma_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -122,6 +128,8 @@ class VoxelMapIndex:
     nodes maps (depth, ix, iy, iz) to PLANAR/SUBDIVIDED/DISCARDED; planar
     nodes also record their index into leaf_planes. After merge_neighbors,
     `planes` holds merged features and leaf_to_plane redirects leaves.
+    `normals` (P, 3), `centroids` (P, 3) and `weights` (P,) stack the
+    fields of `planes` in order, for vectorized association.
     """
 
     def __init__(self, points: np.ndarray, params: VoxelParams):
@@ -131,16 +139,18 @@ class VoxelMapIndex:
         self.leaf_planes: list[PlaneFeature] = []
         self.planes: list[PlaneFeature] = []
         self.leaf_to_plane: np.ndarray = np.zeros(0, dtype=int)
-        self._normals = np.zeros((0, 3))
-        self._centroids = np.zeros((0, 3))
+        self.normals = np.zeros((0, 3))
+        self.centroids = np.zeros((0, 3))
+        self.weights = np.zeros(0)
 
     def _finalize(self, planes: list[PlaneFeature], leaf_to_plane: np.ndarray):
         self.planes = planes
         self.leaf_to_plane = leaf_to_plane
-        self._normals = (np.stack([p.normal for p in planes])
-                         if planes else np.zeros((0, 3)))
-        self._centroids = (np.stack([p.centroid for p in planes])
-                           if planes else np.zeros((0, 3)))
+        self.normals = (np.stack([p.normal for p in planes])
+                        if planes else np.zeros((0, 3)))
+        self.centroids = (np.stack([p.centroid for p in planes])
+                          if planes else np.zeros((0, 3)))
+        self.weights = np.array([p.weight for p in planes], dtype=float)
 
     def edge_length(self, depth: int) -> float:
         return self.params.l_parent / (2 ** depth)
@@ -368,7 +378,7 @@ def associate_batch(points: np.ndarray, index: VoxelMapIndex,
     if matched.any():
         ids = out[matched]
         dist = np.abs(np.einsum(
-            "ij,ij->i", index._normals[ids], points[matched] - index._centroids[ids]))
+            "ij,ij->i", index.normals[ids], points[matched] - index.centroids[ids]))
         bad = dist > reject_dist
         sel = np.nonzero(matched)[0][bad]
         out[sel] = -1

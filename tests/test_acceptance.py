@@ -22,6 +22,7 @@ from lidarcalib import simulator as sim
 from lidarcalib import voxelmap as vm
 from lidarcalib.config import RunConfig
 from lidarcalib.geometry import Pose
+from lidarcalib.ptplane import PlaneBatch
 
 from test_geometry import random_pose
 from test_voxelmap import plane_patch
@@ -170,18 +171,19 @@ class TestCriterion5:
         for _ in range(1000):
             plane_normal = rng.normal(size=3)
             plane_normal /= np.linalg.norm(plane_normal)
-            corr = ext.Correspondence(
-                rng.uniform(-3, 3, size=3),
-                _plane(plane_normal, rng.uniform(-3, 3, size=3)),
-                random_pose(rng))
+            # one-row batch: point, plane centroid, then a random anchor
+            point = rng.uniform(-3, 3, size=(1, 3))
+            centroid = rng.uniform(-3, 3, size=(1, 3))
+            batch = PlaneBatch(point, plane_normal[None, :], centroid,
+                               np.ones(1), random_pose(rng))
             t = random_pose(rng)
-            row = ext.jacobian_row(corr, t)
+            row = batch.jacobian(t)[0]
             scale = max(float(np.linalg.norm(row)), 1e-9)
             for k in range(6):
                 delta = np.zeros(6)
                 delta[k] = h
-                rp = ext.residual(corr, geo.compose(t, geo.exp_se3(delta)))
-                rm = ext.residual(corr, geo.compose(t, geo.exp_se3(-delta)))
+                rp = batch.residuals(geo.compose(t, geo.exp_se3(delta)))[0]
+                rm = batch.residuals(geo.compose(t, geo.exp_se3(-delta)))[0]
                 fd = (rp - rm) / (2 * h)
                 # relative to the row scale: near-zero entries are dominated
                 # by the oracle's own cancellation noise
@@ -190,12 +192,6 @@ class TestCriterion5:
         assert worst < 1e-5, f"max relative error {worst:.2e}"
         assert elapsed < 5.0, f"took {elapsed:.2f} s"
         report(5, f"1000 rows: max relative FD error {worst:.2e} in {elapsed:.2f} s")
-
-
-def _plane(normal, centroid):
-    return vm.PlaneFeature(np.asarray(normal, float), np.asarray(centroid, float),
-                           np.array([0.0, 1.0, 1.0]), 10, 0.0, 0.0, 1.0,
-                           ((0, 0, 0, 0),), np.arange(10))
 
 
 class TestCriterion6:

@@ -1,4 +1,5 @@
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from lidarcalib import cli
 from lidarcalib import config as cfgmod
 from lidarcalib import geometry as geo
 from lidarcalib import pointcloud as pc
-from lidarcalib.errors import ConfigError
+from lidarcalib.errors import AngleNearPi, ConfigError
 
 FAST_CONFIG = """
 sim.frames = 8
@@ -162,6 +163,107 @@ class TestCalibrateCommand:
         # smoke-test bound; the precision claims run in the acceptance suite
         # on the full-resolution configuration
         assert float(e_line[0].split()[1]) < 2e-3
+
+
+    def test_missing_refined_trajectory_exits_3(self, cli_dataset, cli_lba_dir,
+                                                tmp_path, capsys):
+        _, cfg_path, out = cli_dataset
+        empty = tmp_path / "no_lba"
+        empty.mkdir()
+        args = ["calibrate", str(out), "--config", str(cfg_path),
+                "--lba-dir", str(empty), "--map", str(cli_lba_dir / "map_A.pcd"),
+                "--out", str(tmp_path / "calib")]
+        assert cli.main(args) == cli.EXIT_IO
+        assert "trajectory_refined.txt" in capsys.readouterr().err
+        # an explicit --traj is taken as given, ground truth included
+        rc = cli.main(args + ["--traj", str(out / "trajectory_gt.txt")])
+        assert rc == cli.EXIT_OK
+
+
+class TestReadDataset:
+    def test_frame_count_mismatch_exits_2(self, cli_dataset, tmp_path, capsys):
+        _, cfg_path, out = cli_dataset
+        ds = tmp_path / "ds"
+        shutil.copytree(out, ds)
+        sorted((ds / "B").glob("*.pcd"))[-1].unlink()
+        rc = cli.main(["lba", str(ds), "--config", str(cfg_path),
+                       "--out", str(tmp_path / "lba")])
+        assert rc == cli.EXIT_CONFIG
+        assert "sensor B frames" in capsys.readouterr().err
+
+    def test_frames_beyond_trajectory_exit_2(self, cli_dataset, tmp_path, capsys):
+        _, cfg_path, out = cli_dataset
+        ds = tmp_path / "ds"
+        shutil.copytree(out, ds)
+        traj = ds / "trajectory_gt.txt"
+        lines = traj.read_text().splitlines()
+        traj.write_text("\n".join(lines[:-1]) + "\n")
+        rc = cli.main(["lba", str(ds), "--config", str(cfg_path),
+                       "--out", str(tmp_path / "lba")])
+        assert rc == cli.EXIT_CONFIG
+        assert "trajectory poses" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    """Each documented error reaches its exit code, with a message."""
+
+    def test_invalid_params_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("sim.beams = 0\n")
+        rc = cli.main(["simulate", "--config", str(bad),
+                       "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_CONFIG
+        assert "beam count" in capsys.readouterr().err
+
+    def test_empty_frame_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "blind.cfg"
+        cfg.write_text(FAST_CONFIG + "sim.max_range = 0.001\n")
+        rc = cli.main(["simulate", "--config", str(cfg),
+                       "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_CONFIG
+        assert "no returns" in capsys.readouterr().err
+
+    def test_unsupported_field_exits_2(self, cli_dataset, cli_lba_dir,
+                                       tmp_path, capsys):
+        _, cfg_path, out = cli_dataset
+        text = (cli_lba_dir / "map_A.pcd").read_text()
+        fields = next(ln for ln in text.splitlines() if ln.startswith("FIELDS"))
+        bad = tmp_path / "map_rgb.pcd"
+        bad.write_text(text.replace(fields, "FIELDS x y z rgb", 1))
+        rc = cli.main(["calibrate", str(out), "--config", str(cfg_path),
+                       "--lba-dir", str(cli_lba_dir), "--map", str(bad),
+                       "--out", str(tmp_path / "calib")])
+        assert rc == cli.EXIT_CONFIG
+        assert "unsupported FIELDS" in capsys.readouterr().err
+
+    def test_non_monotonic_stamps_exit_2(self, cli_dataset, tmp_path, capsys):
+        _, cfg_path, out = cli_dataset
+        lines = (out / "trajectory_gt.txt").read_text().splitlines()
+        lines[1], lines[2] = lines[2], lines[1]
+        traj = tmp_path / "swapped.txt"
+        traj.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["lba", str(out), "--config", str(cfg_path),
+                       "--traj", str(traj), "--out", str(tmp_path / "lba")])
+        assert rc == cli.EXIT_CONFIG
+        assert "strictly increasing" in capsys.readouterr().err
+
+    def test_stamp_mismatch_exits_2(self, cli_dataset, tmp_path, capsys):
+        _, cfg_path, out = cli_dataset
+        gt = pc.load_trajectory(out / "trajectory_gt.txt")
+        traj = tmp_path / "shifted.txt"
+        pc.save_trajectory(pc.Trajectory(gt.stamps + 0.05, gt.poses), traj)
+        rc = cli.main(["lba", str(out), "--config", str(cfg_path),
+                       "--traj", str(traj), "--out", str(tmp_path / "lba")])
+        assert rc == cli.EXIT_CONFIG
+        assert "does not match trajectory" in capsys.readouterr().err
+
+    def test_angle_near_pi_exits_6(self, monkeypatch, capsys):
+        def near_pi(args):
+            raise AngleNearPi("rotation angle 3.141592 within 1e-06 of pi")
+
+        monkeypatch.setitem(cli._HANDLERS, "evaluate", near_pi)
+        assert cli.main(["evaluate"]) == cli.EXIT_UNOBSERVABLE
+        assert "of pi" in capsys.readouterr().err
 
 
 class TestEvaluateCommand:

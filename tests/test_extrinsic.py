@@ -10,103 +10,107 @@ from lidarcalib import simulator as sim
 from lidarcalib import voxelmap as vm
 from lidarcalib.errors import NoCorrespondences, Unobservable
 from lidarcalib.geometry import Pose
+from lidarcalib.ptplane import PlaneBatch
 
 from test_geometry import random_pose
 
 
-def make_plane(normal, centroid, weight=1.0):
-    normal = np.asarray(normal, dtype=float)
-    normal = normal / np.linalg.norm(normal)
-    return vm.PlaneFeature(normal, np.asarray(centroid, dtype=float),
-                           np.array([0.0, 1.0, 1.0]), 10, 0.0, 0.0, weight,
-                           ((0, 0, 0, 0),), np.arange(10))
-
-
-def make_corr(point, normal, centroid, weight=1.0, anchor=None):
-    return ext.Correspondence(np.asarray(point, dtype=float),
-                              make_plane(normal, centroid, weight),
-                              anchor or Pose.identity())
+def make_batch(points, normals, centroids, weights=1.0, anchor=None):
+    """PlaneBatch over rows of (point, unit normal, centroid, weight)."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    normals = np.atleast_2d(np.asarray(normals, dtype=float))
+    normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+    centroids = np.broadcast_to(np.asarray(centroids, dtype=float), points.shape)
+    weights = np.broadcast_to(np.asarray(weights, dtype=float), len(points))
+    return PlaneBatch(points, normals, centroids, weights, anchor)
 
 
 class TestResidual:
     def test_height_above_plane(self):
-        corr = make_corr([1.0, 2.0, 3.0], [0, 0, 1], [0, 0, 0])
-        assert ext.residual(corr, Pose.identity()) == pytest.approx(3.0)
+        batch = make_batch([1.0, 2.0, 3.0], [0, 0, 1], [0, 0, 0])
+        assert batch.residuals(Pose.identity())[0] == pytest.approx(3.0)
 
     def test_translated_transform(self):
-        corr = make_corr([1.0, 2.0, 3.0], [0, 0, 1], [0, 0, 0])
+        batch = make_batch([1.0, 2.0, 3.0], [0, 0, 1], [0, 0, 0])
         t = Pose(np.eye(3), [0.0, 0.0, 0.5])
-        assert ext.residual(corr, t) == pytest.approx(3.5)
+        assert batch.residuals(t)[0] == pytest.approx(3.5)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            corr = make_corr(rng.normal(size=3), rng.normal(size=3),
-                             rng.normal(size=3), anchor=random_pose(rng))
+            batch = make_batch(rng.normal(size=3), rng.normal(size=3),
+                               rng.normal(size=3), anchor=random_pose(rng))
             t = random_pose(rng)
             # independent scalar evaluation of n . (R_w p + t_w - c)
-            rw = corr.anchor.rotation @ t.rotation
-            tw = corr.anchor.rotation @ t.translation + corr.anchor.translation
-            n = corr.plane.normal
-            expected = (n[0] * (rw[0] @ corr.point + tw[0] - 0) +
-                        n[1] * (rw[1] @ corr.point + tw[1] - 0) +
-                        n[2] * (rw[2] @ corr.point + tw[2] - 0) -
-                        float(n @ corr.plane.centroid))
-            assert ext.residual(corr, t) == pytest.approx(expected, abs=1e-12)
+            rw = batch.anchor.rotation @ t.rotation
+            tw = batch.anchor.rotation @ t.translation + batch.anchor.translation
+            n, p = batch.normals[0], batch.points[0]
+            expected = (n[0] * (rw[0] @ p + tw[0] - 0) +
+                        n[1] * (rw[1] @ p + tw[1] - 0) +
+                        n[2] * (rw[2] @ p + tw[2] - 0) -
+                        float(n @ batch.centroids[0]))
+            assert batch.residuals(t)[0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestGlobalObjective:
+    """PlaneBatch.objective: the weighted sum of squared residuals."""
+
     def test_zero_on_planes(self):
-        corrs = [make_corr([x, y, 0.0], [0, 0, 1], [0, 0, 0], weight=2.0)
-                 for x in range(3) for y in range(3)]
-        assert ext.global_objective(corrs, Pose.identity()) == 0.0
+        batch = make_batch([[x, y, 0.0] for x in range(3) for y in range(3)],
+                           [[0, 0, 1]] * 9, [0, 0, 0], weights=2.0)
+        assert batch.objective(Pose.identity()) == 0.0
 
     def test_single_term(self):
-        corr = make_corr([0.0, 0.0, 0.1], [0, 0, 1], [0, 0, 0], weight=2.0)
-        assert ext.global_objective([corr], Pose.identity()) == pytest.approx(0.02)
+        batch = make_batch([0.0, 0.0, 0.1], [0, 0, 1], [0, 0, 0], weights=2.0)
+        assert batch.objective(Pose.identity()) == pytest.approx(0.02)
 
     def test_sequential_sum_oracle(self):
         rng = np.random.default_rng(1)
-        corrs = [make_corr(rng.normal(size=3), rng.normal(size=3),
-                           rng.normal(size=3), weight=rng.uniform(0.1, 5.0))
-                 for _ in range(1000)]
+        rows = [(rng.normal(size=3), rng.normal(size=3), rng.normal(size=3),
+                 rng.uniform(0.1, 5.0)) for _ in range(1000)]
+        batch = make_batch(*(np.array(col) for col in zip(*rows)))
         t = random_pose(rng)
-        total = ext.global_objective(corrs, t)
-        seq = math.fsum(c.plane.weight * ext.residual(c, t) ** 2 for c in corrs)
+        total = batch.objective(t)
+        seq = math.fsum(
+            w * float(n @ (t.rotation @ p + t.translation - c)) ** 2
+            for p, n, c, w in zip(batch.points, batch.normals,
+                                  batch.centroids, batch.weights))
         assert abs(total - seq) < 1e-10
 
 
 class TestJacobianRow:
+    """Rows of PlaneBatch.jacobian: d residual / d right-multiplied twist."""
+
     def test_translation_block_is_normal(self):
-        corr = make_corr([1.0, 2.0, 3.0], [0, 0, 1], [0, 0, 0])
-        row = ext.jacobian_row(corr, Pose.identity())
+        batch = make_batch([1.0, 2.0, 3.0], [0, 0, 1], [0, 0, 0])
+        row = batch.jacobian(Pose.identity())[0]
         np.testing.assert_allclose(row[3:], [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_zero_point_zero_rotation_block(self):
-        corr = make_corr([0.0, 0.0, 0.0], [0.3, -0.2, 0.9], [1, 1, 1])
-        row = ext.jacobian_row(corr, Pose.identity())
+        batch = make_batch([0.0, 0.0, 0.0], [0.3, -0.2, 0.9], [1, 1, 1])
+        row = batch.jacobian(Pose.identity())[0]
         np.testing.assert_allclose(row[:3], 0.0, atol=1e-15)
 
     def test_matches_central_differences(self):
         rng = np.random.default_rng(2)
         h = 1e-6
         for _ in range(200):
-            corr = make_corr(rng.normal(size=3) * 2, rng.normal(size=3),
-                             rng.normal(size=3), anchor=random_pose(rng))
+            batch = make_batch(rng.normal(size=3) * 2, rng.normal(size=3),
+                               rng.normal(size=3), anchor=random_pose(rng))
             t = random_pose(rng)
-            row = ext.jacobian_row(corr, t)
+            row = batch.jacobian(t)[0]
             for k in range(6):
                 delta = np.zeros(6)
                 delta[k] = h
-                rp = ext.residual(corr, geo.compose(t, geo.exp_se3(delta)))
-                rm = ext.residual(corr, geo.compose(t, geo.exp_se3(-delta)))
+                rp = batch.residuals(geo.compose(t, geo.exp_se3(delta)))[0]
+                rm = batch.residuals(geo.compose(t, geo.exp_se3(-delta)))[0]
                 fd = (rp - rm) / (2 * h)
                 assert row[k] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
-def orthogonal_plane_corrs(rng, n_per_plane=60, weight=1.0):
+def orthogonal_plane_batch(rng, n_per_plane=60, weight=1.0):
     """Points sampled on three orthogonal planes, ground truth = identity."""
-    corrs = []
+    rows = []
     planes = [((1, 0, 0), (2.0, 0, 0)), ((0, 1, 0), (0, 2.0, 0)),
               ((0, 0, 1), (0, 0, 2.0))]
     for normal, centroid in planes:
@@ -114,50 +118,51 @@ def orthogonal_plane_corrs(rng, n_per_plane=60, weight=1.0):
         for _ in range(n_per_plane):
             offset = rng.uniform(-1.5, 1.5, size=3)
             pt = np.asarray(centroid) + offset - np.dot(offset, n) * n
-            corrs.append(make_corr(pt, n, centroid, weight=weight))
-    return corrs
+            rows.append((pt, n, centroid))
+    return make_batch(*(np.array(col) for col in zip(*rows)), weights=weight)
 
 
 class TestLmSolve:
     def test_ground_truth_is_fixed_point(self):
         rng = np.random.default_rng(3)
-        corrs = orthogonal_plane_corrs(rng)
-        pose, trace = ext.lm_solve(corrs, Pose.identity(), ext.CalibConfig())
+        batch = orthogonal_plane_batch(rng)
+        pose, trace = ext.lm_solve(batch, Pose.identity(), ext.CalibConfig())
         assert geo.translation_error(pose, Pose.identity()) < 1e-9
-        assert ext.global_objective(corrs, pose) < 1e-18
+        assert batch.objective(pose) < 1e-18
 
     def test_recovers_offset(self):
         rng = np.random.default_rng(4)
-        corrs = orthogonal_plane_corrs(rng)
+        batch = orthogonal_plane_batch(rng)
         t_init = sim.perturb(Pose.identity(), 0.1 / math.sqrt(3), 5.0, 9)
-        pose, _ = ext.lm_solve(corrs, t_init, ext.CalibConfig())
+        pose, _ = ext.lm_solve(batch, t_init, ext.CalibConfig())
         assert geo.translation_error(pose, Pose.identity()) < 1e-6
         assert geo.rotation_error(pose, Pose.identity()) < 1e-6
 
     def test_parallel_planes_unobservable(self):
         rng = np.random.default_rng(5)
-        corrs = []
+        pts = []
         for _ in range(40):
             pt = rng.uniform(-2, 2, size=3)
             pt[2] = 0.0
-            corrs.append(make_corr(pt, [0, 0, 1], [0, 0, 0]))
+            pts.append(pt)
+        batch = make_batch(pts, [[0, 0, 1]] * 40, [0, 0, 0])
         with pytest.raises(Unobservable):
-            ext.lm_solve(corrs, Pose.identity(), ext.CalibConfig())
+            ext.lm_solve(batch, Pose.identity(), ext.CalibConfig())
 
     def test_accepted_steps_strictly_decrease(self):
         rng = np.random.default_rng(6)
-        corrs = orthogonal_plane_corrs(rng)
+        batch = orthogonal_plane_batch(rng)
         t_init = sim.perturb(Pose.identity(), 0.15, 10.0, 10)
-        _, trace = ext.lm_solve(corrs, t_init, ext.CalibConfig())
+        _, trace = ext.lm_solve(batch, t_init, ext.CalibConfig())
         for entry in trace:
             if entry["accepted"]:
                 assert entry["cand_cost"] < entry["cost"]
 
     def test_weight_scaling_leaves_argmin(self):
         rng = np.random.default_rng(7)
-        base = orthogonal_plane_corrs(rng, weight=1.0)
-        scaled = [ext.Correspondence(c.point, make_plane(
-            c.plane.normal, c.plane.centroid, 7.5), c.anchor) for c in base]
+        base = orthogonal_plane_batch(rng, weight=1.0)
+        scaled = PlaneBatch(base.points, base.normals, base.centroids,
+                            np.full(len(base), 7.5))
         t_init = sim.perturb(Pose.identity(), 0.05, 3.0, 11)
         cfg = ext.CalibConfig(inner_tol=1e-12)
         p1, _ = ext.lm_solve(base, t_init, cfg)
@@ -217,15 +222,19 @@ class TestCalibrate:
         result = ext.calibrate(index, frames, anchors, guess, cfg)
         e_t, e_r = ext.evaluate(result, gt)
         assert e_t < 1e-9 and e_r < 1e-9
-        corrs = []
+        matches = 0
+        objective = 0.0
         for anchor, frame in zip(anchors, frames):
             world = geo.apply(anchor, geo.apply(result.extrinsic, frame.positions))
             ids = vm.associate_batch(world, index, 0.3)
-            for k in np.nonzero(ids >= 0)[0]:
-                corrs.append(ext.Correspondence(frame.positions[k],
-                                                index.planes[ids[k]], anchor))
-        assert len(corrs) > 1000
-        assert ext.global_objective(corrs, result.extrinsic) < 1e-18
+            hit = ids >= 0
+            batch = PlaneBatch(frame.positions[hit], index.normals[ids[hit]],
+                               index.centroids[ids[hit]], index.weights[ids[hit]],
+                               anchor)
+            matches += len(batch)
+            objective += batch.objective(result.extrinsic)
+        assert matches > 1000
+        assert objective < 1e-18
 
     def test_objective_never_increases_within_iteration(self, room_calib_setup):
         ds, index, anchors = room_calib_setup
