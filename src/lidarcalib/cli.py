@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import math
 import sys
 import time
@@ -137,8 +138,6 @@ def _resolve_guess(args, gt: Pose | None) -> Pose:
             raise ConfigError("--perturb requires a dataset with extrinsic_gt.txt")
         max_trans, max_rot = args.perturb
         return sim.perturb(gt, max_trans, max_rot, args.seed or 0)
-    if gt is not None:
-        return gt
     raise ConfigError("no initial guess: pass --guess FILE or --perturb T R")
 
 
@@ -236,8 +235,12 @@ def run_trial(cfg: RunConfig, trial: int, base_seed: int,
     }
 
 
+# error is "<TypeName>: <message>" for a failed trial and empty otherwise;
+# wall_seconds stays last, after every deterministic column
 _CSV_COLUMNS = ["trial", "seed", "init_e_trans", "init_e_rot",
-                "final_e_trans", "final_e_rot", "outer_iters", "wall_seconds"]
+                "final_e_trans", "final_e_rot", "outer_iters", "error",
+                "wall_seconds"]
+_MEAN_COLUMNS = [c for c in _CSV_COLUMNS[2:] if c != "error"]
 
 
 def _trial_task(payload):
@@ -268,18 +271,19 @@ def cmd_sweep(args) -> int:
     else:
         rows = [_trial_task(p) for p in payloads]
     ok_rows = [r for r in rows if "error" not in r]
-    with open(args.out_csv, "w") as fh:
-        fh.write(",".join(_CSV_COLUMNS) + "\n")
+    with open(args.out_csv, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_CSV_COLUMNS)
         for row in rows:
-            if "error" in row:
-                fh.write(f"{row['trial']},{row['seed']},nan,nan,nan,nan,nan,nan\n")
-            else:
-                fh.write(",".join(_format_cell(row[c]) for c in _CSV_COLUMNS) + "\n")
+            # a failed trial has only trial, seed and error
+            missing = "nan" if "error" in row else ""
+            writer.writerow([_format_cell(row.get(c, missing))
+                             for c in _CSV_COLUMNS])
         if ok_rows:
-            means = {c: float(np.mean([r[c] for r in ok_rows]))
-                     for c in _CSV_COLUMNS[2:]}
-            fh.write("mean,," + ",".join(f"{means[c]:.9g}"
-                                         for c in _CSV_COLUMNS[2:]) + "\n")
+            means = {c: f"{np.mean([r[c] for r in ok_rows]):.9g}"
+                     for c in _MEAN_COLUMNS}
+            writer.writerow(["mean", ""] + [means.get(c, "")
+                                            for c in _CSV_COLUMNS[2:]])
     for row in rows:
         if "error" in row:
             print(f"trial {row['trial']}: FAILED ({row['error']})")
@@ -326,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
                                          "trajectory_refined.txt")
     p_cal.add_argument("--map")
     p_cal.add_argument("--traj")
-    p_cal.add_argument("--guess", help="pose file with the initial estimate")
+    p_cal.add_argument("--guess", help="pose file with the initial estimate "
+                                       "(this or --perturb is required)")
     p_cal.add_argument("--perturb", nargs=2, type=float,
                        metavar=("T_M", "ROT_DEG"))
     p_cal.add_argument("--seed", type=int)

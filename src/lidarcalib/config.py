@@ -2,8 +2,11 @@
 
 Sections map onto the pipeline stages (sim, lba, voxel, calib); unknown keys
 are rejected so typos fail loudly. The lba, voxel and calib sections are the
-parameter dataclasses of their modules, so every tunable the optimizers
-expose is reachable from a config file.
+parameter dataclasses of their modules (`LbaParams`, `VoxelParams`,
+`CalibConfig`): the method's own parameters, the tolerated initial-guess
+envelope and the run-size options. Solver internals with one value in use
+(LM damping, Cauchy factor, flatness gate, normal gate and the like) are
+module constants in `ptplane`, `lba` and `extrinsic`, not config keys.
 """
 
 from __future__ import annotations

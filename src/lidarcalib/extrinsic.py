@@ -32,19 +32,33 @@ from . import voxelmap as vm
 from .errors import AngleNearPi, InvalidParams, NoCorrespondences, Unobservable
 from .geometry import Pose
 from .pointcloud import Frame
-from .ptplane import PlaneBatch, cauchy_weights, lm_refine, normal_equations
+from .ptplane import (CAUCHY_FACTOR, CAUCHY_SCALE_FLOOR, INNER_TOL, PlaneBatch,
+                      cauchy_weights, lm_refine, normal_equations)
 from .voxelmap import VoxelMapIndex
+
+
+# Association additionally requires |cos| >= NORMAL_GATE between the source
+# point's own local surface normal and the matched plane normal: points
+# falling into a cell (or near a surface) that belongs to a different
+# structure are rejected categorically instead of relying on residual-scale
+# weighting. Seeding scores candidate poses with the same test.
+NORMAL_GATE = 0.85
+# frames with fewer matches sit out the outer iteration
+MIN_FRAME_CORR = 20
+# lm_solve raises Unobservable above this condition number of the undamped
+# Gauss-Newton H at its start pose
+COND_LIMIT = 1e12
+# seeding scores candidates on about this many evenly spaced probe frames,
+# with proximity weight 1 / (1 + (d / ROT_SEED_KERNEL)^2) at distance d (m)
+ROT_SEED_FRAMES = 6
+ROT_SEED_KERNEL = 0.1
 
 
 @dataclass
 class CalibConfig:
     max_outer_iters: int = 30
     convergence_delta: float = 1e-5
-    mu0: float = 1e-4
-    mu_up: float = 10.0
-    mu_down: float = 0.5
-    max_inner: int = 30
-    inner_tol: float = 1e-7
+    inner_tol: float = INNER_TOL
     frame_stride: int = 1
     # association gate shrinks geometrically from start to end over the
     # first reject_iters outer iterations, tolerating coarse initial guesses
@@ -53,22 +67,6 @@ class CalibConfig:
     reject_iters: int = 5
     deskew: bool = True
     downsample_leaf: float = 0.1
-    min_frame_corr: int = 20
-    max_points_per_voxel: int = 0  # 0 = use all associated points
-    cond_limit: float = 1e12
-    # Cauchy robustification folded into the per-correspondence weights at
-    # association time (scale = max(floor, median |r|) per frame): a source
-    # point can fall inside a mapped cell whose plane belongs to a surface
-    # the reference sensor saw from a different band, and the confidence
-    # weight alone cannot suppress such cross-surface matches
-    cauchy_factor: float = 3.0
-    cauchy_scale_floor: float = 1e-8
-    # association additionally requires agreement between the source
-    # point's own local surface normal and the matched plane normal:
-    # points falling into a cell (or near a surface) that belongs to a
-    # different structure are rejected categorically instead of relying on
-    # residual-scale weighting (0 disables)
-    normal_gate: float = 0.85
     # rotation multi-start: the point-to-plane basin covers ~10 degrees of
     # rotation error in room-scale scenes, well short of the tolerated
     # 30-degree guess envelope; before iterating, rotation offsets around
@@ -76,8 +74,6 @@ class CalibConfig:
     # working initial estimate (0 disables)
     rot_seed_candidates: int = 40
     rot_seed_max_deg: float = 35.0
-    rot_seed_frames: int = 6
-    rot_seed_kernel: float = 0.07
     # translation analogue: after rotation seeding, a +-step grid of
     # translation offsets is scored the same way (covers the cube envelope)
     trans_seed_step: float = 0.45
@@ -106,12 +102,11 @@ class OuterIteration:
 class CalibrationResult:
     extrinsic: Pose
     outer_trace: list[OuterIteration]
-    frame_transforms: list[Pose]
-    converged: bool
-    iterations: int
     # per outer iteration: the per-frame LM traces tagged with their frame
     # index, then the joint step's trace tagged with frame None
-    lm_traces: list[list[dict]] = field(default_factory=list)
+    lm_traces: list[list[dict]]
+    converged: bool
+    iterations: int
 
 
 def lm_solve(batch: PlaneBatch, t_init: Pose,
@@ -120,15 +115,15 @@ def lm_solve(batch: PlaneBatch, t_init: Pose,
 
     Raises Unobservable for fewer than 6 matches, or when the undamped
     Gauss-Newton H at the initial estimate has condition number above
-    cfg.cond_limit.
+    COND_LIMIT.
     """
     if len(batch) < 6:
         raise Unobservable(f"only {len(batch)} correspondences (< 6)")
     h0, _ = normal_equations(batch, t_init)
-    if np.linalg.cond(h0) > cfg.cond_limit:
+    if np.linalg.cond(h0) > COND_LIMIT:
         raise Unobservable("normal equations are ill conditioned "
                            "(degenerate plane geometry)")
-    return lm_refine(batch, t_init, cfg)
+    return lm_refine(batch, t_init, cfg.inner_tol)
 
 
 class _NearestPlaneLookup:
@@ -198,7 +193,7 @@ def _seed_initial(map_index: VoxelMapIndex, nearest: "_NearestPlaneLookup",
                       for dx in (-s, 0.0, s) for dy in (-s, 0.0, s)
                       for dz in (-s, 0.0, s)]
                      if s > 0.0 else [np.zeros(3)])
-    step = max(1, len(frames) // cfg.rot_seed_frames)
+    step = max(1, len(frames) // ROT_SEED_FRAMES)
     probe = []
     for j in range(0, len(frames), step):
         pts = frames[j].positions
@@ -207,8 +202,6 @@ def _seed_initial(map_index: VoxelMapIndex, nearest: "_NearestPlaneLookup",
         if len(pts) < 8:
             continue
         probe.append((pts, _local_normals(pts), anchors[j]))
-
-    kernel = max(cfg.rot_seed_kernel, 0.1)
 
     def chamfer(cand: Pose) -> float:
         # per normal-direction bucket, then averaged: a slide along the
@@ -230,8 +223,8 @@ def _seed_initial(map_index: VoxelMapIndex, nearest: "_NearestPlaneLookup",
             plane_ids = nearest.plane_ids[idx[hit]]
             agree = np.abs(np.einsum(
                 "ij,ij->i", map_index.normals[plane_ids], n_world[hit]))
-            prox = 1.0 / (1.0 + (dist[hit] / kernel) ** 2)
-            np.add.at(bucket_sum, buckets[hit], prox * (agree >= 0.85))
+            prox = 1.0 / (1.0 + (dist[hit] / ROT_SEED_KERNEL) ** 2)
+            np.add.at(bucket_sum, buckets[hit], prox * (agree >= NORMAL_GATE))
         occupied = bucket_cnt > 0
         if not occupied.any():
             return 0.0
@@ -272,8 +265,7 @@ def _reject_schedule(cfg: CalibConfig, stage: int) -> float:
 
 
 def _associate_frame(index: VoxelMapIndex, points: np.ndarray, anchor: Pose,
-                     estimate: Pose, reject_dist: float, cap: int,
-                     cfg: CalibConfig,
+                     estimate: Pose, reject_dist: float,
                      nearest: _NearestPlaneLookup | None = None,
                      local_normals: np.ndarray | None = None) -> PlaneBatch | None:
     world = geo.apply(anchor, geo.apply(estimate, points))
@@ -286,23 +278,17 @@ def _associate_frame(index: VoxelMapIndex, points: np.ndarray, anchor: Pose,
             ids = np.where(resid <= reject_dist, ids, -1)
     else:
         ids = vm.associate_batch(world, index, reject_dist)
-    if local_normals is not None and cfg.normal_gate > 0.0 and (ids >= 0).any():
+    if local_normals is not None and (ids >= 0).any():
         rot_w = anchor.rotation @ estimate.rotation
         agree = np.abs(np.einsum("ij,ij->i", index.normals[np.maximum(ids, 0)],
                                  local_normals @ rot_w.T))
-        ids = np.where(agree >= cfg.normal_gate, ids, -1)
+        ids = np.where(agree >= NORMAL_GATE, ids, -1)
     matched = ids >= 0
     if not matched.any():
         return None
     world = world[matched]
     ids = ids[matched]
     pts = points[matched]
-    if cap > 0:
-        keep = np.zeros(len(ids), dtype=bool)
-        for plane_id in np.unique(ids):
-            sel = np.nonzero(ids == plane_id)[0]
-            keep[sel[:cap]] = True
-        ids, pts, world = ids[keep], pts[keep], world[keep]
     normals = index.normals[ids]
     centroids = index.centroids[ids]
     resid = np.abs(np.einsum("ij,ij->i", normals, world - centroids))
@@ -315,8 +301,8 @@ def _associate_frame(index: VoxelMapIndex, points: np.ndarray, anchor: Pose,
         sel = buckets == b
         if not sel.any():
             continue
-        scale = max(cfg.cauchy_scale_floor, float(np.median(resid[sel])))
-        robust[sel] = cauchy_weights(resid[sel], cfg.cauchy_factor, scale)
+        scale = max(CAUCHY_SCALE_FLOOR, float(np.median(resid[sel])))
+        robust[sel] = cauchy_weights(resid[sel], CAUCHY_FACTOR, scale)
     return PlaneBatch(pts, normals, centroids, index.weights[ids] * robust,
                       anchor)
 
@@ -389,14 +375,11 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
     # positions by at most the intra-scan motion, which leaves 6-neighbor
     # normal directions unchanged at any useful tolerance)
     frame_normals: list[np.ndarray | None] = [
-        _local_normals(f.positions) if cfg.normal_gate > 0 and len(f) >= 8
-        else None
-        for f in frames]
+        _local_normals(f.positions) if len(f) >= 8 else None for f in frames]
     t_prev = _seed_initial(map_index, nearest_lookup, frames, anchor_list,
                            t_guess, cfg)
     outer_trace: list[OuterIteration] = []
     lm_traces: list[list[dict]] = []
-    frame_transforms: list[Pose] = []
     converged = False
     iterations = 0
     stage = 0
@@ -413,12 +396,12 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
                 rel_b = geo.compose(prev_inv, geo.compose(rel, t_prev))
                 cur = pc.deskew(f, Pose.identity(), rel_b)
             batch = _associate_frame(map_index, cur.positions, anchor, t_prev,
-                                     reject, cfg.max_points_per_voxel, cfg,
+                                     reject,
                                      nearest=nearest_lookup if coarse else None,
                                      local_normals=frame_normals[k])
             batches.append(batch)
         usable = [i for i, b in enumerate(batches)
-                  if b is not None and len(b) >= cfg.min_frame_corr]
+                  if b is not None and len(b) >= MIN_FRAME_CORR]
         if not usable:
             raise NoCorrespondences(
                 "no frame found enough map correspondences (check FoV overlap "
@@ -426,7 +409,6 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
         twists: list[geo.Twist] = []
         solved_ids: list[int] = []
         unobservable: list[int] = []
-        frame_transforms = []
         iter_lm: list[dict] = []
         for i in usable:
             try:
@@ -449,7 +431,6 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
                 continue
             twists.append(corr)
             solved_ids.append(i)
-            frame_transforms.append(pose_i)
             iter_lm.extend({**e, "frame": sel[i]} for e in trace_i)
         if not twists:
             raise Unobservable(
@@ -476,8 +457,8 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
             break
         if pace < 0.5 * reject and stage < cfg.reject_iters - 1:
             stage += 1
-    return CalibrationResult(t_prev, outer_trace, frame_transforms, converged,
-                             iterations, lm_traces)
+    return CalibrationResult(t_prev, outer_trace, lm_traces, converged,
+                             iterations)
 
 
 def evaluate(result: CalibrationResult | Pose, gt: Pose) -> tuple[float, float]:

@@ -60,11 +60,6 @@ class Pose:
     def identity(cls) -> "Pose":
         return cls(np.eye(3), np.zeros(3))
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "Pose":
-        m = np.asarray(m, dtype=float)
-        return cls(m[:3, :3], m[:3, 3])
-
     def as_matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.rotation

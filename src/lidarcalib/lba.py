@@ -27,7 +27,18 @@ from . import pointcloud as pc
 from .errors import DegenerateGeometry, InvalidParams, StampMismatch
 from .geometry import Pose
 from .pointcloud import Frame, Trajectory
-from .ptplane import PlaneBatch, cauchy_weights, lm_refine, prior_residual
+from .ptplane import (CAUCHY_FACTOR, CAUCHY_SCALE_FLOOR, INNER_TOL,
+                      MAX_DEV_FLOOR, MAX_DEV_RATIO, PlaneBatch, cauchy_weights,
+                      lm_refine, prior_residual)
+
+
+# The Cauchy factor (ptplane.CAUCHY_FACTOR in round 0) anneals across
+# association rounds, factor * CAUCHY_DECAY^round but at least
+# CAUCHY_FACTOR_MIN (graduated non-convexity): a scale that tracks the
+# shrinking error keeps partial weight on cross-surface matches and would
+# stall the iteration millimeters short of the optimum.
+CAUCHY_DECAY = 0.7
+CAUCHY_FACTOR_MIN = 1.2
 
 
 @dataclass
@@ -38,27 +49,6 @@ class LbaParams:
     max_corr_dist: float = 1.0
     eta_max: float = 0.1
     assoc_rounds: int = 4
-    # Cauchy robust weight 1 / (1 + (r / (factor * scale))^2) with scale =
-    # max(floor, median |r|), frozen per association round. Soft weighting
-    # (not trimming) so sparse constraints along weakly observed directions
-    # keep their gradient, while a corner point matching a clean plane fit
-    # from the adjacent surface is driven to negligible weight. The factor
-    # anneals across rounds (graduated non-convexity): a scale that tracks
-    # the shrinking error keeps partial weight on cross-surface matches and
-    # would stall the iteration millimeters short of the optimum.
-    cauchy_factor: float = 3.0
-    cauchy_decay: float = 0.7
-    cauchy_factor_min: float = 1.2
-    cauchy_scale_floor: float = 1e-8
-    # neighbor sets whose max point-to-plane deviation exceeds
-    # max(floor, 3 * residual scale, ratio * patch extent) are rejected
-    set_dev_floor: float = 0.04
-    set_dev_ratio: float = 0.3
-    mu0: float = 1e-4
-    mu_up: float = 10.0
-    mu_down: float = 0.5
-    max_inner: int = 30
-    inner_tol: float = 1e-7
     overlap_weight: float = 1e3
     downsample_leaf: float = 0.25
 
@@ -103,21 +93,6 @@ def plan_windows(n: int, w: int, d: int) -> WindowPlan:
 
 
 @dataclass
-class WindowCorrespondences:
-    """Frozen point-to-plane matches for one window round."""
-
-    pt_local: np.ndarray   # (M, 3) sensor-frame points
-    frame: np.ndarray      # (M,) owner frame index within the window
-    normal: np.ndarray     # (M, 3) world-frame plane normals
-    centroid: np.ndarray   # (M, 3) world-frame plane centroids
-    n_frames: int
-    weight: np.ndarray | None = None  # (M,) robust weights, ones when None
-
-    def __len__(self) -> int:
-        return len(self.frame)
-
-
-@dataclass
 class WindowResult:
     """One window's refinement. Both costs are the window objective under
     the final association: initial_cost at the start poses, final_cost at
@@ -151,7 +126,7 @@ class LbaResult:
 
 def _match_frame_to_pool(points_local: np.ndarray, pose: Pose,
                          pool_pts: np.ndarray, params: LbaParams,
-                         cauchy_factor: float | None = None):
+                         cauchy_factor: float = CAUCHY_FACTOR):
     """Local plane fits over the k nearest pool neighbors of each point.
 
     Each point's neighbor set is exactly its k_neighbors nearest pool
@@ -190,73 +165,50 @@ def _match_frame_to_pool(points_local: np.ndarray, pose: Pose,
     if not keep.any():
         return empty
     resid_all = np.abs(np.einsum("ij,ij->i", normal, world_pts - centroid))
-    scale = max(params.cauchy_scale_floor, float(np.median(resid_all[keep])))
-    # flatness gate on the neighbor sets themselves: eta is an RMS ratio and
-    # admits sets mixing two surfaces near a corner; their max deviation
-    # gives them away. The floor tracks the round's residual scale so the
-    # slab-like (but legitimate) sets of the early iterations survive.
+    scale = max(CAUCHY_SCALE_FLOOR, float(np.median(resid_all[keep])))
+    # flatness gate on the neighbor sets themselves (see ptplane); the floor
+    # also tracks 3x the round's residual scale so the slab-like (but
+    # legitimate) sets of the early iterations survive.
     dev = np.max(np.abs(np.einsum("mki,mi->mk", centered, normal)), axis=1)
-    dev_gate = np.maximum(params.set_dev_floor,
-                          np.maximum(3.0 * scale,
-                                     params.set_dev_ratio * np.sqrt(lam_sum)))
+    dev_gate = np.maximum(MAX_DEV_FLOOR,
+                          np.maximum(3.0 * scale, MAX_DEV_RATIO * np.sqrt(lam_sum)))
     keep &= dev <= dev_gate
     if not keep.any():
         return empty
-    factor = params.cauchy_factor if cauchy_factor is None else cauchy_factor
-    weight = cauchy_weights(resid_all[keep], factor, scale)
+    weight = cauchy_weights(resid_all[keep], cauchy_factor, scale)
     return pts[keep], normal[keep], centroid[keep], weight
 
 
 def _build_correspondences(frames: list[Frame], poses: list[Pose],
-                           params: LbaParams,
-                           cauchy_factor: float | None = None
-                           ) -> WindowCorrespondences:
-    """Window snapshot: every frame matched against the lower-indexed pool.
+                           params: LbaParams) -> list[PlaneBatch]:
+    """Window snapshot: frame j = 1..w-1 matched against the world points of
+    frames 0..j-1, one batch per frame.
 
     Pooling neighbors from the already-anchored prefix (rather than from all
     other frames) pins every frame to the window reference through the
     chain: a plane pool that moves with the frames being optimized leaves a
     coherent whole-block drift mode that robust weighting cannot anchor.
     """
-    w = len(frames)
-    world = [geo.apply(poses[j], frames[j].positions) for j in range(w)]
-    cand = []
-    for j in range(1, w):
-        pool_pts = np.vstack(world[:j])
-        pts, normal, centroid, weight = _match_frame_to_pool(
-            frames[j].positions, poses[j], pool_pts, params, cauchy_factor)
-        cand.append((pts, np.full(len(pts), j), normal, centroid, weight))
-    if not cand:
-        return WindowCorrespondences(np.zeros((0, 3)), np.zeros(0, dtype=int),
-                                     np.zeros((0, 3)), np.zeros((0, 3)), w,
-                                     np.zeros(0))
-    return WindowCorrespondences(
-        np.vstack([c[0] for c in cand]),
-        np.concatenate([c[1] for c in cand]),
-        np.vstack([c[2] for c in cand]),
-        np.vstack([c[3] for c in cand]),
-        w,
-        np.concatenate([c[4] for c in cand]))
+    world = [geo.apply(pose, f.positions) for f, pose in zip(frames, poses)]
+    return [PlaneBatch(*_match_frame_to_pool(frames[j].positions, poses[j],
+                                             np.vstack(world[:j]), params))
+            for j in range(1, len(frames))]
 
 
-def point_to_plane_cost(poses: list[Pose], corr: WindowCorrespondences,
+def point_to_plane_cost(poses: list[Pose], batches: list[PlaneBatch],
                         prior: tuple[list[int], list[Pose], float] | None = None,
                         ) -> float:
     """Window objective: the weighted point-to-plane cost of every
     non-reference frame against its frozen planes, summed in frame order.
 
-    Residuals are scaled by the correspondence weights when present.
+    batches[j - 1] holds frame j's matches, j = 1..len(poses)-1.
     `prior` = (frame indices, reference poses, weight) adds quadratic terms
     weight * |log(ref^-1 pose)|^2, frame 0 excepted.
     """
     cost = 0.0
-    weights = np.ones(len(corr)) if corr.weight is None else corr.weight
-    for j in range(1, corr.n_frames):
-        sel = corr.frame == j
-        if not sel.any():
-            continue
-        cost += PlaneBatch(corr.pt_local[sel], corr.normal[sel],
-                           corr.centroid[sel], weights[sel]).objective(poses[j])
+    for pose, batch in zip(poses[1:], batches):
+        if len(batch):
+            cost += batch.objective(pose)
     if prior is not None:
         indices, refs, weight = prior
         for idx, ref in zip(indices, refs):
@@ -312,8 +264,7 @@ def optimize_window(frames: list[Frame], init_poses: list[Pose],
 
     trace: list[dict] = []
     for rnd in range(params.assoc_rounds):
-        factor = max(params.cauchy_factor_min,
-                     params.cauchy_factor * params.cauchy_decay ** rnd)
+        factor = max(CAUCHY_FACTOR_MIN, CAUCHY_FACTOR * CAUCHY_DECAY ** rnd)
         world = [geo.apply(poses[j], frames[j].positions) for j in range(w)]
         pool = world[0]
         max_move = 0.0
@@ -325,7 +276,7 @@ def optimize_window(frames: list[Frame], init_poses: list[Pose],
             frame_prior = None
             if 0 < j < n_prefix:
                 frame_prior = (fixed_prefix[j], params.overlap_weight)
-            new_pose, frame_trace = lm_refine(batch, poses[j], params,
+            new_pose, frame_trace = lm_refine(batch, poses[j], INNER_TOL,
                                               frame_prior)
             move = geo.translation_error(new_pose, poses[j]) + \
                 geo.rotation_error(new_pose, poses[j])
@@ -336,12 +287,12 @@ def optimize_window(frames: list[Frame], init_poses: list[Pose],
                 entry.update({"round": rnd, "frame": j})
             trace.extend(frame_trace)
             pool = np.vstack([pool, world[j]])
-        if max_move < params.inner_tol:
+        if max_move < INNER_TOL:
             break
 
-    final_corr = _build_correspondences(frames, poses, params)
-    final_cost = point_to_plane_cost(poses, final_corr, prior)
-    initial_cost = point_to_plane_cost(start_poses, final_corr, prior)
+    final_batches = _build_correspondences(frames, poses, params)
+    final_cost = point_to_plane_cost(poses, final_batches, prior)
+    initial_cost = point_to_plane_cost(start_poses, final_batches, prior)
     if initial_cost < final_cost:
         # refinement lost ground on the final association: reject it
         poses = start_poses

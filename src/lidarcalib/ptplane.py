@@ -20,6 +20,36 @@ import numpy as np
 from . import geometry as geo
 from .geometry import Pose
 
+# Levenberg-Marquardt damping: start, factor on a rejected step, factor on
+# an accepted one; at most MAX_INNER iterations per solve
+MU0 = 1e-4
+MU_UP = 10.0
+MU_DOWN = 0.5
+MAX_INNER = 30
+# LBA stops a frame solve once a step's largest entry drops below this, and
+# a window once no frame moved further in a round; calibration takes its
+# own `CalibConfig.inner_tol`, which defaults to the same value
+INNER_TOL = 1e-7
+
+# Cauchy robust weight 1 / (1 + (r / (factor * scale))^2) with scale =
+# max(CAUCHY_SCALE_FLOOR, median |r|), frozen per association. Soft
+# weighting (not trimming): sparse constraints along weakly observed
+# directions keep their gradient, while a point matched to a plane of
+# another surface (a corner point against a clean fit from the adjacent
+# wall, or a source point inside a map cell whose plane the reference
+# sensor saw from a different band) is driven to negligible weight.
+CAUCHY_FACTOR = 3.0
+CAUCHY_SCALE_FLOOR = 1e-8
+
+# Flatness gate on a fitted point set: its max |point-to-plane| deviation
+# must stay below max(MAX_DEV_FLOOR, MAX_DEV_RATIO * sqrt(lambda2 + lambda3)).
+# The planarity index eta is an RMS ratio and admits thin L-shaped sets
+# mixing two perpendicular surfaces near a corner, with a blended normal;
+# their max deviation gives them away. Voxel leaves and LBA neighbour sets
+# both pass through it.
+MAX_DEV_FLOOR = 0.04
+MAX_DEV_RATIO = 0.3
+
 
 class PlaneBatch:
     """Point-to-plane matches frozen for one solve; anchor None is the
@@ -102,23 +132,22 @@ def normal_equations(batch: PlaneBatch, pose: Pose,
     return _assemble(batch, batch.jacobian(pose), r, rho, prior)
 
 
-def lm_refine(batch: PlaneBatch, pose: Pose, params,
+def lm_refine(batch: PlaneBatch, pose: Pose, inner_tol: float,
               prior: tuple[Pose, float] | None = None
               ) -> tuple[Pose, list[dict]]:
     """Damped Gauss-Newton on the batch cost from pose.
 
-    params supplies mu0, mu_up, mu_down, max_inner and inner_tol (LbaParams
-    and CalibConfig both do). Each iteration solves (H + mu I) xi = -g and
+    Each iteration solves (H + mu I) xi = -g, mu starting at MU0, and
     accepts T exp(xi) only if it strictly lowers the cost, so the returned
-    pose never costs more than the start. The loop ends after max_inner
+    pose never costs more than the start. The loop ends after MAX_INNER
     iterations or once a step's largest entry drops below inner_tol. Each
     trace entry records iter, cost, cand_cost, accepted, mu and step_inf.
     """
     cost, r, rho = _evaluate(batch, pose, prior)
     jac = batch.jacobian(pose)
-    mu = params.mu0
+    mu = MU0
     trace: list[dict] = []
-    for it in range(params.max_inner):
+    for it in range(MAX_INNER):
         h, g = _assemble(batch, jac, r, rho, prior)
         step = -np.linalg.solve(h + mu * np.eye(6), g)
         cand = geo.compose(pose, geo.exp_se3(step))
@@ -130,9 +159,9 @@ def lm_refine(batch: PlaneBatch, pose: Pose, params,
         if accepted:
             pose, cost, r, rho = cand, cand_cost, cand_r, cand_rho
             jac = batch.jacobian(pose)
-            mu *= params.mu_down
+            mu *= MU_DOWN
         else:
-            mu *= params.mu_up
-        if step_inf < params.inner_tol:
+            mu *= MU_UP
+        if step_inf < inner_tol:
             break
     return pose, trace

@@ -9,7 +9,8 @@ plane carries a confidence weight
 
     weight = point_count / (1 + sigma_lambda) * exp(-gamma * eta)
 
-where eta = lambda1 / (lambda2 + lambda3) is the planarity index.
+where eta = lambda1 / (lambda2 + lambda3) is the planarity index and
+sigma_lambda the standard deviation of the three eigenvalues.
 
 The finished index is immutable and safe for concurrent association queries.
 """
@@ -23,6 +24,7 @@ import numpy as np
 
 from .errors import Degenerate, InvalidParams
 from .grid import pack_cells
+from .ptplane import MAX_DEV_FLOOR, MAX_DEV_RATIO
 
 _COLLINEAR_EPS = 1e-12
 
@@ -38,13 +40,6 @@ class VoxelParams:
     max_depth: int = 3
     min_points: int = 10
     gamma: float = 1.0
-    sigma_mode: str = "eigenvalues"  # or "smallest"
-    # planar acceptance also requires max |point-to-plane| below
-    # max(dev_floor, dev_ratio * sqrt(lambda2 + lambda3)): the eta ratio is
-    # an RMS criterion and lets thin L-shaped corner sets (two perpendicular
-    # wall strips) pass as "planar" with a blended 45-degree normal
-    max_dev_floor: float = 0.04
-    max_dev_ratio: float = 0.3
     # merge_neighbors gates: normals within tau_theta_deg, centroids within
     # tau_d (cli.build_map_index passes them on)
     tau_theta_deg: float = 5.0
@@ -59,8 +54,6 @@ class VoxelParams:
             raise InvalidParams("max_depth must be >= 0")
         if self.min_points < 3:
             raise InvalidParams("min_points must be >= 3")
-        if self.sigma_mode not in ("eigenvalues", "smallest"):
-            raise InvalidParams(f"unknown sigma_mode {self.sigma_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -114,12 +107,6 @@ def planarity(eigenvalues: np.ndarray) -> float:
 def confidence_weight(point_count: int, sigma_lambda: float, eta: float,
                       gamma: float) -> float:
     return point_count / (1.0 + sigma_lambda) * math.exp(-gamma * eta)
-
-
-def _sigma_lambda(evals: np.ndarray, mode: str) -> float:
-    if mode == "smallest":
-        return float(evals[0])
-    return float(np.std(evals))
 
 
 class VoxelMapIndex:
@@ -182,7 +169,7 @@ def _make_feature(index: VoxelMapIndex, point_idx: np.ndarray,
                   normal, centroid, evals, keys: tuple) -> PlaneFeature:
     params = index.params
     eta = planarity(evals)
-    sigma = _sigma_lambda(evals, params.sigma_mode)
+    sigma = float(np.std(evals))
     weight = confidence_weight(len(point_idx), sigma, eta, params.gamma)
     return PlaneFeature(normal, centroid, evals, len(point_idx), eta, sigma,
                         weight, keys, point_idx)
@@ -201,8 +188,8 @@ def _classify(index: VoxelMapIndex, point_idx: np.ndarray, depth: int,
         index.nodes[key] = (DISCARDED, None)
         return
     max_dev = float(np.max(np.abs((index.points[point_idx] - centroid) @ normal)))
-    dev_gate = max(params.max_dev_floor,
-                   params.max_dev_ratio * math.sqrt(evals[1] + evals[2]))
+    # flatness gate (see ptplane): eta alone passes thin L-shaped corner sets
+    dev_gate = max(MAX_DEV_FLOOR, MAX_DEV_RATIO * math.sqrt(evals[1] + evals[2]))
     if planarity(evals) < params.eta_max and max_dev <= dev_gate:
         index.nodes[key] = (PLANAR, len(index.leaf_planes))
         index.leaf_planes.append(

@@ -1,3 +1,4 @@
+import csv
 import math
 import shutil
 from pathlib import Path
@@ -41,6 +42,9 @@ class TestConfig:
             cfgmod.parse_config_lines(["sim.wibble = 3"])
         with pytest.raises(ConfigError):
             cfgmod.parse_config_lines(["wibble.frames = 3"])
+        # solver internals are module constants, not keys
+        with pytest.raises(ConfigError):
+            cfgmod.parse_config_lines(["calib.normal_gate = 0.5"])
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
@@ -141,7 +145,9 @@ class TestCalibrateCommand:
         lba_out = cli_lba_dir
         calib_out = root / "calib"
         rc = cli.main(["calibrate", str(out), "--config", str(cfg_path),
-                       "--lba-dir", str(lba_out), "--out", str(calib_out)])
+                       "--lba-dir", str(lba_out),
+                       "--guess", str(out / "extrinsic_gt.txt"),
+                       "--out", str(calib_out)])
         assert rc == 0
         text = capsys.readouterr().out
         assert "e_trans" in text
@@ -164,6 +170,15 @@ class TestCalibrateCommand:
         # on the full-resolution configuration
         assert float(e_line[0].split()[1]) < 2e-3
 
+    def test_no_guess_exits_2(self, cli_dataset, cli_lba_dir, tmp_path, capsys):
+        # ground truth is never a silent default guess
+        _, cfg_path, out = cli_dataset
+        rc = cli.main(["calibrate", str(out), "--config", str(cfg_path),
+                       "--lba-dir", str(cli_lba_dir),
+                       "--out", str(tmp_path / "calib")])
+        assert rc == cli.EXIT_CONFIG
+        assert "no initial guess" in capsys.readouterr().err
+        assert not (tmp_path / "calib").exists()
 
     def test_missing_refined_trajectory_exits_3(self, cli_dataset, cli_lba_dir,
                                                 tmp_path, capsys):
@@ -172,6 +187,7 @@ class TestCalibrateCommand:
         empty.mkdir()
         args = ["calibrate", str(out), "--config", str(cfg_path),
                 "--lba-dir", str(empty), "--map", str(cli_lba_dir / "map_A.pcd"),
+                "--guess", str(out / "extrinsic_gt.txt"),
                 "--out", str(tmp_path / "calib")]
         assert cli.main(args) == cli.EXIT_IO
         assert "trajectory_refined.txt" in capsys.readouterr().err
@@ -347,7 +363,7 @@ class TestSweepCommand:
         def run_trial(cfg, trial, base_seed, perturb_spec):
             if trial == 1:
                 raise np.linalg.LinAlgError("Singular matrix")
-            row = {c: 0.001 for c in cli._CSV_COLUMNS}
+            row = {c: 0.001 for c in cli._CSV_COLUMNS if c != "error"}
             row.update(trial=trial, seed=base_seed + trial)
             return row
 
@@ -357,11 +373,27 @@ class TestSweepCommand:
                        "--out-csv", str(csv_path), "--seed", "3"])
         assert rc == cli.EXIT_SWEEP_QUOTA
         lines = csv_path.read_text().strip().splitlines()
-        assert lines[1].startswith("0,3,0.001,")
-        assert lines[2] == "1,4,nan,nan,nan,nan,nan,nan"
+        assert lines[0].endswith(",outer_iters,error,wall_seconds")
+        assert lines[1] == "0,3,0.001,0.001,0.001,0.001,0.001,,0.001"
+        assert lines[2] == "1,4,nan,nan,nan,nan,nan,LinAlgError: Singular matrix,nan"
         captured = capsys.readouterr()
         assert "trial 1: FAILED (LinAlgError: Singular matrix)" in captured.out
         assert "only 1/2 trials succeeded" in captured.err
+
+    def test_error_cell_is_quoted(self, tmp_path, monkeypatch):
+        def run_trial(cfg, trial, base_seed, perturb_spec):
+            raise ValueError('bad "rig", try again')
+
+        monkeypatch.setattr(cli, "run_trial", run_trial)
+        csv_path = tmp_path / "sweep.csv"
+        rc = cli.main(["sweep", "--trials", "1", "--jobs", "1",
+                       "--out-csv", str(csv_path), "--seed", "3"])
+        assert rc == cli.EXIT_SWEEP_QUOTA
+        with open(csv_path, newline="") as fh:
+            header, row = list(csv.reader(fh))
+        assert len(row) == len(header)
+        assert dict(zip(header, row))["error"] == 'ValueError: bad "rig", try again'
+        assert row[-1] == "nan"
 
     def test_deterministic_modulo_wall_time(self, cli_dataset, tmp_path):
         _, cfg_path, _ = cli_dataset

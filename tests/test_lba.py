@@ -71,18 +71,16 @@ class TestPlanWindows:
 
 
 def synthetic_correspondences(rng, n_frames=3, per_frame=40):
-    """Random frozen planes and points for cost/gradient checks."""
-    pts, frames, normals, centroids = [], [], [], []
-    for j in range(1, n_frames):
+    """Random frozen planes and points for cost/gradient checks: one
+    unweighted batch per frame 1..n_frames-1."""
+    batches = []
+    for _ in range(1, n_frames):
         normal = rng.normal(size=(per_frame, 3))
         normal /= np.linalg.norm(normal, axis=1, keepdims=True)
-        pts.append(rng.uniform(-2, 2, size=(per_frame, 3)))
-        frames.append(np.full(per_frame, j))
-        normals.append(normal)
-        centroids.append(rng.uniform(-2, 2, size=(per_frame, 3)))
-    return lba.WindowCorrespondences(
-        np.vstack(pts), np.concatenate(frames), np.vstack(normals),
-        np.vstack(centroids), n_frames)
+        pts = rng.uniform(-2, 2, size=(per_frame, 3))
+        centroid = rng.uniform(-2, 2, size=(per_frame, 3))
+        batches.append(PlaneBatch(pts, normal, centroid, np.ones(per_frame)))
+    return batches
 
 
 class TestMatchFrameToPool:
@@ -157,47 +155,40 @@ class TestMatchFrameToPool:
         np.testing.assert_allclose(centroid[0], five.mean(axis=0), atol=1e-12)
 
 
-def frame_batch(corr, j):
-    """Frame j's rows of an unweighted window snapshot as one PlaneBatch."""
-    sel = corr.frame == j
-    return PlaneBatch(corr.pt_local[sel], corr.normal[sel],
-                      corr.centroid[sel], np.ones(np.count_nonzero(sel)))
-
-
 class TestPointToPlaneCost:
     """The window cost, and the LM kernel's gradient checked against it."""
 
     def test_points_on_planes_zero_cost(self):
         rng = np.random.default_rng(0)
-        corr = synthetic_correspondences(rng)
+        batches = synthetic_correspondences(rng)
         # project each point onto its plane so the residual vanishes
-        poses = [Pose.identity()] * corr.n_frames
-        r = np.einsum("ij,ij->i", corr.normal, corr.pt_local - corr.centroid)
-        corr.pt_local[:] = corr.pt_local - r[:, None] * corr.normal
-        cost = lba.point_to_plane_cost(poses, corr)
+        poses = [Pose.identity()] * (len(batches) + 1)
+        for b in batches:
+            r = np.einsum("ij,ij->i", b.normals, b.points - b.centroids)
+            b.points[:] = b.points - r[:, None] * b.normals
+        cost = lba.point_to_plane_cost(poses, batches)
         assert cost == pytest.approx(0.0, abs=1e-18)
-        for j in range(1, corr.n_frames):
-            h, g = normal_equations(frame_batch(corr, j), poses[j])
+        for j, b in enumerate(batches, start=1):
+            h, g = normal_equations(b, poses[j])
             np.testing.assert_allclose(g, 0.0, atol=1e-12)
             assert h.shape == (6, 6)
 
     def test_single_point_cost(self):
-        corr = lba.WindowCorrespondences(
-            np.array([[0.0, 0.0, 0.2]]), np.array([1]),
-            np.array([[0.0, 0.0, 1.0]]), np.zeros((1, 3)), 2)
-        cost = lba.point_to_plane_cost([Pose.identity()] * 2, corr)
+        batch = PlaneBatch(np.array([[0.0, 0.0, 0.2]]), np.array([[0.0, 0.0, 1.0]]),
+                           np.zeros((1, 3)), np.ones(1))
+        cost = lba.point_to_plane_cost([Pose.identity()] * 2, [batch])
         assert cost == pytest.approx(0.04)
 
     def test_gradient_matches_central_differences(self):
         # the window cost is a sum of per-frame batch costs, so each frame's
         # block of its gradient is twice that frame's kernel g
         rng = np.random.default_rng(1)
-        corr = synthetic_correspondences(rng)
+        batches = synthetic_correspondences(rng)
         poses = [Pose.identity()] + [random_pose(rng, max_angle=0.5, max_trans=1.0)
-                                     for _ in range(corr.n_frames - 1)]
+                                     for _ in batches]
         h = 1e-6
-        for j in range(1, corr.n_frames):
-            _, g = normal_equations(frame_batch(corr, j), poses[j])
+        for j, batch in enumerate(batches, start=1):
+            _, g = normal_equations(batch, poses[j])
             for k in range(6):
                 delta = np.zeros(6)
                 delta[k] = h
@@ -205,8 +196,8 @@ class TestPointToPlaneCost:
                 plus[j] = geo.compose(poses[j], geo.exp_se3(delta))
                 minus = list(poses)
                 minus[j] = geo.compose(poses[j], geo.exp_se3(-delta))
-                cp = lba.point_to_plane_cost(plus, corr)
-                cm = lba.point_to_plane_cost(minus, corr)
+                cp = lba.point_to_plane_cost(plus, batches)
+                cm = lba.point_to_plane_cost(minus, batches)
                 fd = (cp - cm) / (2 * h)
                 analytic = 2.0 * g[k]
                 assert analytic == pytest.approx(fd, rel=1e-4, abs=1e-8)
@@ -215,20 +206,20 @@ class TestPointToPlaneCost:
         # the prior Jacobian uses the small-correction identity approximation,
         # so keep the reference offset small and the tolerance proportional
         rng = np.random.default_rng(2)
-        corr = synthetic_correspondences(rng, n_frames=2, per_frame=10)
+        batches = synthetic_correspondences(rng, n_frames=2, per_frame=10)
         pose1 = random_pose(rng, max_angle=0.2, max_trans=0.2)
         ref = geo.compose(pose1, geo.exp_se3(np.full(6, 0.005)))
         poses = [Pose.identity(), pose1]
         prior = ([1], [ref], 100.0)
-        _, g = normal_equations(frame_batch(corr, 1), pose1, (ref, 100.0))
+        _, g = normal_equations(batches[0], pose1, (ref, 100.0))
         h = 1e-6
         for k in range(6):
             delta = np.zeros(6)
             delta[k] = h
             plus = [poses[0], geo.compose(poses[1], geo.exp_se3(delta))]
             minus = [poses[0], geo.compose(poses[1], geo.exp_se3(-delta))]
-            cp = lba.point_to_plane_cost(plus, corr, prior)
-            cm = lba.point_to_plane_cost(minus, corr, prior)
+            cp = lba.point_to_plane_cost(plus, batches, prior)
+            cm = lba.point_to_plane_cost(minus, batches, prior)
             fd = (cp - cm) / (2 * h)
             assert 2.0 * g[k] == pytest.approx(fd, rel=2e-2, abs=1e-6)
 
