@@ -36,17 +36,15 @@ class InvalidParams(LidarCalibError):
 
 
 class DegenerateGeometry(LidarCalibError):
-    """Too few independent point-to-plane constraints to optimize a window."""
+    """Point geometry too degenerate to use: too few independent
+    point-to-plane constraints to optimize an LBA window, or a point set
+    that cannot support a plane fit (too few or collinear points)."""
 
     def __init__(self, message: str, window: int | None = None):
         self.window = window
         if window is not None:
             message = f"window {window}: {message}"
         super().__init__(message)
-
-
-class Degenerate(LidarCalibError):
-    """Point set cannot support a plane fit (too few or collinear points)."""
 
 
 class Unobservable(LidarCalibError):

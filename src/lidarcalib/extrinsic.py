@@ -5,15 +5,16 @@ the synchronized reference-sensor pose (the anchor) composed with the
 current extrinsic estimate, matched to voxel planes by containment, and the
 extrinsic is refined by weighted point-to-plane Levenberg-Marquardt on the
 Lie algebra: each frame's matches form a `ptplane.PlaneBatch` anchored at
-its reference pose, solved by `ptplane.lm_refine`, the solver the LBA
-uses too. An outer loop re-associates every frame under a shrinking
-distance gate, solves each frame independently from the shared estimate to
-pick the consensus frames (discarding outliers beyond 3x the median twist
-norm), takes one joint LM step over the consensus frames with the
-association and robust weights frozen, and stops once that step drops below
-the convergence threshold.
+its reference pose, and the consensus frames' batches are solved jointly by
+`ptplane.lm_refine`, the solver the LBA uses too. An outer loop
+re-associates every frame under a shrinking distance gate, takes one
+undamped Gauss-Newton step per frame from the shared estimate to pick the
+consensus frames (discarding outliers beyond 3x the median twist norm),
+takes one joint LM solve over the consensus frames with the association and
+robust weights frozen, and stops once that step drops below the
+convergence threshold.
 
-Per-frame solves within one outer iteration are independent; the joint
+The per-frame steps within one outer iteration are independent; the joint
 batch stacks the consensus frames in frame order.
 """
 
@@ -29,8 +30,8 @@ from scipy.spatial import cKDTree
 from . import geometry as geo
 from . import pointcloud as pc
 from . import voxelmap as vm
-from .errors import AngleNearPi, InvalidParams, NoCorrespondences, Unobservable
-from .geometry import Pose
+from .errors import InvalidParams, NoCorrespondences, Unobservable
+from .geometry import Pose, Twist
 from .pointcloud import Frame
 from .ptplane import (CAUCHY_FACTOR, CAUCHY_SCALE_FLOOR, INNER_TOL, PlaneBatch,
                       cauchy_weights, lm_refine, normal_equations)
@@ -45,8 +46,8 @@ from .voxelmap import VoxelMapIndex
 NORMAL_GATE = 0.85
 # frames with fewer matches sit out the outer iteration
 MIN_FRAME_CORR = 20
-# lm_solve raises Unobservable above this condition number of the undamped
-# Gauss-Newton H at its start pose
+# a batch is unobservable above this condition number of the undamped
+# Gauss-Newton H at its start pose (see _observable_normal_equations)
 COND_LIMIT = 1e12
 # seeding scores candidates on about this many evenly spaced probe frames,
 # with proximity weight 1 / (1 + (d / ROT_SEED_KERNEL)^2) at distance d (m)
@@ -102,11 +103,26 @@ class OuterIteration:
 class CalibrationResult:
     extrinsic: Pose
     outer_trace: list[OuterIteration]
-    # per outer iteration: the per-frame LM traces tagged with their frame
-    # index, then the joint step's trace tagged with frame None
+    # per outer iteration: the joint LM solve's trace
     lm_traces: list[list[dict]]
     converged: bool
     iterations: int
+
+
+def _observable_normal_equations(batch: PlaneBatch,
+                                 pose: Pose) -> tuple[np.ndarray, np.ndarray]:
+    """Undamped Gauss-Newton (H, g) of the batch at pose.
+
+    Raises Unobservable for fewer than 6 matches, or when H has condition
+    number above COND_LIMIT.
+    """
+    if len(batch) < 6:
+        raise Unobservable(f"only {len(batch)} correspondences (< 6)")
+    h, g = normal_equations(batch, pose)
+    if np.linalg.cond(h) > COND_LIMIT:
+        raise Unobservable("normal equations are ill conditioned "
+                           "(degenerate plane geometry)")
+    return h, g
 
 
 def lm_solve(batch: PlaneBatch, t_init: Pose,
@@ -114,15 +130,9 @@ def lm_solve(batch: PlaneBatch, t_init: Pose,
     """Weighted point-to-plane LM (`ptplane.lm_refine`) for one batch.
 
     Raises Unobservable for fewer than 6 matches, or when the undamped
-    Gauss-Newton H at the initial estimate has condition number above
-    COND_LIMIT.
+    Gauss-Newton H at t_init has condition number above COND_LIMIT.
     """
-    if len(batch) < 6:
-        raise Unobservable(f"only {len(batch)} correspondences (< 6)")
-    h0, _ = normal_equations(batch, t_init)
-    if np.linalg.cond(h0) > COND_LIMIT:
-        raise Unobservable("normal equations are ill conditioned "
-                           "(degenerate plane geometry)")
+    _observable_normal_equations(batch, t_init)
     return lm_refine(batch, t_init, cfg.inner_tol)
 
 
@@ -318,7 +328,7 @@ def _joint_batch(batches: list[PlaneBatch]) -> PlaneBatch:
         np.concatenate([b.weights for b in batches]))
 
 
-def _step_size(twist: geo.Twist) -> float:
+def _step_size(twist: Twist) -> float:
     """Translation norm plus half the rotation angle of a correction."""
     return float(np.linalg.norm(twist.trans) + 0.5 * np.linalg.norm(twist.rot))
 
@@ -339,11 +349,12 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
     Per outer iteration every strided frame is deskewed with the reference
     motion conjugated by the current estimate and associated to map planes
     under the current rejection gate, which freezes the matches and their
-    robust weights. Each frame is then solved alone from the shared
-    estimate; those solves only pick the consensus frames (trust region,
-    twist norm within 3x the median) and set the pace of the gate schedule.
-    The next estimate is one joint LM solve of the summed objective over the
-    consensus frames, so every outer step decreases the frozen objective.
+    robust weights. Each frame then takes one undamped Gauss-Newton step
+    from the shared estimate; those steps only pick the consensus frames
+    (trust region, twist norm within 3x the median) and set the pace of the
+    gate schedule. The next estimate is one joint LM solve of the summed
+    objective over the consensus frames, so every outer step decreases the
+    frozen objective and `lm_solve` runs once per outer iteration.
     The loop stops once the joint step drops below convergence_delta.
 
     Frames that fail association or are degenerate this iteration are
@@ -406,32 +417,26 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
             raise NoCorrespondences(
                 "no frame found enough map correspondences (check FoV overlap "
                 "with the map and the initial guess)")
-        twists: list[geo.Twist] = []
+        twists: list[Twist] = []
         solved_ids: list[int] = []
         unobservable: list[int] = []
-        iter_lm: list[dict] = []
         for i in usable:
             try:
-                pose_i, trace_i = lm_solve(batches[i], t_prev, cfg)
+                h, g = _observable_normal_equations(batches[i], t_prev)
             except Unobservable:
                 unobservable.append(sel[i])
                 skipped.append(sel[i])
                 continue
+            corr = Twist.from_vector(-np.linalg.solve(h, g))
             # trust region: a correction far beyond the association gate's
             # reach means the frame slid along a weakly constrained
             # direction; its matches cannot support such a move
-            try:
-                corr = geo.log_se3(geo.compose(prev_inv, pose_i))
-            except AngleNearPi:
-                skipped.append(sel[i])
-                continue
             if (np.linalg.norm(corr.trans) > 3.0 * reject + 0.5
                     or np.linalg.norm(corr.rot) > 1.0):
                 skipped.append(sel[i])
                 continue
             twists.append(corr)
             solved_ids.append(i)
-            iter_lm.extend({**e, "frame": sel[i]} for e in trace_i)
         if not twists:
             raise Unobservable(
                 "every usable frame is degenerate or outside the trust region",
@@ -441,8 +446,7 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
         consensus = [solved_ids[k] for k in np.nonzero(kept)[0]]
         joint = _joint_batch([batches[i] for i in consensus])
         t_new, joint_trace = lm_solve(joint, t_prev, cfg)
-        iter_lm.extend({**e, "frame": None} for e in joint_trace)
-        lm_traces.append(iter_lm)
+        lm_traces.append(joint_trace)
         update = _step_size(geo.log_se3(geo.compose(prev_inv, t_new)))
         # pace of the gate schedule: the median per-frame correction keeps
         # tracking the remaining error even when the frames disagree in

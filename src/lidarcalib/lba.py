@@ -53,12 +53,17 @@ class LbaParams:
     downsample_leaf: float = 0.25
 
     def validate(self):
-        if self.window < 2:
-            raise InvalidParams("window size must be >= 2")
-        if self.step % 2 != 0:
-            raise InvalidParams("step size d must be even (overlap o = d/2)")
-        if self.step > self.window:
-            raise InvalidParams("step size d must not exceed window size w")
+        _check_window(self.window, self.step)
+
+
+def _check_window(w: int, d: int) -> None:
+    """Window size w and step d preconditions of the window plan."""
+    if w < 2:
+        raise InvalidParams("window size must be >= 2")
+    if d % 2 != 0:
+        raise InvalidParams("step size d must be even (overlap o = d/2)")
+    if d > w:
+        raise InvalidParams("step size d must not exceed window size w")
 
 
 @dataclass
@@ -74,12 +79,7 @@ def plan_windows(n: int, w: int, d: int) -> WindowPlan:
     """Partition n frames into k = ceil((n-d)/(d-o)) + 1 overlapping windows."""
     if n < 1:
         raise InvalidParams("need at least one frame")
-    if w < 2:
-        raise InvalidParams("window size must be >= 2")
-    if d % 2 != 0:
-        raise InvalidParams("step size d must be even")
-    if d > w:
-        raise InvalidParams("step size d must not exceed window size w")
+    _check_window(w, d)
     o = d // 2
     if n <= d or w > n:
         return WindowPlan(n, w, d, o, [(0, n - 1)])
@@ -107,10 +107,9 @@ class WindowResult:
 
 @dataclass
 class ReferenceMap:
-    """Accumulated world-frame map with per-point frame provenance."""
+    """Accumulated world-frame map: the union of the refined frames."""
 
     points: np.ndarray
-    source_frame_ids: np.ndarray
 
 
 @dataclass
@@ -350,9 +349,8 @@ def run_sliding_lba(frames: list[Frame], trajectory: Trajectory,
 
     map_points = np.vstack([geo.apply(poses[j], ds_frames[j].positions)
                             for j in range(n)])
-    source_ids = np.repeat(np.arange(n), [len(f) for f in ds_frames])
     refined = Trajectory(trajectory.stamps, poses)
-    return LbaResult(refined, ReferenceMap(map_points, source_ids),
+    return LbaResult(refined, ReferenceMap(map_points),
                      window_results, discrepancies)
 
 

@@ -9,7 +9,7 @@ quaternions.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,15 +19,6 @@ from .geometry import Pose
 from .grid import pack_cells
 
 STAMP_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class Point:
-    """Single-point view used at API seams; bulk storage lives in Frame."""
-
-    position: np.ndarray
-    time_offset: float = 0.0
-    intensity: float | None = None
 
 
 @dataclass(frozen=True)
@@ -71,10 +62,6 @@ class Frame:
     def __len__(self) -> int:
         return len(self.positions)
 
-    def point(self, i: int) -> Point:
-        inten = None if self.intensities is None else float(self.intensities[i])
-        return Point(self.positions[i].copy(), float(self.time_offsets[i]), inten)
-
     def with_positions(self, positions: np.ndarray) -> "Frame":
         return Frame(positions, self.stamp, self.sensor_id, self.scan_duration,
                      self.time_offsets, self.intensities)
@@ -106,11 +93,6 @@ class Trajectory:
             raise StampMismatch(
                 f"no trajectory sample within {tol} s of stamp {stamp:.6f}")
         return i
-
-
-def transform_frame(pose: Pose, f: Frame) -> Frame:
-    """Rigidly transform every point; all metadata is preserved."""
-    return f.with_positions(geo.apply(pose, f.positions))
 
 
 def deskew(f: Frame, pose_start: Pose, pose_end: Pose) -> Frame:

@@ -18,11 +18,11 @@ The finished index is immutable and safe for concurrent association queries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Degenerate, InvalidParams
+from .errors import DegenerateGeometry, InvalidParams
 from .grid import pack_cells
 from .ptplane import MAX_DEV_FLOOR, MAX_DEV_RATIO
 
@@ -70,28 +70,25 @@ class PlaneFeature:
     voxel_keys: tuple
     point_indices: np.ndarray
 
-    def distance(self, p: np.ndarray) -> float:
-        return float(np.dot(self.normal, np.asarray(p) - self.centroid))
-
 
 def fit_plane(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least-squares plane of a point set via covariance eigendecomposition.
 
     Returns (unit normal, centroid, eigenvalues ascending). The normal sign
     is fixed so its largest-magnitude component is positive. Raises
-    Degenerate for fewer than 3 points or (near-)collinear sets.
+    DegenerateGeometry for fewer than 3 points or (near-)collinear sets.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     m = len(points)
     if m < 3:
-        raise Degenerate(f"need >= 3 points, got {m}")
+        raise DegenerateGeometry(f"need >= 3 points, got {m}")
     centroid = points.mean(axis=0)
     centered = points - centroid
     cov = centered.T @ centered / m
     evals, evecs = np.linalg.eigh(cov)
     evals = np.clip(evals, 0.0, None)
     if evals[1] < _COLLINEAR_EPS:
-        raise Degenerate("points are collinear")
+        raise DegenerateGeometry("points are collinear")
     normal = evecs[:, 0]
     k = int(np.argmax(np.abs(normal)))
     if normal[k] < 0.0:
@@ -184,7 +181,7 @@ def _classify(index: VoxelMapIndex, point_idx: np.ndarray, depth: int,
         return
     try:
         normal, centroid, evals = fit_plane(index.points[point_idx])
-    except Degenerate:
+    except DegenerateGeometry:
         index.nodes[key] = (DISCARDED, None)
         return
     max_dev = float(np.max(np.abs((index.points[point_idx] - centroid) @ normal)))
@@ -314,16 +311,6 @@ def merge_neighbors(index: VoxelMapIndex, tau_theta: float, tau_d: float) -> Vox
     return out
 
 
-def associate(point: np.ndarray, index: VoxelMapIndex,
-              reject_dist: float = 0.3) -> PlaneFeature | None:
-    """Plane of the deepest classified cell containing the point, or None.
-
-    Matches whose point-to-plane distance exceeds reject_dist are rejected.
-    """
-    ids = associate_batch(np.asarray(point, dtype=float).reshape(1, 3), index, reject_dist)
-    return index.planes[ids[0]] if ids[0] >= 0 else None
-
-
 def associate_batch(points: np.ndarray, index: VoxelMapIndex,
                     reject_dist: float = 0.3) -> np.ndarray:
     """Vectorized containment association.
@@ -370,12 +357,3 @@ def associate_batch(points: np.ndarray, index: VoxelMapIndex,
         sel = np.nonzero(matched)[0][bad]
         out[sel] = -1
     return out
-
-
-def export_planes(index: VoxelMapIndex, path) -> None:
-    """One plane per line: nx ny nz cx cy cz lambda1 lambda2 lambda3 count weight."""
-    with open(path, "w") as fh:
-        for p in index.planes:
-            vals = [*p.normal, *p.centroid, *p.eigenvalues]
-            fh.write(" ".join(f"{v:.9g}" for v in vals)
-                     + f" {p.point_count} {p.weight:.9g}\n")

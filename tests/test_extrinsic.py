@@ -259,6 +259,44 @@ class TestCalibrate:
         assert geo.translation_error(base.extrinsic, moved.extrinsic) < 1e-6
         assert geo.rotation_error(base.extrinsic, moved.extrinsic) < 1e-6
 
+    def test_one_lm_solve_per_outer_iteration(self, room_calib_setup,
+                                              monkeypatch):
+        # per-frame consensus votes are Gauss-Newton steps; only the joint
+        # step of each outer iteration runs the LM solver
+        ds, index, anchors = room_calib_setup
+        calls = []
+        solve = ext.lm_solve
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(ext, "lm_solve", counting_solve)
+        guess = sim.perturb(ds.extrinsic, 0.3, 20.0, 23)
+        result = ext.calibrate(index, ds.frames_b, anchors, guess)
+        assert result.iterations > 1
+        assert len(calls) == result.iterations
+
+    def test_single_plane_map_is_unobservable(self):
+        # one plane pins 3 of the 6 extrinsic degrees of freedom, so every
+        # frame fails the observability test
+        rng = np.random.default_rng(43)
+
+        def floor(n):
+            xy = rng.uniform(-3.0, 3.0, size=(n, 2))
+            return np.column_stack([xy, np.full(n, -0.7)])
+
+        index = vm.build_adaptive(floor(20000), vm.VoxelParams())
+        gt = sim.RIG_PRESETS["config2"].to_pose()
+        anchors = [Pose(geo.rot_z(0.1 * j), np.array([0.2 * j, 0.1 * j, 0.0]))
+                   for j in range(4)]
+        frames = [pc.Frame(geo.apply(geo.inverse(gt),
+                                     geo.apply(geo.inverse(a), floor(700))),
+                           0.0, "B", 0.0) for a in anchors]
+        with pytest.raises(Unobservable) as exc:
+            ext.calibrate(index, frames, anchors, gt)
+        assert exc.value.frame_indices == list(range(len(frames)))
+
     def test_no_correspondences(self, room_calib_setup):
         ds, index, anchors = room_calib_setup
         far = Pose(np.eye(3), np.array([500.0, 500.0, 500.0]))

@@ -25,46 +25,10 @@ class TestFrame:
         with pytest.raises(ValueError):
             make_frame([[0.0, 0.0, 0.0]], duration=0.1, offsets=[0.2])
 
-    def test_point_accessor(self):
-        f = make_frame([[1.0, 2.0, 3.0]], offsets=[0.05], intensities=[7.0])
-        p = f.point(0)
-        np.testing.assert_array_equal(p.position, [1.0, 2.0, 3.0])
-        assert p.time_offset == 0.05
-        assert p.intensity == 7.0
-
     def test_immutable(self):
         f = make_frame([[1.0, 2.0, 3.0]])
         with pytest.raises(ValueError):
             f.positions[0, 0] = 9.0
-
-
-class TestTransformFrame:
-    def test_identity(self):
-        f = make_frame([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        out = pc.transform_frame(Pose.identity(), f)
-        np.testing.assert_allclose(out.positions, f.positions)
-        assert out.stamp == f.stamp and out.sensor_id == f.sensor_id
-
-    def test_pure_translation(self):
-        f = make_frame([[0.0, 0.0, 0.0]])
-        out = pc.transform_frame(Pose(np.eye(3), [1.0, 0.0, 0.0]), f)
-        np.testing.assert_allclose(out.positions[0], [1.0, 0.0, 0.0])
-
-    def test_matches_homogeneous_oracle(self):
-        rng = np.random.default_rng(0)
-        pose = random_pose(rng)
-        pts = rng.normal(size=(100, 3))
-        f = make_frame(pts, duration=0.0)
-        out = pc.transform_frame(pose, f)
-        hom = np.column_stack([pts, np.ones(100)]) @ pose.as_matrix().T
-        np.testing.assert_allclose(out.positions, hom[:, :3], atol=1e-9)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(1)
-        pose = random_pose(rng)
-        f = make_frame(rng.normal(size=(50, 3)), duration=0.0)
-        back = pc.transform_frame(geo.inverse(pose), pc.transform_frame(pose, f))
-        np.testing.assert_allclose(back.positions, f.positions, atol=1e-9)
 
 
 class TestDeskew:

@@ -152,10 +152,10 @@ class TestGenerateDataset:
         start_b = geo.compose(traj.poses[j], ds.extrinsic)
         deskewed = pc.deskew(frame, start_b, geo.compose(
             pc.scan_end_poses(traj, COARSE.scan_period)[j], ds.extrinsic))
-        world = pc.transform_frame(start_b, deskewed)
-        back = pc.transform_frame(geo.inverse(ds.extrinsic),
-                                  pc.transform_frame(geo.inverse(traj.poses[j]), world))
-        np.testing.assert_allclose(back.positions, deskewed.positions, atol=1e-9)
+        world = geo.apply(start_b, deskewed.positions)
+        back = geo.apply(geo.inverse(ds.extrinsic),
+                         geo.apply(geo.inverse(traj.poses[j]), world))
+        np.testing.assert_allclose(back, deskewed.positions, atol=1e-9)
 
     def test_dataset_io_round_trip(self, tmp_path):
         scene = sim.builtin_scene("room")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lidarcalib import voxelmap as vm
-from lidarcalib.errors import Degenerate
+from lidarcalib.errors import DegenerateGeometry
 
 
 def plane_patch(rng, normal, centroid, extent, n, noise=0.0):
@@ -37,11 +37,11 @@ class TestFitPlane:
 
     def test_collinear_raises(self):
         pts = np.column_stack([np.arange(5.0), np.zeros(5), np.zeros(5)])
-        with pytest.raises(Degenerate):
+        with pytest.raises(DegenerateGeometry):
             vm.fit_plane(pts)
 
     def test_too_few_points(self):
-        with pytest.raises(Degenerate):
+        with pytest.raises(DegenerateGeometry):
             vm.fit_plane(np.zeros((2, 3)))
 
     def test_noisy_tilted_plane(self):
@@ -254,6 +254,12 @@ class TestMergeNeighbors:
                 assert p.point_count == q.point_count
 
 
+def associate_one(point, index, reject_dist=0.3):
+    """The plane associate_batch gives a single point, or None."""
+    ids = vm.associate_batch(np.reshape(point, (1, 3)), index, reject_dist)
+    return index.planes[ids[0]] if ids[0] >= 0 else None
+
+
 class TestAssociate:
     def _walls_index(self, rng):
         floor = plane_patch(rng, [0, 0, 1], [2.0, 2.0, 0.5], 1.9, 4000)
@@ -264,20 +270,20 @@ class TestAssociate:
     def test_point_in_planar_root(self):
         rng = np.random.default_rng(13)
         pts, index = self._walls_index(rng)
-        plane = vm.associate([2.2, 2.2, 0.52], index, reject_dist=0.3)
+        plane = associate_one([2.2, 2.2, 0.52], index, reject_dist=0.3)
         assert plane is not None
         np.testing.assert_allclose(np.abs(plane.normal), [0, 0, 1], atol=1e-6)
 
     def test_point_in_empty_space(self):
         rng = np.random.default_rng(14)
         _, index = self._walls_index(rng)
-        assert vm.associate([20.0, 20.0, 20.0], index) is None
+        assert associate_one([20.0, 20.0, 20.0], index) is None
 
     def test_reject_distance(self):
         rng = np.random.default_rng(15)
         _, index = self._walls_index(rng)
-        assert vm.associate([2.2, 2.2, 0.9], index, reject_dist=0.1) is None
-        assert vm.associate([2.2, 2.2, 0.9], index, reject_dist=0.6) is not None
+        assert associate_one([2.2, 2.2, 0.9], index, reject_dist=0.1) is None
+        assert associate_one([2.2, 2.2, 0.9], index, reject_dist=0.6) is not None
 
     def test_subdivided_cell_resolves_to_child(self):
         rng = np.random.default_rng(16)
@@ -287,7 +293,7 @@ class TestAssociate:
         pts = np.clip(np.vstack([a, b]), 0.001, 0.999)
         index = vm.build_adaptive(pts, vm.VoxelParams(max_depth=2, min_points=5))
         query = np.array([0.2, 0.2, 0.505])
-        plane = vm.associate(query, index, reject_dist=0.3)
+        plane = associate_one(query, index, reject_dist=0.3)
         if plane is not None:
             # brute-force containment oracle: best plane among cells containing query
             candidates = []
@@ -305,7 +311,7 @@ class TestAssociate:
         queries = rng.uniform(0, 4, size=(200, 3))
         ids = vm.associate_batch(queries, index, reject_dist=0.3)
         for q, i in zip(queries, ids):
-            single = vm.associate(q, index, reject_dist=0.3)
+            single = associate_one(q, index, reject_dist=0.3)
             if i < 0:
                 assert single is None
             else:
@@ -335,22 +341,10 @@ class TestAssociate:
                     break
                 if node[0] == vm.PLANAR:
                     plane_id = index.leaf_to_plane[node[1]]
-                    if abs(index.planes[plane_id].distance(q)) <= reject:
+                    plane = index.planes[plane_id]
+                    if abs(np.dot(plane.normal, q - plane.centroid)) <= reject:
                         expected[i] = plane_id
                     break
         assert np.count_nonzero(expected >= 0) > 300
         np.testing.assert_array_equal(
             vm.associate_batch(queries, index, reject_dist=reject), expected)
-
-
-class TestExport:
-    def test_export_format(self, tmp_path):
-        rng = np.random.default_rng(18)
-        pts = plane_patch(rng, [0, 0, 1], [0.5, 0.5, 0.5], 0.45, 100)
-        index = vm.build_adaptive(pts, vm.VoxelParams())
-        path = tmp_path / "planes.txt"
-        vm.export_planes(index, path)
-        rows = path.read_text().strip().splitlines()
-        assert len(rows) == len(index.planes)
-        vals = rows[0].split()
-        assert len(vals) == 11
