@@ -8,11 +8,12 @@ Lie algebra: each frame's matches form a `ptplane.PlaneBatch` anchored at
 its reference pose, and the consensus frames' batches are solved jointly by
 `ptplane.lm_refine`, the solver the LBA uses too. An outer loop
 re-associates every frame under a shrinking distance gate, takes one
-undamped Gauss-Newton step per frame from the shared estimate to pick the
-consensus frames (discarding outliers beyond 3x the median twist norm),
-takes one joint LM solve over the consensus frames with the association and
-robust weights frozen, and stops once that step drops below the
-convergence threshold.
+minimum-norm Gauss-Newton step per frame from the shared estimate (moving
+only along the directions that frame constrains) to pick the consensus
+frames (discarding outliers beyond 3x the median twist norm), takes one
+joint LM solve over the consensus frames with the association and robust
+weights frozen, and stops once that step drops below the convergence
+threshold.
 
 The per-frame steps within one outer iteration are independent; the joint
 batch stacks the consensus frames in frame order.
@@ -46,8 +47,10 @@ from .voxelmap import VoxelMapIndex
 NORMAL_GATE = 0.85
 # frames with fewer matches sit out the outer iteration
 MIN_FRAME_CORR = 20
-# a batch is unobservable above this condition number of the undamped
-# Gauss-Newton H at its start pose (see _observable_normal_equations)
+# the joint batch is unobservable above this condition number of the
+# undamped Gauss-Newton H at its start pose (see lm_solve); a frame's vote
+# treats H's directions below 1 / COND_LIMIT of its largest eigenvalue as
+# unconstrained
 COND_LIMIT = 1e12
 # seeding scores candidates on about this many evenly spaced probe frames,
 # with proximity weight 1 / (1 + (d / ROT_SEED_KERNEL)^2) at distance d (m)
@@ -96,6 +99,8 @@ class OuterIteration:
     update_norm: float
     frames_used: int
     reject_dist: float
+    # frames left out of the joint step: too few matches, or outside the
+    # consensus
     skipped_frames: list[int] = field(default_factory=list)
 
 
@@ -109,30 +114,21 @@ class CalibrationResult:
     iterations: int
 
 
-def _observable_normal_equations(batch: PlaneBatch,
-                                 pose: Pose) -> tuple[np.ndarray, np.ndarray]:
-    """Undamped Gauss-Newton (H, g) of the batch at pose.
-
-    Raises Unobservable for fewer than 6 matches, or when H has condition
-    number above COND_LIMIT.
-    """
-    if len(batch) < 6:
-        raise Unobservable(f"only {len(batch)} correspondences (< 6)")
-    h, g = normal_equations(batch, pose)
-    if np.linalg.cond(h) > COND_LIMIT:
-        raise Unobservable("normal equations are ill conditioned "
-                           "(degenerate plane geometry)")
-    return h, g
-
-
 def lm_solve(batch: PlaneBatch, t_init: Pose,
              cfg: CalibConfig) -> tuple[Pose, list[dict]]:
     """Weighted point-to-plane LM (`ptplane.lm_refine`) for one batch.
 
+    `calibrate` runs it once per outer iteration, on the joint batch of the
+    consensus frames; its test is the only observability test there.
     Raises Unobservable for fewer than 6 matches, or when the undamped
     Gauss-Newton H at t_init has condition number above COND_LIMIT.
     """
-    _observable_normal_equations(batch, t_init)
+    if len(batch) < 6:
+        raise Unobservable(f"only {len(batch)} correspondences (< 6)")
+    h, _ = normal_equations(batch, t_init)
+    if np.linalg.cond(h) > COND_LIMIT:
+        raise Unobservable("normal equations are ill conditioned "
+                           "(degenerate plane geometry)")
     return lm_refine(batch, t_init, cfg.inner_tol)
 
 
@@ -155,12 +151,15 @@ class _NearestPlaneLookup:
         self.tree = cKDTree(index.points[owned], balanced_tree=False,
                             compact_nodes=False)
 
-    def query(self, points: np.ndarray, radius: float) -> np.ndarray:
+    def query(self, points: np.ndarray,
+              radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """Distance to the nearest mapped surface point and its plane id;
+        inf and -1 beyond radius."""
         dist, idx = self.tree.query(points, k=1, distance_upper_bound=radius)
         hit = np.isfinite(dist)
         out = np.full(len(points), -1, dtype=int)
         out[hit] = self.plane_ids[idx[hit]]
-        return out
+        return dist, out
 
 
 def _local_normals(points: np.ndarray, k: int = 6) -> np.ndarray:
@@ -225,12 +224,11 @@ def _seed_initial(map_index: VoxelMapIndex, nearest: "_NearestPlaneLookup",
             n_world = local_n @ rot_w.T
             buckets = np.argmax(np.abs(n_world), axis=1)
             np.add.at(bucket_cnt, buckets, 1.0)
-            dist, idx = nearest.tree.query(
-                world, k=1, distance_upper_bound=cfg.reject_start)
-            hit = np.isfinite(dist)
+            dist, ids = nearest.query(world, cfg.reject_start)
+            hit = ids >= 0
             if not hit.any():
                 continue
-            plane_ids = nearest.plane_ids[idx[hit]]
+            plane_ids = ids[hit]
             agree = np.abs(np.einsum(
                 "ij,ij->i", map_index.normals[plane_ids], n_world[hit]))
             prox = 1.0 / (1.0 + (dist[hit] / ROT_SEED_KERNEL) ** 2)
@@ -280,7 +278,7 @@ def _associate_frame(index: VoxelMapIndex, points: np.ndarray, anchor: Pose,
                      local_normals: np.ndarray | None = None) -> PlaneBatch | None:
     world = geo.apply(anchor, geo.apply(estimate, points))
     if nearest is not None:
-        ids = nearest.query(world, reject_dist)
+        _, ids = nearest.query(world, reject_dist)
         if (ids >= 0).any():
             resid = np.abs(np.einsum(
                 "ij,ij->i", index.normals[np.maximum(ids, 0)],
@@ -349,17 +347,20 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
     Per outer iteration every strided frame is deskewed with the reference
     motion conjugated by the current estimate and associated to map planes
     under the current rejection gate, which freezes the matches and their
-    robust weights. Each frame then takes one undamped Gauss-Newton step
-    from the shared estimate; those steps only pick the consensus frames
-    (trust region, twist norm within 3x the median) and set the pace of the
-    gate schedule. The next estimate is one joint LM solve of the summed
-    objective over the consensus frames, so every outer step decreases the
-    frozen objective and `lm_solve` runs once per outer iteration.
-    The loop stops once the joint step drops below convergence_delta.
+    robust weights. Each frame with at least MIN_FRAME_CORR matches then
+    votes with one minimum-norm Gauss-Newton step from the shared estimate,
+    which moves only along the directions its planes constrain, so a frame
+    that sees too few surfaces to pin all six DoF still votes. The votes
+    pick the consensus frames (twist norm within 3x the median, the only
+    frame filter) and set the pace of the gate schedule. The next estimate
+    is one joint LM solve of the summed objective over the consensus frames,
+    so every outer step decreases the frozen objective and `lm_solve` runs
+    once per outer iteration. The loop stops once the joint step drops
+    below convergence_delta.
 
-    Frames that fail association or are degenerate this iteration are
-    skipped; if none survive, NoCorrespondences or Unobservable (with the
-    offending frame indices) is raised.
+    Raises NoCorrespondences when no frame has enough matches, and
+    Unobservable, with every usable frame's index, when the consensus
+    frames jointly leave a direction unconstrained.
     """
     cfg = cfg or CalibConfig()
     cfg.validate()
@@ -400,7 +401,6 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
         coarse = stage < cfg.reject_iters - 1
         prev_inv = geo.inverse(t_prev)
         batches: list[PlaneBatch | None] = []
-        skipped: list[int] = []
         for k, (f, anchor, rel) in enumerate(zip(frames, anchor_list, rels)):
             cur = f
             if cfg.deskew and f.scan_duration > 0.0 and len(f):
@@ -417,35 +417,23 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
             raise NoCorrespondences(
                 "no frame found enough map correspondences (check FoV overlap "
                 "with the map and the initial guess)")
-        twists: list[Twist] = []
-        solved_ids: list[int] = []
-        unobservable: list[int] = []
+        # minimum-norm Gauss-Newton vote: a frame moves only along the
+        # directions its own planes constrain
+        twists = []
         for i in usable:
-            try:
-                h, g = _observable_normal_equations(batches[i], t_prev)
-            except Unobservable:
-                unobservable.append(sel[i])
-                skipped.append(sel[i])
-                continue
-            corr = Twist.from_vector(-np.linalg.solve(h, g))
-            # trust region: a correction far beyond the association gate's
-            # reach means the frame slid along a weakly constrained
-            # direction; its matches cannot support such a move
-            if (np.linalg.norm(corr.trans) > 3.0 * reject + 0.5
-                    or np.linalg.norm(corr.rot) > 1.0):
-                skipped.append(sel[i])
-                continue
-            twists.append(corr)
-            solved_ids.append(i)
-        if not twists:
-            raise Unobservable(
-                "every usable frame is degenerate or outside the trust region",
-                frame_indices=unobservable)
+            h, g = normal_equations(batches[i], t_prev)
+            twists.append(Twist.from_vector(
+                np.linalg.lstsq(h, -g, rcond=1.0 / COND_LIMIT)[0]))
 
         kept = _consensus_mask(np.stack([t.as_vector() for t in twists]))
-        consensus = [solved_ids[k] for k in np.nonzero(kept)[0]]
+        consensus = [usable[k] for k in np.nonzero(kept)[0]]
+        skipped = [sel[i] for i in range(len(frames)) if i not in consensus]
         joint = _joint_batch([batches[i] for i in consensus])
-        t_new, joint_trace = lm_solve(joint, t_prev, cfg)
+        try:
+            t_new, joint_trace = lm_solve(joint, t_prev, cfg)
+        except Unobservable as exc:
+            raise Unobservable(str(exc),
+                               frame_indices=[sel[i] for i in usable]) from exc
         lm_traces.append(joint_trace)
         update = _step_size(geo.log_se3(geo.compose(prev_inv, t_new)))
         # pace of the gate schedule: the median per-frame correction keeps

@@ -218,12 +218,14 @@ def point_to_plane_cost(poses: list[Pose], batches: list[PlaneBatch],
     return cost
 
 
-def _check_frame_constraints(j: int, batch: PlaneBatch):
+def _check_frame_constraints(j: int, batch: PlaneBatch, pose: Pose):
+    """Frame j's matches, taken at the pose they were matched at, must pin
+    all six DoF."""
     count = len(batch)
     if count < 6:
         raise DegenerateGeometry(
             f"frame {j} has {count} point-to-plane constraints (< 6)")
-    jrow = batch.jacobian(Pose.identity())
+    jrow = batch.jacobian(pose)
     evals = np.linalg.eigvalsh(jrow.T @ jrow)
     if evals[0] < 1e-10 * max(evals[-1], 1e-30):
         raise DegenerateGeometry(
@@ -271,7 +273,7 @@ def optimize_window(frames: list[Frame], init_poses: list[Pose],
             batch = PlaneBatch(*_match_frame_to_pool(
                 frames[j].positions, poses[j], pool, params, factor))
             if rnd == 0:
-                _check_frame_constraints(j, batch)
+                _check_frame_constraints(j, batch, poses[j])
             frame_prior = None
             if 0 < j < n_prefix:
                 frame_prior = (fixed_prefix[j], params.overlap_weight)

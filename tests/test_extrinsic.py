@@ -171,6 +171,45 @@ class TestLmSolve:
         assert geo.rotation_error(p1, p2) < 1e-9
 
 
+# three disjoint orthogonal patches (corner, edge, edge): every mapped cell
+# holds a single surface, so a transform with all residuals exactly zero
+# exists. Plane offsets are deliberately off the voxel lattice so both sides
+# of each surface stay inside populated cells.
+PATCH_RECTS = [([4.3, -3.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 2.0]),
+               ([-3.0, 4.3, 0.0], [4.0, 0.0, 0.0], [0.0, 0.0, 2.0]),
+               ([-3.0, -3.0, -0.7], [6.0, 0.0, 0.0], [0.0, 6.0, 0.0])]
+
+
+def sample_patch(rng, corner, e1, e2, n):
+    a = rng.uniform(0, 1, size=(n, 1))
+    b = rng.uniform(0, 1, size=(n, 1))
+    return np.asarray(corner) + a * np.asarray(e1) + b * np.asarray(e2)
+
+
+def patch_world(views):
+    """(map index, ground-truth extrinsic, anchors, frames) on the patch
+    world; frame j sees the patches listed in views[j]."""
+    rng = np.random.default_rng(41)
+    map_pts = np.vstack([sample_patch(rng, *r, 4000) for r in PATCH_RECTS])
+    index = vm.build_adaptive(map_pts, vm.VoxelParams())
+    gt = sim.RIG_PRESETS["config2"].to_pose()
+    anchors = [Pose(geo.rot_z(0.1 * j), np.array([0.2 * j, 0.1 * j, 0.0]))
+               for j in range(len(views))]
+    frames = []
+    for anchor, seen in zip(anchors, views):
+        world = np.vstack([sample_patch(rng, *PATCH_RECTS[k], 700) for k in seen])
+        local = geo.apply(geo.inverse(gt), geo.apply(geo.inverse(anchor), world))
+        frames.append(pc.Frame(local, 0.0, "B", 0.0))
+    return index, gt, anchors, frames
+
+
+def calibrate_patch_world(index, gt, anchors, frames):
+    guess = sim.perturb(gt, 0.1, 5.0, 29)
+    cfg = ext.CalibConfig(inner_tol=1e-12, convergence_delta=1e-9,
+                          downsample_leaf=0.0)
+    return ext.calibrate(index, frames, anchors, guess, cfg)
+
+
 class TestCalibrate:
     def test_gt_guess_converges_immediately(self, room_calib_setup):
         ds, index, anchors = room_calib_setup
@@ -191,35 +230,10 @@ class TestCalibrate:
         assert result.converged
 
     def test_zero_residual_certificate(self):
-        # world of three disjoint orthogonal patches: every mapped cell holds
-        # a single surface, so a transform with all residuals exactly zero
-        # exists and calibrate must land on it
-        rng = np.random.default_rng(41)
-
-        def patch(corner, e1, e2, n):
-            a = rng.uniform(0, 1, size=(n, 1))
-            b = rng.uniform(0, 1, size=(n, 1))
-            return np.asarray(corner) + a * np.asarray(e1) + b * np.asarray(e2)
-
-        # plane offsets deliberately off the voxel lattice so both sides of
-        # each surface stay inside populated cells
-        rects = [([4.3, -3.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 2.0]),
-                 ([-3.0, 4.3, 0.0], [4.0, 0.0, 0.0], [0.0, 0.0, 2.0]),
-                 ([-3.0, -3.0, -0.7], [6.0, 0.0, 0.0], [0.0, 6.0, 0.0])]
-        map_pts = np.vstack([patch(*r, 4000) for r in rects])
-        index = vm.build_adaptive(map_pts, vm.VoxelParams())
-        gt = sim.RIG_PRESETS["config2"].to_pose()
-        anchors = [Pose(geo.rot_z(0.1 * j), np.array([0.2 * j, 0.1 * j, 0.0]))
-                   for j in range(4)]
-        frames = []
-        for anchor in anchors:
-            world = np.vstack([patch(*r, 700) for r in rects])
-            local = geo.apply(geo.inverse(gt), geo.apply(geo.inverse(anchor), world))
-            frames.append(pc.Frame(local, 0.0, "B", 0.0))
-        guess = sim.perturb(gt, 0.1, 5.0, 29)
-        cfg = ext.CalibConfig(inner_tol=1e-12, convergence_delta=1e-9,
-                              downsample_leaf=0.0)
-        result = ext.calibrate(index, frames, anchors, guess, cfg)
+        # on the patch world calibrate must land on the zero-residual
+        # transform
+        index, gt, anchors, frames = patch_world([(0, 1, 2)] * 4)
+        result = calibrate_patch_world(index, gt, anchors, frames)
         e_t, e_r = ext.evaluate(result, gt)
         assert e_t < 1e-9 and e_r < 1e-9
         matches = 0
@@ -235,6 +249,16 @@ class TestCalibrate:
             objective += batch.objective(result.extrinsic)
         assert matches > 1000
         assert objective < 1e-18
+
+    def test_frames_seeing_two_of_three_patches(self):
+        # two orthogonal patches leave translation along their intersection
+        # free, so no frame pins all six DoF alone; the frames jointly do,
+        # and each votes along the directions it constrains
+        views = [(0, 1), (1, 2), (0, 2)] * 2
+        index, gt, anchors, frames = patch_world(views)
+        result = calibrate_patch_world(index, gt, anchors, frames)
+        e_t, e_r = ext.evaluate(result, gt)
+        assert e_t < 1e-9 and e_r < 1e-9
 
     def test_objective_never_increases_within_iteration(self, room_calib_setup):
         ds, index, anchors = room_calib_setup
