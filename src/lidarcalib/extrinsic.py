@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .errors import InvalidParams, NoCorrespondences, Unobservable
 from .geometry import Pose, Twist
 from .pointcloud import Frame
 from .ptplane import (CAUCHY_FACTOR, CAUCHY_SCALE_FLOOR, INNER_TOL, PlaneBatch,
-                      cauchy_weights, lm_refine, normal_equations)
+                      cauchy_weights, fit_planes, lm_refine, normal_equations)
 from .voxelmap import VoxelMapIndex
 
 
@@ -56,6 +57,12 @@ COND_LIMIT = 1e12
 # with proximity weight 1 / (1 + (d / ROT_SEED_KERNEL)^2) at distance d (m)
 ROT_SEED_FRAMES = 6
 ROT_SEED_KERNEL = 0.1
+# the best-ranked rotations get the full translation grid; rotation ranking
+# and that grid run on every SEED_COARSE_STRIDE-th probe point, and the
+# SEED_FINALISTS best grid candidates are rescored on all of them
+ROT_SEED_LEADERS = 8
+SEED_COARSE_STRIDE = 4
+SEED_FINALISTS = 8
 
 
 @dataclass
@@ -166,11 +173,73 @@ def _local_normals(points: np.ndarray, k: int = 6) -> np.ndarray:
     """Unit normals of each point's k-neighborhood within its own cloud."""
     tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
     _, idx = tree.query(points, k=min(k, len(points)))
-    nbr = points[idx]
-    centered = nbr - nbr.mean(axis=1, keepdims=True)
-    cov = np.einsum("mki,mkj->mij", centered, centered)
-    _, vecs = np.linalg.eigh(cov)
-    return vecs[:, :, 0]
+    return fit_planes(points[idx])[2]
+
+
+class _SeedProbes(NamedTuple):
+    """Seeding's probe frames stacked point by point: sensor-frame
+    positions and local normals, and each point's anchor rotation and
+    translation."""
+
+    points: np.ndarray
+    normals: np.ndarray
+    rotations: np.ndarray
+    translations: np.ndarray
+
+    def every(self, stride: int) -> "_SeedProbes":
+        return _SeedProbes(*(a[::stride] for a in self))
+
+
+def _seed_probes(frames: list[Frame], anchors: list[Pose]) -> _SeedProbes | None:
+    """About ROT_SEED_FRAMES evenly spaced frames, each thinned to about 600
+    points; frames with fewer than 8 points are left out. None when no
+    frame is left."""
+    step = max(1, len(frames) // ROT_SEED_FRAMES)
+    points, normals, probe_anchors = [], [], []
+    for j in range(0, len(frames), step):
+        pts = frames[j].positions
+        if len(pts) > 600:
+            pts = pts[:: len(pts) // 600 + 1]
+        if len(pts) < 8:
+            continue
+        points.append(pts)
+        normals.append(_local_normals(pts))
+        probe_anchors.append(anchors[j])
+    if not points:
+        return None
+    owner = np.repeat(np.arange(len(points)), [len(p) for p in points])
+    return _SeedProbes(np.vstack(points), np.vstack(normals),
+                       np.stack([a.rotation for a in probe_anchors])[owner],
+                       np.stack([a.translation for a in probe_anchors])[owner])
+
+
+def _seed_score(map_index: VoxelMapIndex, nearest: "_NearestPlaneLookup",
+                probes: _SeedProbes, cand: Pose, radius: float) -> float:
+    """Seeding's score of a candidate extrinsic, one nearest-surface query.
+
+    Each probe point scores its proximity weight to the nearest mapped
+    surface point within radius when its normal agrees with that plane's
+    (NORMAL_GATE), and 0 otherwise. Points are bucketed by their normal's
+    dominant world axis, and the score is the mean over occupied buckets
+    of the bucket's mean: a slide along the dominant planes keeps their
+    proximity and normals intact, and only the minority directions (walls
+    vs. floor) expose the impostor.
+    """
+    world = np.einsum("nij,nj->ni", probes.rotations,
+                      probes.points @ cand.rotation.T + cand.translation)
+    world += probes.translations
+    n_world = np.einsum("nij,nj->ni", probes.rotations,
+                        probes.normals @ cand.rotation.T)
+    buckets = np.argmax(np.abs(n_world), axis=1)
+    bucket_cnt = np.bincount(buckets, minlength=3)
+    dist, ids = nearest.query(world, radius)
+    hit = ids >= 0
+    agree = np.abs(np.einsum("ij,ij->i", map_index.normals[ids[hit]], n_world[hit]))
+    prox = 1.0 / (1.0 + (dist[hit] / ROT_SEED_KERNEL) ** 2)
+    bucket_sum = np.bincount(buckets[hit], prox * (agree >= NORMAL_GATE),
+                             minlength=3)
+    occupied = bucket_cnt > 0
+    return float(np.mean(bucket_sum[occupied] / bucket_cnt[occupied]))
 
 
 def _seed_initial(map_index: VoxelMapIndex, nearest: "_NearestPlaneLookup",
@@ -181,12 +250,21 @@ def _seed_initial(map_index: VoxelMapIndex, nearest: "_NearestPlaneLookup",
     The point-to-plane basin is narrower than the tolerated guess envelope,
     so a joint grid (identity plus a fixed, seeded set of axis-angle offsets
     within rot_seed_max_deg, crossed with a +-trans_seed_step cube) is
-    scored on subsampled probe frames. The score combines chamfer proximity
-    to the mapped surface points with agreement between each probe point's
-    own local normal and the matched plane normal: with a partially covered
-    map, proximity alone rewards sliding unmapped regions onto other
-    surfaces, and only the normal term breaks such impostor alignments.
-    The result is a deterministic function of the inputs.
+    scored on subsampled probe frames (`_seed_score`). The score combines
+    chamfer proximity to the mapped surface points with agreement between
+    each probe point's own local normal and the matched plane normal: with
+    a partially covered map, proximity alone rewards sliding unmapped
+    regions onto other surfaces, and only the normal term breaks such
+    impostor alignments.
+
+    The probe frames are stacked once, so a candidate costs one transform
+    and one nearest-surface query over all probe points. Rotations are
+    ranked, and the ROT_SEED_LEADERS leaders' translation grid is scored, on
+    every SEED_COARSE_STRIDE-th probe point (successive halving: Jamieson
+    & Talwalkar, AISTATS 2016). The SEED_FINALISTS best grid candidates and
+    the guess are then scored on all probe points. A finalist must beat
+    1.10x the guess's score, and the first in grid order wins ties. The
+    result is a deterministic function of the inputs.
     """
     if cfg.rot_seed_candidates <= 0:
         return t_guess
@@ -202,60 +280,37 @@ def _seed_initial(map_index: VoxelMapIndex, nearest: "_NearestPlaneLookup",
                       for dx in (-s, 0.0, s) for dy in (-s, 0.0, s)
                       for dz in (-s, 0.0, s)]
                      if s > 0.0 else [np.zeros(3)])
-    step = max(1, len(frames) // ROT_SEED_FRAMES)
-    probe = []
-    for j in range(0, len(frames), step):
-        pts = frames[j].positions
-        if len(pts) > 600:
-            pts = pts[:: len(pts) // 600 + 1]
-        if len(pts) < 8:
-            continue
-        probe.append((pts, _local_normals(pts), anchors[j]))
+    full = _seed_probes(frames, anchors)
+    if full is None:
+        return t_guess
+    coarse = full.every(SEED_COARSE_STRIDE)
 
-    def chamfer(cand: Pose) -> float:
-        # per normal-direction bucket, then averaged: a slide along the
-        # dominant planes keeps their proximity and normals intact, and only
-        # the minority directions (walls vs. floor) expose the impostor
-        bucket_sum = np.zeros(3)
-        bucket_cnt = np.zeros(3)
-        for pts, local_n, anchor in probe:
-            world = geo.apply(anchor, geo.apply(cand, pts))
-            rot_w = anchor.rotation @ cand.rotation
-            n_world = local_n @ rot_w.T
-            buckets = np.argmax(np.abs(n_world), axis=1)
-            np.add.at(bucket_cnt, buckets, 1.0)
-            dist, ids = nearest.query(world, cfg.reject_start)
-            hit = ids >= 0
-            if not hit.any():
-                continue
-            plane_ids = ids[hit]
-            agree = np.abs(np.einsum(
-                "ij,ij->i", map_index.normals[plane_ids], n_world[hit]))
-            prox = 1.0 / (1.0 + (dist[hit] / ROT_SEED_KERNEL) ** 2)
-            np.add.at(bucket_sum, buckets[hit], prox * (agree >= NORMAL_GATE))
-        occupied = bucket_cnt > 0
-        if not occupied.any():
-            return 0.0
-        return float(np.mean(bucket_sum[occupied] / bucket_cnt[occupied]))
+    def score(cand: Pose, probes: _SeedProbes) -> float:
+        return _seed_score(map_index, nearest, probes, cand, cfg.reject_start)
 
     # rank rotations at the guessed translation first, then run the full
     # translation grid only for the leaders (rotation ranking at a wrong
     # translation is noisy, so several leaders are kept). A challenger must
-    # beat the guess by a clear margin: near the optimum the chamfer score
-    # is flat and a nearby offset could displace an already-good guess.
+    # beat the guess by a clear margin: near the optimum the score is flat
+    # and a nearby offset could displace an already-good guess.
     ranked = sorted(rot_offsets,
-                    key=lambda off: -chamfer(Pose(
-                        t_guess.rotation @ geo.exp_so3(off), t_guess.translation)))
+                    key=lambda off: -score(Pose(
+                        t_guess.rotation @ geo.exp_so3(off), t_guess.translation),
+                        coarse))
+    grid = [Pose(t_guess.rotation @ geo.exp_so3(rot_off),
+                 t_guess.translation + trans_off)
+            for rot_off in ranked[:ROT_SEED_LEADERS] for trans_off in trans_offsets]
+    coarse_scores = [score(cand, coarse) for cand in grid]
+    # the best coarse scores (grid order breaks ties), rescored in grid order
+    finalists = sorted(sorted(range(len(grid)), key=lambda i: -coarse_scores[i])
+                       [:SEED_FINALISTS])
     best_pose = t_guess
-    best_score = 1.10 * chamfer(t_guess)
-    for rot_off in ranked[:8]:
-        rot = t_guess.rotation @ geo.exp_so3(rot_off)
-        for trans_off in trans_offsets:
-            cand = Pose(rot, t_guess.translation + trans_off)
-            score = chamfer(cand)
-            if score > best_score:
-                best_score = score
-                best_pose = cand
+    best_score = 1.10 * score(t_guess, full)
+    for i in finalists:
+        cand_score = score(grid[i], full)
+        if cand_score > best_score:
+            best_score = cand_score
+            best_pose = grid[i]
     return best_pose
 
 
@@ -463,6 +518,10 @@ def write_report(path, result: CalibrationResult, gt: Pose | None = None,
                  config_echo: dict | None = None) -> None:
     """Calibration report: estimate line, outer-iteration CSV, error metrics.
 
+    Each CSV row carries the outer iteration's association gate
+    (reject_dist, m) and the frames left out of its joint step
+    (skipped_frames, space-separated frame indices).
+
     The estimate is returned as the jointly refined absolute transform; composing
     it once more with the initial guess would double-count the guess, so no
     such composition is applied (noted here for audit against descriptions
@@ -475,10 +534,13 @@ def write_report(path, result: CalibrationResult, gt: Pose | None = None,
         fh.write("# extrinsic estimate (stamp tx ty tz qx qy qz qw)\n")
         fh.write(pc.format_pose_line(result.extrinsic, 0.0) + "\n")
         fh.write(f"# converged {result.converged} iterations {result.iterations}\n")
-        fh.write("iter,objective,update_norm,frames_used\n")
+        fh.write("iter,objective,update_norm,frames_used,reject_dist,"
+                 "skipped_frames\n")
         for entry in result.outer_trace:
+            skipped = " ".join(str(i) for i in entry.skipped_frames)
             fh.write(f"{entry.iteration},{entry.objective_after:.9g},"
-                     f"{entry.update_norm:.9g},{entry.frames_used}\n")
+                     f"{entry.update_norm:.9g},{entry.frames_used},"
+                     f"{entry.reject_dist:.9g},{skipped}\n")
         if gt is not None:
             e_trans, e_rot = evaluate(result, gt)
             fh.write(f"e_trans_m {e_trans:.9g}\n")

@@ -32,6 +32,14 @@ def skew(v: np.ndarray) -> np.ndarray:
     ])
 
 
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis by component products, broadcasting (3,)
+    against (N, 3); cheaper than np.cross for the batched kernels."""
+    return np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
+
+
 def _vee(m: np.ndarray) -> np.ndarray:
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
@@ -309,45 +317,67 @@ def quat_to_rot(q: np.ndarray) -> np.ndarray:
     ])
 
 
-def exp_se3_scaled(xi: Twist | np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (R, t) of exp(s_k * xi) for an array of scale factors.
+def _scaled_motion(xi: Twist | np.ndarray, scales: np.ndarray):
+    """Shared part of exp(s_k * xi): (axis, sin phi, 1 - cos phi, t(s)).
 
-    Returns rotations (K, 3, 3) and translations (K, 3). This is the kernel
-    behind constant-twist pose interpolation: deskewing and the scan
-    simulator both rely on it.
-
-    For phi = s * |omega| the translation reduces to
+    For phi = s * |omega| and axis a = omega / |omega|,
         t(s) = s*rho + ((1-cos phi)/|omega|) (a x rho)
                      + ((phi - sin phi)/|omega|) (a x (a x rho)),
-    with series fallbacks for small |phi|.
+    with series for 1 - cos phi and phi - sin phi below _SMALL_ANGLE.
+    axis, sin phi and 1 - cos phi are None for a pure translation.
     """
     vec = xi.as_vector() if isinstance(xi, Twist) else np.asarray(xi, dtype=float).reshape(6)
     scales = np.asarray(scales, dtype=float).reshape(-1)
     omega, rho = vec[:3], vec[3:]
     theta1 = float(np.linalg.norm(omega))
-    n = scales.shape[0]
     if theta1 < 1e-14:
-        rots = np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
-        return rots, np.outer(scales, rho)
+        return None, None, None, np.outer(scales, rho)
     axis = omega / theta1
-    k = skew(axis)
-    k2 = k @ k
     phi = scales * theta1
     sin_p = np.sin(phi)
-    cos_p = np.cos(phi)
     small = np.abs(phi) < _SMALL_ANGLE
     p2 = phi * phi
-    one_minus_cos = np.where(small, p2 / 2.0 - p2 * p2 / 24.0, 1.0 - cos_p)
+    one_minus_cos = np.where(small, p2 / 2.0 - p2 * p2 / 24.0, 1.0 - np.cos(phi))
     phi_minus_sin = np.where(small, p2 * phi / 6.0 - p2 * p2 * phi / 120.0, phi - sin_p)
-    rots = (np.eye(3)[None, :, :]
-            + sin_p[:, None, None] * k[None, :, :]
-            + one_minus_cos[:, None, None] * k2[None, :, :])
     ax_rho = np.cross(axis, rho)
     ax_ax_rho = np.cross(axis, ax_rho)
     trans = (scales[:, None] * rho[None, :]
              + (one_minus_cos / theta1)[:, None] * ax_rho[None, :]
              + (phi_minus_sin / theta1)[:, None] * ax_ax_rho[None, :])
+    return axis, sin_p, one_minus_cos, trans
+
+
+def exp_se3_scaled(xi: Twist | np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (R, t) of exp(s_k * xi) for an array of scale factors.
+
+    Returns rotations (K, 3, 3), I + sin phi [a]x + (1 - cos phi) [a]x^2,
+    and translations (K, 3) (see `_scaled_motion`). This is the kernel
+    behind constant-twist pose interpolation: the scan simulator relies on
+    it, and `apply_se3_scaled` is its point form, used by deskewing.
+    """
+    axis, sin_p, one_minus_cos, trans = _scaled_motion(xi, scales)
+    if axis is None:
+        return np.broadcast_to(np.eye(3), (len(trans), 3, 3)).copy(), trans
+    k = skew(axis)
+    rots = (np.eye(3)[None, :, :]
+            + sin_p[:, None, None] * k[None, :, :]
+            + one_minus_cos[:, None, None] * (k @ k)[None, :, :])
     return rots, trans
+
+
+def apply_se3_scaled(xi: Twist | np.ndarray, scales: np.ndarray,
+                     points: np.ndarray) -> np.ndarray:
+    """exp(s_k * xi) applied to point k, for points (K, 3) and scales (K,).
+
+    The point form of `exp_se3_scaled`, with no per-point matrix:
+    p + sin phi (a x p) + (1 - cos phi) a x (a x p) + t(s).
+    """
+    axis, sin_p, one_minus_cos, trans = _scaled_motion(xi, scales)
+    if axis is None:
+        return points + trans
+    ax_p = cross(axis, points)
+    return (points + sin_p[:, None] * ax_p
+            + one_minus_cos[:, None] * cross(axis, ax_p) + trans)
 
 
 def interpolate_pose(start: Pose, end: Pose, fraction: float) -> Pose:

@@ -6,8 +6,10 @@ frame 1 + (m-1)(d-o), 1-based). Within a window the first pose is held fixed
 and the remaining poses are refined by point-to-plane Levenberg-Marquardt
 (`ptplane.lm_refine`, the solver calibration uses too): each point of a
 non-reference frame is matched to a local plane fit over its k nearest
-neighbors from the other frames, planes are frozen during the inner LM
-solve, and association is repeated for a few rounds. Windows are
+neighbors from the frames before it (`ptplane.fit_planes`, the closed-form
+kernel calibration's local normals use too; collinear sets get no match),
+planes are frozen during the inner LM solve, and association is repeated
+for a few rounds. Windows are
 stitched by seeding the shared frames from the previous window's result and
 tying the first o of them with a quadratic prior on log(prev^-1 * current).
 
@@ -27,9 +29,9 @@ from . import pointcloud as pc
 from .errors import DegenerateGeometry, InvalidParams, StampMismatch
 from .geometry import Pose
 from .pointcloud import Frame, Trajectory
-from .ptplane import (CAUCHY_FACTOR, CAUCHY_SCALE_FLOOR, INNER_TOL,
-                      MAX_DEV_FLOOR, MAX_DEV_RATIO, PlaneBatch, cauchy_weights,
-                      lm_refine, prior_residual)
+from .ptplane import (CAUCHY_FACTOR, CAUCHY_SCALE_FLOOR, COLLINEAR_EPS,
+                      INNER_TOL, MAX_DEV_FLOOR, MAX_DEV_RATIO, PlaneBatch,
+                      cauchy_weights, fit_planes, lm_refine, prior_residual)
 
 
 # The Cauchy factor (ptplane.CAUCHY_FACTOR in round 0) anneals across
@@ -132,9 +134,10 @@ def _match_frame_to_pool(points_local: np.ndarray, pose: Pose,
     points, nearest first; a point with fewer than k_neighbors pool points
     within max_corr_dist (or a pool smaller than k_neighbors) gets no match.
     Returns (pt_local, normal, centroid, weight) for the accepted matches.
-    Pool points are world frame and frozen; acceptance requires planarity
-    eta < eta_max; Cauchy weights are computed from the point's own residual
-    against the robust per-frame scale.
+    Pool points are world frame and frozen. Acceptance requires planarity
+    eta < eta_max, a set that is not collinear (middle eigenvalue at least
+    COLLINEAR_EPS) and the flatness gate. Cauchy weights are computed from
+    the point's own residual against the robust per-frame scale.
     """
     kn = params.k_neighbors
     empty = (np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
@@ -151,16 +154,13 @@ def _match_frame_to_pool(points_local: np.ndarray, pose: Pose,
     nbr_pts = pool_pts[idx.reshape(len(world), kn)[enough]]   # (M, kn, 3)
     pts = points_local[enough]
     world_pts = world[enough]
-    centroid = nbr_pts.mean(axis=1)
-    centered = nbr_pts - centroid[:, None, :]
-    cov = np.einsum("mki,mkj->mij", centered, centered) / kn
-    evals, evecs = np.linalg.eigh(cov)
-    evals = np.clip(evals, 0.0, None)
-    normal = evecs[:, :, 0]
+    centroid, evals, normal = fit_planes(nbr_pts)
     lam_sum = evals[:, 1] + evals[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         eta = np.where(lam_sum > 0.0, evals[:, 0] / lam_sum, np.inf)
-    keep = eta < params.eta_max
+    # a collinear set (a single scan column on noise-free data) passes the
+    # eta test with an arbitrary normal: no plane, no match
+    keep = (eta < params.eta_max) & (evals[:, 1] >= COLLINEAR_EPS)
     if not keep.any():
         return empty
     resid_all = np.abs(np.einsum("ij,ij->i", normal, world_pts - centroid))
@@ -168,6 +168,7 @@ def _match_frame_to_pool(points_local: np.ndarray, pose: Pose,
     # flatness gate on the neighbor sets themselves (see ptplane); the floor
     # also tracks 3x the round's residual scale so the slab-like (but
     # legitimate) sets of the early iterations survive.
+    centered = nbr_pts - centroid[:, None, :]
     dev = np.max(np.abs(np.einsum("mki,mi->mk", centered, normal)), axis=1)
     dev_gate = np.maximum(MAX_DEV_FLOOR,
                           np.maximum(3.0 * scale, MAX_DEV_RATIO * np.sqrt(lam_sum)))

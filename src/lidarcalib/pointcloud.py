@@ -99,17 +99,16 @@ def deskew(f: Frame, pose_start: Pose, pose_end: Pose) -> Frame:
     """Express all points at the scan-start pose under constant-twist motion.
 
     A point captured at fraction s = time_offset / scan_duration is mapped by
-    exp(s * log(pose_start^-1 * pose_end)). Raises AngleNearPi if the scan
-    spans a rotation too close to 180 degrees.
+    exp(s * log(pose_start^-1 * pose_end)), applied in point form
+    (`geometry.apply_se3_scaled`) without a per-point matrix. Raises
+    AngleNearPi if the scan spans a rotation too close to 180 degrees.
     """
     rel = geo.compose(geo.inverse(pose_start), pose_end)
     xi = geo.log_se3(rel).as_vector()
     if np.allclose(xi, 0.0, atol=1e-15) or len(f) == 0 or f.scan_duration <= 0.0:
         return f
     s = f.time_offsets / f.scan_duration
-    rots, trans = geo.exp_se3_scaled(xi, s)
-    moved = np.einsum("kij,kj->ki", rots, f.positions) + trans
-    return f.with_positions(moved)
+    return f.with_positions(geo.apply_se3_scaled(xi, s, f.positions))
 
 
 def voxel_downsample(f: Frame, leaf: float) -> Frame:

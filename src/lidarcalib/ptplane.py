@@ -49,6 +49,9 @@ CAUCHY_SCALE_FLOOR = 1e-8
 # both pass through it.
 MAX_DEV_FLOOR = 0.04
 MAX_DEV_RATIO = 0.3
+# A point set whose middle covariance eigenvalue is below this (m^2) is
+# collinear: it has no plane normal, and any fitted one is arbitrary.
+COLLINEAR_EPS = 1e-12
 
 
 class PlaneBatch:
@@ -85,6 +88,92 @@ class PlaneBatch:
         rows[:, :3] = np.cross(self.points, u)
         rows[:, 3:] = u
         return rows
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    """Rows of v scaled to unit length; e_z where a row is zero."""
+    length = np.sqrt(np.einsum("mi,mi->m", v, v))
+    zero = length == 0.0
+    v = v / np.where(zero, 1.0, length)[:, None]
+    v[zero] = (0.0, 0.0, 1.0)
+    return v
+
+
+def fit_planes(nbrs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched least-squares planes of (M, k, 3) neighbour sets.
+
+    Returns the centroids (M, 3), the eigenvalues of the covariance
+    C = sum (q - c)(q - c)^T / k in ascending order (M, 3), clipped at 0,
+    and unit normals (M, 3) along the smallest one's eigenvector, of
+    arbitrary sign.
+
+    The extreme eigenvalues are taken in trigonometric closed form (Smith,
+    "Eigenvalues of a symmetric 3x3 matrix", CACM 1961). Of the two, the
+    one farther from the middle eigenvalue is kept, and its eigenvector v
+    is the longest cross product of two rows of C - lambda I, which spans
+    that matrix's null space. The other two eigenpairs come from the 2x2
+    block of C in an orthonormal basis of v's complement, in closed form
+    with one atan2. The closed form resolves a nearly equal pair only to
+    about the square root of the rounding error, so taking the isolated
+    eigenvalue first keeps every eigenvalue and the normal as accurate as
+    a general solver's. For collinear sets the normal is a unit vector
+    orthogonal to the line, and for coincident sets any unit vector.
+    """
+    k = nbrs.shape[1]
+    centroids = np.einsum("mkc->mc", nbrs) / k
+    centered = nbrs - centroids[:, None, :]
+    x, y, z = centered[:, :, 0], centered[:, :, 1], centered[:, :, 2]
+    xx, yy, zz, xy, xz, yz = (np.einsum("mk,mk->m", s, t) / k for s, t in
+                              ((x, x), (y, y), (z, z), (x, y), (x, z), (y, z)))
+
+    q = (xx + yy + zz) / 3.0
+    dx, dy, dz = xx - q, yy - q, zz - q
+    p = np.sqrt((dx * dx + dy * dy + dz * dz
+                 + 2.0 * (xy * xy + xz * xz + yz * yz)) / 6.0)
+    # det((C - qI) / p) / 2 = cos(3 phi)
+    det = (dx * (dy * dz - yz * yz) - xy * (xy * dz - yz * xz)
+           + xz * (xy * yz - dy * xz))
+    safe_p = np.where(p > 0.0, p, 1.0)
+    half_det = np.where(p > 0.0, det / (2.0 * safe_p ** 3), 0.0)
+    phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
+    lam_max = q + 2.0 * p * np.cos(phi)
+    lam_min = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+    # the smallest eigenvalue is the isolated one when cos(3 phi) < 0
+    low_first = half_det < 0.0
+    lam_iso = np.where(low_first, lam_min, lam_max)
+
+    # the cross products of the rows of C - lam_iso I are the columns of
+    # its adjugate, which is symmetric
+    ax, ay, az = xx - lam_iso, yy - lam_iso, zz - lam_iso
+    a01, a02, a12 = xz * yz - xy * az, xy * yz - xz * ay, xy * xz - ax * yz
+    adj = np.column_stack([ay * az - yz * yz, a01, a02,
+                           a01, ax * az - xz * xz, a12,
+                           a02, a12, ax * ay - xy * xy]).reshape(-1, 3, 3)
+    longest = np.argmax(np.einsum("mrc,mrc->mr", adj, adj), axis=1)
+    v = _unit(adj[np.arange(len(adj)), longest])
+
+    # orthonormal u, w spanning v's complement, and the 2x2 block of C there
+    helper = np.eye(3)[np.argmin(np.abs(v), axis=1)]
+    u = _unit(geo.cross(v, helper))
+    w = geo.cross(v, u)
+    cov = np.column_stack([xx, xy, xz, xy, yy, yz, xz, yz, zz]).reshape(-1, 3, 3)
+    cu = np.einsum("mij,mj->mi", cov, u)
+    cw = np.einsum("mij,mj->mi", cov, w)
+    a = np.einsum("mi,mi->m", u, cu)
+    b = np.einsum("mi,mi->m", w, cu)
+    c = np.einsum("mi,mi->m", w, cw)
+    half = 0.5 * (a - c)
+    radius = np.hypot(half, b)
+    lo, hi = 0.5 * (a + c) - radius, 0.5 * (a + c) + radius
+    # the block's larger eigenvector lies at angle theta from u toward w
+    theta = 0.5 * np.arctan2(b, half)
+    lo_vec = np.cos(theta)[:, None] * w - np.sin(theta)[:, None] * u
+
+    normals = np.where(low_first[:, None], v, lo_vec)
+    evals = np.where(low_first[:, None],
+                     np.column_stack([lam_min, lo, hi]),
+                     np.column_stack([lo, hi, lam_max]))
+    return centroids, np.clip(evals, 0.0, None), normals
 
 
 def cauchy_weights(resid: np.ndarray, factor: float, scale: float) -> np.ndarray:

@@ -24,9 +24,7 @@ import numpy as np
 
 from .errors import DegenerateGeometry, InvalidParams
 from .grid import pack_cells
-from .ptplane import MAX_DEV_FLOOR, MAX_DEV_RATIO
-
-_COLLINEAR_EPS = 1e-12
+from .ptplane import COLLINEAR_EPS, MAX_DEV_FLOOR, MAX_DEV_RATIO
 
 PLANAR = "planar"
 SUBDIVIDED = "subdivided"
@@ -87,7 +85,7 @@ def fit_plane(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cov = centered.T @ centered / m
     evals, evecs = np.linalg.eigh(cov)
     evals = np.clip(evals, 0.0, None)
-    if evals[1] < _COLLINEAR_EPS:
+    if evals[1] < COLLINEAR_EPS:
         raise DegenerateGeometry("points are collinear")
     normal = evecs[:, 0]
     k = int(np.argmax(np.abs(normal)))

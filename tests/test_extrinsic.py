@@ -210,6 +210,110 @@ def calibrate_patch_world(index, gt, anchors, frames):
     return ext.calibrate(index, frames, anchors, guess, cfg)
 
 
+def loop_chamfer(index, nearest, probes, cand, radius):
+    """Seeding's score taken one probe frame (one query) at a time and
+    accumulated with np.add.at: the loop that `ext._seed_score` stacks."""
+    bucket_sum = np.zeros(3)
+    bucket_cnt = np.zeros(3)
+    for pts, local_n, anchor in probes:
+        world = geo.apply(anchor, geo.apply(cand, pts))
+        rot_w = anchor.rotation @ cand.rotation
+        n_world = local_n @ rot_w.T
+        buckets = np.argmax(np.abs(n_world), axis=1)
+        np.add.at(bucket_cnt, buckets, 1.0)
+        dist, ids = nearest.query(world, radius)
+        hit = ids >= 0
+        if not hit.any():
+            continue
+        plane_ids = ids[hit]
+        agree = np.abs(np.einsum(
+            "ij,ij->i", index.normals[plane_ids], n_world[hit]))
+        prox = 1.0 / (1.0 + (dist[hit] / ext.ROT_SEED_KERNEL) ** 2)
+        np.add.at(bucket_sum, buckets[hit], prox * (agree >= ext.NORMAL_GATE))
+    occupied = bucket_cnt > 0
+    if not occupied.any():
+        return 0.0
+    return float(np.mean(bucket_sum[occupied] / bucket_cnt[occupied]))
+
+
+def probe_frames(frames, anchors, stride=1):
+    """Seeding's probe frames as (points, local normals, anchor), keeping
+    the points whose index in the stacked probe points is a multiple of
+    stride."""
+    step = max(1, len(frames) // ext.ROT_SEED_FRAMES)
+    probes, offset = [], 0
+    for j in range(0, len(frames), step):
+        pts = frames[j].positions
+        if len(pts) > 600:
+            pts = pts[:: len(pts) // 600 + 1]
+        if len(pts) < 8:
+            continue
+        normals = ext._local_normals(pts)
+        keep = (offset + np.arange(len(pts))) % stride == 0
+        probes.append((pts[keep], normals[keep], anchors[j]))
+        offset += len(pts)
+    return probes
+
+
+class TestSeeding:
+    @staticmethod
+    def inputs(room_calib_setup):
+        """(dataset, map, anchors, source frames as calibrate thins them,
+        nearest-surface lookup)."""
+        ds, index, anchors = room_calib_setup
+        leaf = ext.CalibConfig().downsample_leaf
+        frames = [pc.voxel_downsample(f, leaf) for f in ds.frames_b]
+        return ds, index, anchors, frames, ext._NearestPlaneLookup(index)
+
+    def test_stacked_score_matches_probe_loop(self, room_calib_setup):
+        ds, index, anchors, frames, nearest = self.inputs(room_calib_setup)
+        radius = ext.CalibConfig().reject_start
+        full = ext._seed_probes(frames, anchors)
+        rng = np.random.default_rng(41)
+        cands = [ds.extrinsic] + [sim.perturb(ds.extrinsic, 0.4, 30.0, int(seed))
+                                  for seed in rng.integers(1 << 31, size=19)]
+        for stride in (1, ext.SEED_COARSE_STRIDE):
+            probes = probe_frames(frames, anchors, stride)
+            assert sum(len(p[0]) for p in probes) == len(full.every(stride).points)
+            for cand in cands:
+                stacked = ext._seed_score(index, nearest, full.every(stride),
+                                          cand, radius)
+                expected = loop_chamfer(index, nearest, probes, cand, radius)
+                assert stacked == pytest.approx(expected, rel=0, abs=1e-12)
+
+    def test_disabled_returns_guess(self, room_calib_setup):
+        ds, index, anchors, frames, nearest = self.inputs(room_calib_setup)
+        guess = sim.perturb(ds.extrinsic, 0.4, 30.0, 3)
+        cfg = ext.CalibConfig(rot_seed_candidates=0)
+        assert ext._seed_initial(index, nearest, frames, anchors, guess, cfg) is guess
+
+    def test_seed_is_guess_or_clear_winner(self, room_calib_setup):
+        ds, index, anchors, frames, nearest = self.inputs(room_calib_setup)
+        cfg = ext.CalibConfig()
+        full = ext._seed_probes(frames, anchors)
+
+        def score(pose):
+            return ext._seed_score(index, nearest, full, pose, cfg.reject_start)
+
+        moved = 0
+        for seed in (3, 5, 11, 19):
+            guess = sim.perturb(ds.extrinsic, 0.4, 30.0, seed)
+            seeded = ext._seed_initial(index, nearest, frames, anchors, guess, cfg)
+            if seeded is guess:
+                continue
+            moved += 1
+            # a grid candidate: a cube offset of the translation and one of
+            # the rotation offsets (identity, or 0.15 rad to rot_seed_max_deg)
+            offset = np.abs(seeded.translation - guess.translation)
+            assert np.all((offset < 1e-12)
+                          | (np.abs(offset - cfg.trans_seed_step) < 1e-12))
+            angle = geo.rotation_error(seeded, guess)
+            assert angle < 1e-12 or (
+                0.15 - 1e-9 <= angle <= math.radians(cfg.rot_seed_max_deg) + 1e-9)
+            assert score(seeded) > 1.10 * score(guess)
+        assert moved > 0
+
+
 class TestCalibrate:
     def test_gt_guess_converges_immediately(self, room_calib_setup):
         ds, index, anchors = room_calib_setup
@@ -335,6 +439,12 @@ class TestCalibrate:
         ext.write_report(path, result, gt=ds.extrinsic, config_echo={"n": 30})
         text = path.read_text()
         assert "iter,objective,update_norm,frames_used" in text
+        assert "frames_used,reject_dist,skipped_frames\n" in text
+        rows = [ln.split(",") for ln in text.splitlines() if ln.count(",") == 5][1:]
+        assert len(rows) == len(result.outer_trace)
+        for row, entry in zip(rows, result.outer_trace):
+            assert float(row[4]) == pytest.approx(entry.reject_dist, rel=1e-8)
+            assert [int(i) for i in row[5].split()] == entry.skipped_frames
         assert "e_trans_m" in text
         stamp, pose = pc.parse_pose_line(
             [ln for ln in text.splitlines() if not ln.startswith(("#", "iter", "e_"))][0])

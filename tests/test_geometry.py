@@ -281,6 +281,19 @@ class TestScaledExp:
         np.testing.assert_allclose(rots[0], np.eye(3), atol=1e-15)
         np.testing.assert_allclose(trans[0], [0.25, 0.5, 0.75], atol=1e-15)
 
+    def test_point_form_matches_matrices(self):
+        # twists with ordinary, series-range (|phi| < 1e-4) and zero rotation
+        rng = np.random.default_rng(16)
+        points = rng.uniform(-20.0, 20.0, size=(500, 3))
+        scales = rng.uniform(0.0, 1.0, size=500)
+        for rot_scale in (1.0, 1e-5, 0.0):
+            vec = np.concatenate([rng.uniform(-1.0, 1.0, 3) * rot_scale,
+                                  rng.uniform(-1.0, 1.0, 3)])
+            rots, trans = geo.exp_se3_scaled(vec, scales)
+            expected = np.einsum("kij,kj->ki", rots, points) + trans
+            moved = geo.apply_se3_scaled(vec, scales, points)
+            np.testing.assert_allclose(moved, expected, rtol=0, atol=1e-13)
+
     def test_interpolate_pose_endpoints(self):
         rng = np.random.default_rng(15)
         a, b = random_pose(rng), random_pose(rng)
