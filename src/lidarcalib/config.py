@@ -78,12 +78,6 @@ _SECTIONS = {"sim": SimSection, "lba": LbaParams, "voxel": VoxelParams,
 
 def _coerce(raw: str, target_type: type, key: str):
     raw = raw.strip()
-    if target_type is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     try:
         if target_type is int:
             return int(raw)

@@ -36,9 +36,8 @@ class InvalidParams(LidarCalibError):
 
 
 class DegenerateGeometry(LidarCalibError):
-    """Point geometry too degenerate to use: too few independent
-    point-to-plane constraints to optimize an LBA window, or a point set
-    that cannot support a plane fit (too few or collinear points)."""
+    """Too few independent point-to-plane constraints to optimize an LBA
+    window. (A voxel cell that cannot hold a plane is DISCARDED instead.)"""
 
     def __init__(self, message: str, window: int | None = None):
         self.window = window

@@ -76,7 +76,6 @@ class CalibConfig:
     reject_start: float = 0.5
     reject_end: float = 0.1
     reject_iters: int = 5
-    deskew: bool = True
     downsample_leaf: float = 0.1
     # rotation multi-start: the point-to-plane basin covers ~10 degrees of
     # rotation error in room-scale scenes, well short of the tolerated
@@ -122,7 +121,7 @@ class CalibrationResult:
 
 
 def lm_solve(batch: PlaneBatch, t_init: Pose,
-             cfg: CalibConfig) -> tuple[Pose, list[dict]]:
+             inner_tol: float) -> tuple[Pose, list[dict]]:
     """Weighted point-to-plane LM (`ptplane.lm_refine`) for one batch.
 
     `calibrate` runs it once per outer iteration, on the joint batch of the
@@ -136,7 +135,7 @@ def lm_solve(batch: PlaneBatch, t_init: Pose,
     if np.linalg.cond(h) > COND_LIMIT:
         raise Unobservable("normal equations are ill conditioned "
                            "(degenerate plane geometry)")
-    return lm_refine(batch, t_init, cfg.inner_tol)
+    return lm_refine(batch, t_init, inner_tol)
 
 
 class _NearestPlaneLookup:
@@ -427,15 +426,11 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
     if cfg.downsample_leaf > 0:
         frames = [pc.voxel_downsample(f, cfg.downsample_leaf) for f in frames]
 
-    # reference-frame relative motion over each scan, for deskewing
-    rels = []
-    for i in sel:
-        if i + 1 < len(anchors):
-            rels.append(geo.compose(geo.inverse(anchors[i]), anchors[i + 1]))
-        elif len(anchors) >= 2:
-            rels.append(geo.compose(geo.inverse(anchors[-2]), anchors[-1]))
-        else:
-            rels.append(Pose.identity())
+    # reference-frame motion over each sweep, for deskewing
+    stamps = [f.stamp for f in frames_b]
+    rels = [pc.sweep_motion(anchors, stamps, i, frames_b[i].scan_duration)
+            if frames_b[i].scan_duration > 0.0 and len(anchors) > 1 else None
+            for i in sel]
 
     nearest_lookup = _NearestPlaneLookup(map_index)
     # sensor-frame local normals, computed once per frame (deskewing warps
@@ -458,7 +453,7 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
         batches: list[PlaneBatch | None] = []
         for k, (f, anchor, rel) in enumerate(zip(frames, anchor_list, rels)):
             cur = f
-            if cfg.deskew and f.scan_duration > 0.0 and len(f):
+            if rel is not None and len(f):
                 rel_b = geo.compose(prev_inv, geo.compose(rel, t_prev))
                 cur = pc.deskew(f, Pose.identity(), rel_b)
             batch = _associate_frame(map_index, cur.positions, anchor, t_prev,
@@ -485,7 +480,7 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
         skipped = [sel[i] for i in range(len(frames)) if i not in consensus]
         joint = _joint_batch([batches[i] for i in consensus])
         try:
-            t_new, joint_trace = lm_solve(joint, t_prev, cfg)
+            t_new, joint_trace = lm_solve(joint, t_prev, cfg.inner_tol)
         except Unobservable as exc:
             raise Unobservable(str(exc),
                                frame_indices=[sel[i] for i in usable]) from exc

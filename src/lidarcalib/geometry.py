@@ -118,7 +118,10 @@ def _rot_coeffs(theta: float) -> tuple[float, float, float]:
         c = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
     else:
         a = math.sin(theta) / theta
-        b = (1.0 - math.cos(theta)) / (theta * theta)
+        # 1 - cos(t) = 2 sin^2(t/2) without cancellation: log_se3's
+        # 1 - a / (2b) would otherwise amplify b's rounding near the switch.
+        half = math.sin(0.5 * theta) / theta
+        b = 2.0 * half * half
         c = (theta - math.sin(theta)) / (theta ** 3)
     return a, b, c
 

@@ -29,9 +29,9 @@ from . import pointcloud as pc
 from .errors import DegenerateGeometry, InvalidParams, StampMismatch
 from .geometry import Pose
 from .pointcloud import Frame, Trajectory
-from .ptplane import (CAUCHY_FACTOR, CAUCHY_SCALE_FLOOR, COLLINEAR_EPS,
-                      INNER_TOL, MAX_DEV_FLOOR, MAX_DEV_RATIO, PlaneBatch,
-                      cauchy_weights, fit_planes, lm_refine, prior_residual)
+from .ptplane import (CAUCHY_FACTOR, CAUCHY_SCALE_FLOOR, INNER_TOL,
+                      MAX_DEV_FLOOR, PlaneBatch, cauchy_weights, fit_planes,
+                      lm_refine, plane_gate, prior_residual)
 
 
 # The Cauchy factor (ptplane.CAUCHY_FACTOR in round 0) anneals across
@@ -100,7 +100,6 @@ class WindowResult:
     the final association: initial_cost at the start poses, final_cost at
     refined_poses."""
 
-    relative_poses: list[Pose]
     refined_poses: list[Pose]
     final_cost: float
     initial_cost: float
@@ -119,10 +118,6 @@ class LbaResult:
     trajectory: Trajectory
     map: ReferenceMap
     window_results: list[WindowResult]
-    # (frame index, translation gap, rotation gap) between the two windows'
-    # estimates for doubly-covered frames, measured before the later window
-    # overwrites the earlier result
-    overlap_discrepancies: list[tuple[int, float, float]]
 
 
 def _match_frame_to_pool(points_local: np.ndarray, pose: Pose,
@@ -134,10 +129,10 @@ def _match_frame_to_pool(points_local: np.ndarray, pose: Pose,
     points, nearest first; a point with fewer than k_neighbors pool points
     within max_corr_dist (or a pool smaller than k_neighbors) gets no match.
     Returns (pt_local, normal, centroid, weight) for the accepted matches.
-    Pool points are world frame and frozen. Acceptance requires planarity
-    eta < eta_max, a set that is not collinear (middle eigenvalue at least
-    COLLINEAR_EPS) and the flatness gate. Cauchy weights are computed from
-    the point's own residual against the robust per-frame scale.
+    Pool points are world frame and frozen. Acceptance is
+    `ptplane.plane_gate`, the test voxel cells pass too. Cauchy weights are
+    computed from the point's own residual against the robust per-frame
+    scale.
     """
     kn = params.k_neighbors
     empty = (np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
@@ -155,24 +150,18 @@ def _match_frame_to_pool(points_local: np.ndarray, pose: Pose,
     pts = points_local[enough]
     world_pts = world[enough]
     centroid, evals, normal = fit_planes(nbr_pts)
-    lam_sum = evals[:, 1] + evals[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eta = np.where(lam_sum > 0.0, evals[:, 0] / lam_sum, np.inf)
-    # a collinear set (a single scan column on noise-free data) passes the
-    # eta test with an arbitrary normal: no plane, no match
-    keep = (eta < params.eta_max) & (evals[:, 1] >= COLLINEAR_EPS)
-    if not keep.any():
-        return empty
-    resid_all = np.abs(np.einsum("ij,ij->i", normal, world_pts - centroid))
-    scale = max(CAUCHY_SCALE_FLOOR, float(np.median(resid_all[keep])))
-    # flatness gate on the neighbor sets themselves (see ptplane); the floor
-    # also tracks 3x the round's residual scale so the slab-like (but
-    # legitimate) sets of the early iterations survive.
     centered = nbr_pts - centroid[:, None, :]
     dev = np.max(np.abs(np.einsum("mki,mi->mk", centered, normal)), axis=1)
-    dev_gate = np.maximum(MAX_DEV_FLOOR,
-                          np.maximum(3.0 * scale, MAX_DEV_RATIO * np.sqrt(lam_sum)))
-    keep &= dev <= dev_gate
+    # planes by shape alone (an infinite floor passes any flatness) set the
+    # round's residual scale; the flatness floor then tracks 3x that scale,
+    # so the slab-like (but legitimate) sets of early rounds survive
+    shaped = plane_gate(evals, dev, params.eta_max, np.inf)
+    if not shaped.any():
+        return empty
+    resid_all = np.abs(np.einsum("ij,ij->i", normal, world_pts - centroid))
+    scale = max(CAUCHY_SCALE_FLOOR, float(np.median(resid_all[shaped])))
+    keep = plane_gate(evals, dev, params.eta_max,
+                      max(MAX_DEV_FLOOR, 3.0 * scale))
     if not keep.any():
         return empty
     weight = cauchy_weights(resid_all[keep], cauchy_factor, scale)
@@ -300,9 +289,7 @@ def optimize_window(frames: list[Frame], init_poses: list[Pose],
         poses = start_poses
         final_cost = initial_cost
 
-    relative = [geo.compose(geo.inverse(poses[j]), poses[j + 1])
-                for j in range(w - 1)]
-    return WindowResult(relative, poses, final_cost, initial_cost, trace)
+    return WindowResult(poses, final_cost, initial_cost, trace)
 
 
 def run_sliding_lba(frames: list[Frame], trajectory: Trajectory,
@@ -327,9 +314,7 @@ def run_sliding_lba(frames: list[Frame], trajectory: Trajectory,
                  if params.downsample_leaf > 0 else f for f in frames]
     plan = plan_windows(n, params.window, params.step)
     poses = list(trajectory.poses)
-    refined_flag = np.zeros(n, dtype=bool)
     window_results: list[WindowResult] = []
-    discrepancies: list[tuple[int, float, float]] = []
 
     for m, (start, end) in enumerate(plan.windows):
         win_frames = ds_frames[start:end + 1]
@@ -339,22 +324,13 @@ def run_sliding_lba(frames: list[Frame], trajectory: Trajectory,
             result = optimize_window(win_frames, init, prefix, params)
         except DegenerateGeometry as exc:
             raise DegenerateGeometry(str(exc), window=m) from exc
-        for k, idx in enumerate(range(start, end + 1)):
-            if refined_flag[idx]:
-                discrepancies.append((
-                    idx,
-                    geo.translation_error(result.refined_poses[k], poses[idx]),
-                    geo.rotation_error(result.refined_poses[k], poses[idx]),
-                ))
-            poses[idx] = result.refined_poses[k]
-            refined_flag[idx] = True
+        poses[start:end + 1] = result.refined_poses
         window_results.append(result)
 
     map_points = np.vstack([geo.apply(poses[j], ds_frames[j].positions)
                             for j in range(n)])
     refined = Trajectory(trajectory.stamps, poses)
-    return LbaResult(refined, ReferenceMap(map_points),
-                     window_results, discrepancies)
+    return LbaResult(refined, ReferenceMap(map_points), window_results)
 
 
 def trajectory_error(est: Trajectory, gt: Trajectory) -> tuple[float, float]:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .errors import NonMonotonicStamps, ParseError, StampMismatch, UnsupportedField
+from .errors import (InvalidParams, NonMonotonicStamps, ParseError, StampMismatch,
+                     UnsupportedField)
 from .geometry import Pose
 from .grid import pack_cells
 
@@ -133,31 +134,31 @@ def voxel_downsample(f: Frame, leaf: float) -> Frame:
     return Frame(positions, f.stamp, f.sensor_id, f.scan_duration, offsets, inten)
 
 
+def sweep_motion(poses: list[Pose], stamps, i: int,
+                 duration: float | None = None) -> Pose:
+    """Motion over sweep i, relative to poses[i]. The sweep runs from
+    stamps[i] toward the next sample, duration / stamp gap of the way (the
+    whole way with duration None); the last sample extrapolates the interval
+    before it. Needs two samples, and stamps that increase."""
+    j = min(i, len(poses) - 2)
+    rel = geo.compose(geo.inverse(poses[j]), poses[j + 1])
+    if duration is None:
+        return rel
+    gap = stamps[j + 1] - stamps[j]
+    if gap <= 0.0:
+        raise InvalidParams("frames with a scan duration need increasing stamps")
+    return geo.interpolate_pose(Pose.identity(), rel, duration / gap)
+
+
 def scan_end_poses(traj: Trajectory, scan_period: float | None = None) -> list[Pose]:
     """End-of-scan pose for each trajectory sample, assuming each scan spans
-    from its stamp toward the next sample (contiguous scanning).
-
-    With scan_period given, the end pose is interpolated at
-    scan_period / (next stamp - stamp); otherwise the next sample is used
-    directly. The final sample extrapolates the previous relative motion.
+    from its stamp toward the next sample (contiguous scanning), as set out
+    in `sweep_motion`; scan_period None means the next sample itself.
     """
-    n = len(traj)
-    if n == 1:
+    if len(traj) == 1:
         return [traj.poses[0]]
-    ends: list[Pose] = []
-    for j in range(n - 1):
-        if scan_period is None:
-            ends.append(traj.poses[j + 1])
-        else:
-            frac = scan_period / (traj.stamps[j + 1] - traj.stamps[j])
-            ends.append(geo.interpolate_pose(traj.poses[j], traj.poses[j + 1], frac))
-    last_rel = geo.compose(geo.inverse(traj.poses[-2]), traj.poses[-1])
-    if scan_period is not None:
-        frac = scan_period / (traj.stamps[-1] - traj.stamps[-2])
-        xi = geo.log_se3(last_rel)
-        last_rel = geo.exp_se3(geo.Twist(xi.rot * frac, xi.trans * frac))
-    ends.append(geo.compose(traj.poses[-1], last_rel))
-    return ends
+    return [geo.compose(p, sweep_motion(traj.poses, traj.stamps, i, scan_period))
+            for i, p in enumerate(traj.poses)]
 
 
 # ---------------------------------------------------------------------------

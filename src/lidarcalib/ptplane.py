@@ -45,8 +45,8 @@ CAUCHY_SCALE_FLOOR = 1e-8
 # must stay below max(MAX_DEV_FLOOR, MAX_DEV_RATIO * sqrt(lambda2 + lambda3)).
 # The planarity index eta is an RMS ratio and admits thin L-shaped sets
 # mixing two perpendicular surfaces near a corner, with a blended normal;
-# their max deviation gives them away. Voxel leaves and LBA neighbour sets
-# both pass through it.
+# their max deviation gives them away. `plane_gate` applies it to voxel
+# cells and LBA neighbour sets alike.
 MAX_DEV_FLOOR = 0.04
 MAX_DEV_RATIO = 0.3
 # A point set whose middle covariance eigenvalue is below this (m^2) is
@@ -105,7 +105,34 @@ def fit_planes(nbrs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns the centroids (M, 3), the eigenvalues of the covariance
     C = sum (q - c)(q - c)^T / k in ascending order (M, 3), clipped at 0,
     and unit normals (M, 3) along the smallest one's eigenvector, of
-    arbitrary sign.
+    arbitrary sign (see `_eigen`).
+    """
+    k = nbrs.shape[1]
+    centroids = np.einsum("mkc->mc", nbrs) / k
+    centered = nbrs - centroids[:, None, :]
+    x, y, z = centered[:, :, 0], centered[:, :, 1], centered[:, :, 2]
+    moments = (np.einsum("mk,mk->m", s, t) / k for s, t in
+               ((x, x), (y, y), (z, z), (x, y), (x, z), (y, z)))
+    return (centroids, *_eigen(*moments))
+
+
+def fit_groups(points: np.ndarray, labels: np.ndarray,
+               n_groups: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`fit_planes` of the non-empty point groups labels == 0..n_groups-1,
+    of any sizes: two `np.bincount` passes give the centroids and then the
+    centred second moments."""
+    counts = np.bincount(labels, minlength=n_groups)
+    centroids = np.column_stack([np.bincount(labels, points[:, a], n_groups)
+                                 for a in range(3)]) / counts[:, None]
+    x, y, z = (points - centroids[labels]).T
+    moments = (np.bincount(labels, s * t, n_groups) / counts for s, t in
+               ((x, x), (y, y), (z, z), (x, y), (x, z), (y, z)))
+    return (centroids, *_eigen(*moments))
+
+
+def _eigen(xx, yy, zz, xy, xz, yz) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues (M, 3), clipped at 0, and unit eigenvectors of
+    the smallest, of M symmetric 3x3 matrices given by their entries.
 
     The extreme eigenvalues are taken in trigonometric closed form (Smith,
     "Eigenvalues of a symmetric 3x3 matrix", CACM 1961). Of the two, the
@@ -119,13 +146,6 @@ def fit_planes(nbrs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a general solver's. For collinear sets the normal is a unit vector
     orthogonal to the line, and for coincident sets any unit vector.
     """
-    k = nbrs.shape[1]
-    centroids = np.einsum("mkc->mc", nbrs) / k
-    centered = nbrs - centroids[:, None, :]
-    x, y, z = centered[:, :, 0], centered[:, :, 1], centered[:, :, 2]
-    xx, yy, zz, xy, xz, yz = (np.einsum("mk,mk->m", s, t) / k for s, t in
-                              ((x, x), (y, y), (z, z), (x, y), (x, z), (y, z)))
-
     q = (xx + yy + zz) / 3.0
     dx, dy, dz = xx - q, yy - q, zz - q
     p = np.sqrt((dx * dx + dy * dy + dz * dz
@@ -173,7 +193,28 @@ def fit_planes(nbrs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     evals = np.where(low_first[:, None],
                      np.column_stack([lam_min, lo, hi]),
                      np.column_stack([lo, hi, lam_max]))
-    return centroids, np.clip(evals, 0.0, None), normals
+    return np.clip(evals, 0.0, None), normals
+
+
+def planarity(evals: np.ndarray) -> np.ndarray:
+    """eta = lambda1 / (lambda2 + lambda3) of ascending (M, 3) eigenvalues;
+    inf where lambda2 + lambda3 is 0."""
+    lam_sum = evals[:, 1] + evals[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(lam_sum > 0.0, evals[:, 0] / lam_sum, np.inf)
+
+
+def plane_gate(evals: np.ndarray, max_dev: np.ndarray, eta_max: float,
+               dev_floor: float) -> np.ndarray:
+    """The one plane test of fitted point sets, from their ascending
+    eigenvalues (M, 3) and max |point-to-plane| deviations (M,): planarity
+    below eta_max, not collinear (middle eigenvalue at least COLLINEAR_EPS)
+    and deviation within max(dev_floor, MAX_DEV_RATIO * sqrt(lambda2 +
+    lambda3)). Voxel cells pass dev_floor MAX_DEV_FLOOR."""
+    dev_gate = np.maximum(dev_floor,
+                          MAX_DEV_RATIO * np.sqrt(evals[:, 1] + evals[:, 2]))
+    return ((planarity(evals) < eta_max) & (evals[:, 1] >= COLLINEAR_EPS)
+            & (max_dev <= dev_gate))
 
 
 def cauchy_weights(resid: np.ndarray, factor: float, scale: float) -> np.ndarray:

@@ -2,10 +2,12 @@
 
 Space is cut into l_parent cells on a grid anchored at the world origin
 (cells are half-open, lower-inclusive; boundary points belong to the
-higher-index cell). Cells whose point covariance is flat enough become
-planes; complex cells subdivide into eight children of half the edge length
-until max_depth. Face-adjacent coplanar leaves can be merged, and every
-plane carries a confidence weight
+higher-index cell). The octree is built one depth at a time: every cell of
+a depth is fitted in one `ptplane.fit_groups` call and judged by
+`ptplane.plane_gate`, the plane test LBA's neighbour sets pass too. Cells
+that pass become planes; complex cells subdivide into eight children of half
+the edge length until max_depth. Face-adjacent coplanar leaves can be
+merged, and every plane carries a confidence weight
 
     weight = point_count / (1 + sigma_lambda) * exp(-gamma * eta)
 
@@ -17,14 +19,14 @@ The finished index is immutable and safe for concurrent association queries.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, InvalidParams
+from .errors import InvalidParams
 from .grid import pack_cells
-from .ptplane import COLLINEAR_EPS, MAX_DEV_FLOOR, MAX_DEV_RATIO
+from .ptplane import (COLLINEAR_EPS, MAX_DEV_FLOOR, fit_groups, plane_gate,
+                      planarity)
 
 PLANAR = "planar"
 SUBDIVIDED = "subdivided"
@@ -56,7 +58,8 @@ class VoxelParams:
 
 @dataclass(frozen=True)
 class PlaneFeature:
-    """Fitted voxel plane: unit normal, centroid, ascending eigenvalues."""
+    """Fitted voxel plane: unit normal (of arbitrary sign), centroid,
+    ascending eigenvalues."""
 
     normal: np.ndarray
     centroid: np.ndarray
@@ -69,49 +72,33 @@ class PlaneFeature:
     point_indices: np.ndarray
 
 
-def fit_plane(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least-squares plane of a point set via covariance eigendecomposition.
-
-    Returns (unit normal, centroid, eigenvalues ascending). The normal sign
-    is fixed so its largest-magnitude component is positive. Raises
-    DegenerateGeometry for fewer than 3 points or (near-)collinear sets.
-    """
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    m = len(points)
-    if m < 3:
-        raise DegenerateGeometry(f"need >= 3 points, got {m}")
-    centroid = points.mean(axis=0)
-    centered = points - centroid
-    cov = centered.T @ centered / m
-    evals, evecs = np.linalg.eigh(cov)
-    evals = np.clip(evals, 0.0, None)
-    if evals[1] < COLLINEAR_EPS:
-        raise DegenerateGeometry("points are collinear")
-    normal = evecs[:, 0]
-    k = int(np.argmax(np.abs(normal)))
-    if normal[k] < 0.0:
-        normal = -normal
-    return normal, centroid, evals
+def confidence_weight(point_count, sigma_lambda, eta, gamma):
+    """point_count / (1 + sigma_lambda) * exp(-gamma * eta), elementwise."""
+    return point_count / (1.0 + sigma_lambda) * np.exp(-gamma * eta)
 
 
-def planarity(eigenvalues: np.ndarray) -> float:
-    """eta = lambda1 / (lambda2 + lambda3), ascending eigenvalue order."""
-    return float(eigenvalues[0] / (eigenvalues[1] + eigenvalues[2]))
-
-
-def confidence_weight(point_count: int, sigma_lambda: float, eta: float,
-                      gamma: float) -> float:
-    return point_count / (1.0 + sigma_lambda) * math.exp(-gamma * eta)
+def _features(fit, counts: np.ndarray, gamma: float, keys: list,
+              point_indices: list) -> list[PlaneFeature]:
+    """PlaneFeatures of fitted point sets: fit = (centroids, eigenvalues,
+    normals) as `ptplane.fit_groups` returns them, one row per set."""
+    centroids, evals, normals = fit
+    eta = planarity(evals)
+    sigma = np.std(evals, axis=1)
+    weight = confidence_weight(counts, sigma, eta, gamma)
+    return [PlaneFeature(*row) for row in zip(
+        normals, centroids, evals, counts.tolist(), eta.tolist(),
+        sigma.tolist(), weight.tolist(), keys, point_indices)]
 
 
 class VoxelMapIndex:
     """Octree classification over map points plus the extracted planes.
 
     nodes maps (depth, ix, iy, iz) to PLANAR/SUBDIVIDED/DISCARDED; planar
-    nodes also record their index into leaf_planes. After merge_neighbors,
-    `planes` holds merged features and leaf_to_plane redirects leaves.
-    `normals` (P, 3), `centroids` (P, 3) and `weights` (P,) stack the
-    fields of `planes` in order, for vectorized association.
+    nodes also record their index into leaf_planes, which lists the leaves
+    by depth, and by cell within a depth. After merge_neighbors, `planes`
+    holds merged features and leaf_to_plane redirects leaves. `normals`
+    (P, 3), `centroids` (P, 3) and `weights` (P,) stack the fields of
+    `planes` in order, for vectorized association.
     """
 
     def __init__(self, points: np.ndarray, params: VoxelParams):
@@ -139,97 +126,82 @@ class VoxelMapIndex:
 
 
 def build_adaptive(source, params: VoxelParams | None = None) -> VoxelMapIndex:
-    """Classify a reference map (or raw (N, 3) array) into a plane index."""
+    """Classify a reference map (or raw (N, 3) array) into a plane index.
+
+    Depth by depth, the points not yet classified are grouped by cell, and
+    all cells are fitted in one kernel call. A cell is PLANAR when it passes
+    `ptplane.plane_gate` with floor MAX_DEV_FLOOR; DISCARDED when it holds
+    fewer than min_points points, is collinear, or is not planar at
+    max_depth; SUBDIVIDED otherwise, and its points go on to the next depth.
+    """
     params = params or VoxelParams()
     params.validate()
-    points = getattr(source, "points", source)
-    index = VoxelMapIndex(points, params)
-    pts = index.points
-    if len(pts) == 0:
-        index._finalize([], np.zeros(0, dtype=int))
-        return index
-    root_keys = np.floor(pts / params.l_parent).astype(np.int64)
-    order = np.lexsort((root_keys[:, 2], root_keys[:, 1], root_keys[:, 0]))
-    sorted_keys = root_keys[order]
-    boundaries = np.nonzero(np.any(np.diff(sorted_keys, axis=0) != 0, axis=1))[0] + 1
-    groups = np.split(order, boundaries)
-    for grp in groups:
-        coords = tuple(int(c) for c in root_keys[grp[0]])
-        _classify(index, np.asarray(grp), 0, coords)
+    index = VoxelMapIndex(getattr(source, "points", source), params)
+    active = np.arange(len(index.points))
+    for depth in range(params.max_depth + 1):
+        if len(active) == 0:
+            break
+        cells = np.floor(index.points[active] / index.edge_length(depth)
+                         ).astype(np.int64)
+        keys = pack_cells(cells)
+        # members of one cell are a run of the key-sorted order, ascending
+        # in point index
+        order = np.argsort(keys, kind="stable")
+        active, keys = active[order], keys[order]
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        counts = np.diff(np.r_[starts, len(keys)])
+        labels = np.repeat(np.arange(len(starts)), counts)
+        pts = index.points[active]
+        fit = centroids, evals, normals = fit_groups(pts, labels, len(starts))
+        dev = np.abs(np.einsum("ij,ij->i", pts - centroids[labels],
+                               normals[labels]))
+        enough = counts >= params.min_points
+        planar = enough & plane_gate(evals, np.maximum.reduceat(dev, starts),
+                                     params.eta_max, MAX_DEV_FLOOR)
+        split = (enough & ~planar & (evals[:, 1] >= COLLINEAR_EPS)
+                 & (depth < params.max_depth))
+        node_keys = [(depth, *c) for c in cells[order[starts]].tolist()]
+        status = np.where(planar, PLANAR, np.where(split, SUBDIVIDED, DISCARDED))
+        leaf_ids = np.cumsum(planar) - 1 + len(index.leaf_planes)
+        index.nodes.update(
+            (key, (st, leaf if st == PLANAR else None))
+            for key, st, leaf in zip(node_keys, status.tolist(), leaf_ids.tolist()))
+        sel = np.flatnonzero(planar)
+        index.leaf_planes += _features(
+            [a[sel] for a in fit], counts[sel], params.gamma,
+            [(node_keys[c],) for c in sel],
+            [active[s:s + m] for s, m in zip(starts[sel], counts[sel])])
+        active = active[np.repeat(split, counts)]
     index._finalize(list(index.leaf_planes), np.arange(len(index.leaf_planes)))
     return index
 
 
-def _make_feature(index: VoxelMapIndex, point_idx: np.ndarray,
-                  normal, centroid, evals, keys: tuple) -> PlaneFeature:
-    params = index.params
-    eta = planarity(evals)
-    sigma = float(np.std(evals))
-    weight = confidence_weight(len(point_idx), sigma, eta, params.gamma)
-    return PlaneFeature(normal, centroid, evals, len(point_idx), eta, sigma,
-                        weight, keys, point_idx)
-
-
-def _classify(index: VoxelMapIndex, point_idx: np.ndarray, depth: int,
-              coords: tuple[int, int, int]):
-    params = index.params
-    key = (depth,) + coords
-    if len(point_idx) < params.min_points:
-        index.nodes[key] = (DISCARDED, None)
-        return
-    try:
-        normal, centroid, evals = fit_plane(index.points[point_idx])
-    except DegenerateGeometry:
-        index.nodes[key] = (DISCARDED, None)
-        return
-    max_dev = float(np.max(np.abs((index.points[point_idx] - centroid) @ normal)))
-    # flatness gate (see ptplane): eta alone passes thin L-shaped corner sets
-    dev_gate = max(MAX_DEV_FLOOR, MAX_DEV_RATIO * math.sqrt(evals[1] + evals[2]))
-    if planarity(evals) < params.eta_max and max_dev <= dev_gate:
-        index.nodes[key] = (PLANAR, len(index.leaf_planes))
-        index.leaf_planes.append(
-            _make_feature(index, point_idx, normal, centroid, evals, (key,)))
-        return
-    if depth >= params.max_depth:
-        index.nodes[key] = (DISCARDED, None)
-        return
-    index.nodes[key] = (SUBDIVIDED, None)
-    child_edge = index.edge_length(depth + 1)
-    child_keys = np.floor(index.points[point_idx] / child_edge).astype(np.int64)
-    order = np.lexsort((child_keys[:, 2], child_keys[:, 1], child_keys[:, 0]))
-    sorted_keys = child_keys[order]
-    boundaries = np.nonzero(np.any(np.diff(sorted_keys, axis=0) != 0, axis=1))[0] + 1
-    for grp in np.split(order, boundaries):
-        child_coords = tuple(int(c) for c in child_keys[grp[0]])
-        _classify(index, point_idx[np.asarray(grp)], depth + 1, child_coords)
-
-
-def _leaf_int_boxes(index: VoxelMapIndex) -> tuple[np.ndarray, np.ndarray]:
-    """Integer AABBs of planar leaves in units of the finest cell edge."""
-    max_depth = index.params.max_depth
-    mins, maxs = [], []
-    for plane in index.leaf_planes:
-        depth, ix, iy, iz = plane.voxel_keys[0]
-        scale = 2 ** (max_depth - depth)
-        lo = np.array([ix, iy, iz], dtype=np.int64) * scale
-        mins.append(lo)
-        maxs.append(lo + scale)
-    if not mins:
-        return np.zeros((0, 3), dtype=np.int64), np.zeros((0, 3), dtype=np.int64)
-    return np.stack(mins), np.stack(maxs)
-
-
-def _members_fit(index: VoxelMapIndex, members: list[int], normal: np.ndarray,
-                 centroid: np.ndarray) -> bool:
-    """Whether every member leaf's points fit the union plane about as well
-    as they fit their own plane: mean squared distance to the union plane at
-    most 4 * lambda1(leaf) + 1e-12."""
-    for m in members:
-        leaf = index.leaf_planes[m]
-        dist = (index.points[leaf.point_indices] - centroid) @ normal
-        if float(np.mean(dist * dist)) > 4.0 * leaf.eigenvalues[0] + 1e-12:
-            return False
-    return True
+def _refit_unions(index: VoxelMapIndex,
+                  unions: list[list[int]]) -> list[PlaneFeature | None]:
+    """The plane of each union of leaves, fitted in one kernel call, or None
+    where a member leaf's points fit it worse than their own plane: mean
+    squared distance to the union plane above 4 * lambda1(leaf) + 1e-12."""
+    if not unions:
+        return []
+    leaves = [index.leaf_planes[m] for u in unions for m in u]
+    union_of_leaf = np.repeat(np.arange(len(unions)), [len(u) for u in unions])
+    sizes = np.array([leaf.point_count for leaf in leaves])
+    leaf_of_point = np.repeat(np.arange(len(leaves)), sizes)
+    labels = union_of_leaf[leaf_of_point]
+    point_idx = np.concatenate([leaf.point_indices for leaf in leaves])
+    pts = index.points[point_idx]
+    fit = centroids, _, normals = fit_groups(pts, labels, len(unions))
+    dist = np.einsum("ij,ij->i", pts - centroids[labels], normals[labels])
+    mean_sq = np.bincount(leaf_of_point, dist * dist) / sizes
+    own = np.array([leaf.eigenvalues[0] for leaf in leaves])
+    misfits = np.bincount(union_of_leaf, mean_sq > 4.0 * own + 1e-12,
+                          len(unions))
+    counts = np.bincount(labels, minlength=len(unions))
+    keys = [tuple(k for m in u for k in index.leaf_planes[m].voxel_keys)
+            for u in unions]
+    planes = _features(fit, counts, index.params.gamma, keys,
+                       np.split(point_idx, np.cumsum(counts)[:-1]))
+    return [p if bad == 0 else None for p, bad in zip(planes, misfits)]
 
 
 def merge_neighbors(index: VoxelMapIndex, tau_theta: float, tau_d: float) -> VoxelMapIndex:
@@ -238,7 +210,7 @@ def merge_neighbors(index: VoxelMapIndex, tau_theta: float, tau_d: float) -> Vox
     Candidate pairs need normals within tau_theta and centroids within
     tau_d. A candidate group is then refit over the union of its member
     points and kept only if every member leaf fits the union plane about as
-    well as its own plane (see _members_fit); otherwise the group's leaves
+    well as its own plane (see _refit_unions); otherwise the group's leaves
     stay unmerged. The angle and distance gates are pairwise, so a chain of
     leaves that each hold a strip of an adjacent surface can pass them and
     still blend two surfaces into one tilted plane; the member check rejects
@@ -262,7 +234,11 @@ def merge_neighbors(index: VoxelMapIndex, tau_theta: float, tau_d: float) -> Vox
             parent[max(ri, rj)] = min(ri, rj)
 
     if n > 1:
-        mins, maxs = _leaf_int_boxes(index)
+        # integer boxes of the leaves in units of the finest cell edge
+        keys = np.array([p.voxel_keys[0] for p in index.leaf_planes])
+        scale = 2 ** (index.params.max_depth - keys[:, :1])
+        mins = keys[:, 1:] * scale
+        maxs = mins + scale
         normals = np.stack([p.normal for p in index.leaf_planes])
         centroids = np.stack([p.centroid for p in index.leaf_planes])
         for i in range(n - 1):
@@ -282,22 +258,19 @@ def merge_neighbors(index: VoxelMapIndex, tau_theta: float, tau_d: float) -> Vox
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
+    roots = sorted(groups)
+    refits = iter(_refit_unions(index, [groups[r] for r in roots
+                                        if len(groups[r]) > 1]))
 
     merged: list[PlaneFeature] = []
     leaf_to_plane = np.zeros(n, dtype=int)
-    for root in sorted(groups):
+    for root in roots:
         members = groups[root]
-        if len(members) > 1:
-            point_idx = np.concatenate(
-                [index.leaf_planes[m].point_indices for m in members])
-            normal, centroid, evals = fit_plane(index.points[point_idx])
-            if _members_fit(index, members, normal, centroid):
-                leaf_to_plane[members] = len(merged)
-                keys = tuple(k for m in members
-                             for k in index.leaf_planes[m].voxel_keys)
-                merged.append(_make_feature(index, point_idx, normal, centroid,
-                                            evals, keys))
-                continue
+        plane = next(refits) if len(members) > 1 else None
+        if plane is not None:
+            leaf_to_plane[members] = len(merged)
+            merged.append(plane)
+            continue
         for m in members:
             leaf_to_plane[m] = len(merged)
             merged.append(index.leaf_planes[m])

@@ -54,9 +54,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfgmod.parse_config_lines(["lba.step = 7"])
 
-    def test_bool_coercion(self):
-        cfg = cfgmod.parse_config_lines(["calib.deskew = false"])
-        assert cfg.calib.deskew is False
+    def test_deskew_key_rejected(self):
+        # calibrate deskews exactly the frames with a scan duration
+        with pytest.raises(ConfigError, match="unknown key calib.deskew"):
+            cfgmod.parse_config_lines(["calib.deskew = false"])
 
     def test_comments_ignored(self):
         cfg = cfgmod.parse_config_lines(["# a comment", "sim.seed = 5  # inline"])

@@ -3,9 +3,9 @@
 A field of a config section that no code outside its own dataclass reads
 is a key a user can set to no effect. The check is by name: a field counts
 as read when any module of the package loads an attribute of that name
-from something other than an imported module (so `pc.deskew(...)` does not
-count for `calib.deskew`) outside the dataclass that declares it (so its own
-`validate` does not count either).
+from something other than an imported module (so `pc.voxel_downsample(...)`
+would not count for a field of that name) outside the dataclass that
+declares it (so its own `validate` does not count either).
 """
 
 import ast

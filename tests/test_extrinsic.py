@@ -8,9 +8,9 @@ from lidarcalib import geometry as geo
 from lidarcalib import pointcloud as pc
 from lidarcalib import simulator as sim
 from lidarcalib import voxelmap as vm
-from lidarcalib.errors import NoCorrespondences, Unobservable
+from lidarcalib.errors import InvalidParams, NoCorrespondences, Unobservable
 from lidarcalib.geometry import Pose
-from lidarcalib.ptplane import PlaneBatch
+from lidarcalib.ptplane import INNER_TOL, PlaneBatch
 
 from test_geometry import random_pose
 
@@ -126,7 +126,7 @@ class TestLmSolve:
     def test_ground_truth_is_fixed_point(self):
         rng = np.random.default_rng(3)
         batch = orthogonal_plane_batch(rng)
-        pose, trace = ext.lm_solve(batch, Pose.identity(), ext.CalibConfig())
+        pose, trace = ext.lm_solve(batch, Pose.identity(), INNER_TOL)
         assert geo.translation_error(pose, Pose.identity()) < 1e-9
         assert batch.objective(pose) < 1e-18
 
@@ -134,7 +134,7 @@ class TestLmSolve:
         rng = np.random.default_rng(4)
         batch = orthogonal_plane_batch(rng)
         t_init = sim.perturb(Pose.identity(), 0.1 / math.sqrt(3), 5.0, 9)
-        pose, _ = ext.lm_solve(batch, t_init, ext.CalibConfig())
+        pose, _ = ext.lm_solve(batch, t_init, INNER_TOL)
         assert geo.translation_error(pose, Pose.identity()) < 1e-6
         assert geo.rotation_error(pose, Pose.identity()) < 1e-6
 
@@ -147,13 +147,13 @@ class TestLmSolve:
             pts.append(pt)
         batch = make_batch(pts, [[0, 0, 1]] * 40, [0, 0, 0])
         with pytest.raises(Unobservable):
-            ext.lm_solve(batch, Pose.identity(), ext.CalibConfig())
+            ext.lm_solve(batch, Pose.identity(), INNER_TOL)
 
     def test_accepted_steps_strictly_decrease(self):
         rng = np.random.default_rng(6)
         batch = orthogonal_plane_batch(rng)
         t_init = sim.perturb(Pose.identity(), 0.15, 10.0, 10)
-        _, trace = ext.lm_solve(batch, t_init, ext.CalibConfig())
+        _, trace = ext.lm_solve(batch, t_init, INNER_TOL)
         for entry in trace:
             if entry["accepted"]:
                 assert entry["cand_cost"] < entry["cost"]
@@ -164,9 +164,8 @@ class TestLmSolve:
         scaled = PlaneBatch(base.points, base.normals, base.centroids,
                             np.full(len(base), 7.5))
         t_init = sim.perturb(Pose.identity(), 0.05, 3.0, 11)
-        cfg = ext.CalibConfig(inner_tol=1e-12)
-        p1, _ = ext.lm_solve(base, t_init, cfg)
-        p2, _ = ext.lm_solve(scaled, t_init, cfg)
+        p1, _ = ext.lm_solve(base, t_init, 1e-12)
+        p2, _ = ext.lm_solve(scaled, t_init, 1e-12)
         assert geo.translation_error(p1, p2) < 1e-9
         assert geo.rotation_error(p1, p2) < 1e-9
 
@@ -363,6 +362,35 @@ class TestCalibrate:
         result = calibrate_patch_world(index, gt, anchors, frames)
         e_t, e_r = ext.evaluate(result, gt)
         assert e_t < 1e-9 and e_r < 1e-9
+
+    def test_deskews_over_the_sweep_not_the_frame_interval(self):
+        # sweeps last half the 0.1 s frame interval; deskewing over the
+        # whole interval leaves centimetres of error on exact data
+        model = sim.LidarModel(horizontal_res_deg=1.5, range_sigma=0.0,
+                               scan_period=0.05)
+        traj = sim.make_trajectory("arc", 3.0, 8)
+        ds = sim.generate_dataset(sim.builtin_scene("room"), traj,
+                                  sim.RIG_PRESETS["config1"], model, 31)
+        ends = pc.scan_end_poses(traj, model.scan_period)
+        map_pts = np.vstack([
+            geo.apply(p, pc.voxel_downsample(pc.deskew(f, p, e), 0.1).positions)
+            for f, p, e in zip(ds.frames_a, traj.poses, ends)])
+        index = vm.merge_neighbors(vm.build_adaptive(map_pts, vm.VoxelParams()),
+                                   np.radians(5.0), 0.5)
+        result = ext.calibrate(index, ds.frames_b, list(traj.poses), ds.extrinsic,
+                               ext.CalibConfig(rot_seed_candidates=0))
+        e_t, e_r = ext.evaluate(result, ds.extrinsic)
+        assert result.converged
+        assert e_t < 1e-5
+        assert e_r < 1e-5
+
+    def test_sweeps_need_increasing_stamps(self, room_calib_setup):
+        ds, index, anchors = room_calib_setup
+        assert all(f.scan_duration > 0.0 for f in ds.frames_b)
+        same_stamp = [pc.Frame(f.positions, 0.0, f.sensor_id, f.scan_duration,
+                               f.time_offsets) for f in ds.frames_b]
+        with pytest.raises(InvalidParams, match="increasing stamps"):
+            ext.calibrate(index, same_stamp, anchors, ds.extrinsic)
 
     def test_objective_never_increases_within_iteration(self, room_calib_setup):
         ds, index, anchors = room_calib_setup

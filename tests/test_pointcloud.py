@@ -267,3 +267,15 @@ class TestScanEndPoses:
         ends = pc.scan_end_poses(traj)
         expected = geo.exp_se3(xi * 3)
         np.testing.assert_allclose(ends[-1].as_matrix(), expected.as_matrix(), atol=1e-9)
+
+    def test_scan_period_moves_a_fraction_of_the_interval(self):
+        # constant twist per 0.1 s interval, sweeps of 0.04 s: every sweep,
+        # the last one too, ends 0.4 of the way to the next sample
+        xi = np.array([0.0, 0.0, 0.1, 0.5, 0.0, 0.0])
+        poses = [geo.exp_se3(xi * k) for k in range(3)]
+        traj = pc.Trajectory(np.arange(3) * 0.1, poses)
+        ends = pc.scan_end_poses(traj, 0.04)
+        for k, end in enumerate(ends):
+            np.testing.assert_allclose(end.as_matrix(),
+                                       geo.exp_se3(xi * (k + 0.4)).as_matrix(),
+                                       atol=1e-12)

@@ -1,8 +1,14 @@
-"""The closed-form plane-fit kernel against numpy's general eigensolver."""
+"""The closed-form plane-fit kernel against numpy's general eigensolver,
+and the one plane test."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 
-from lidarcalib.ptplane import fit_planes
+import lidarcalib
+from lidarcalib.ptplane import (MAX_DEV_FLOOR, MAX_DEV_RATIO, fit_groups,
+                                fit_planes, plane_gate)
 
 from test_geometry import random_pose
 
@@ -108,3 +114,64 @@ class TestFitPlanes:
         np.testing.assert_allclose(e1, e2, rtol=0, atol=1e-14 * e1[:, 2:].max())
         dots = np.abs(np.einsum("mi,mi->m", n1, n2))
         assert np.all(dots >= 1.0 - 1e-12)
+
+
+class TestFitGroups:
+    def test_equals_fit_planes_on_equal_groups(self):
+        rng = np.random.default_rng(10)
+        nbrs = rotated_sets(rng, 200, 7, np.array([1.0, 0.3, 0.05]))
+        labels = np.repeat(np.arange(200), 7)
+        c1, e1, n1 = fit_planes(nbrs)
+        c2, e2, n2 = fit_groups(nbrs.reshape(-1, 3), labels, 200)
+        np.testing.assert_allclose(c1, c2, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(e1, e2, rtol=0, atol=1e-14 * e1[:, 2:].max())
+        assert np.all(np.abs(np.einsum("mi,mi->m", n1, n2)) >= 1.0 - 1e-12)
+
+    def test_unequal_groups_in_any_point_order(self):
+        rng = np.random.default_rng(11)
+        sets = [rotated_sets(rng, 1, k, np.array([1.0, 0.5, 0.01]))[0]
+                for k in (3, 10, 57, 4)]
+        points = np.vstack(sets)
+        labels = np.repeat(np.arange(4), [len(s) for s in sets])
+        perm = rng.permutation(len(points))
+        centroid, evals, normal = fit_groups(points[perm], labels[perm], 4)
+        for m, pts in enumerate(sets):
+            ref_c, ref_e, ref_n = eigh_reference(pts[None])
+            np.testing.assert_allclose(centroid[m], ref_c[0], rtol=0, atol=1e-14)
+            assert np.all(np.abs(evals[m] - ref_e[0]) <= 1e-12 * ref_e[0, 2])
+            assert abs(normal[m] @ ref_n[0]) >= 1.0 - 1e-12
+
+
+class TestPlaneGate:
+    # ascending eigenvalues: a plane, a thick slab (eta 0.2) and a line
+    EVALS = np.array([[1e-6, 0.04, 0.09], [0.026, 0.04, 0.09], [0.0, 0.0, 0.09]])
+
+    def test_each_condition_rejects(self):
+        flat = np.zeros(3)
+        np.testing.assert_array_equal(
+            plane_gate(self.EVALS, flat, 0.1, MAX_DEV_FLOOR), [True, False, False])
+        # eta 0.2 passes a looser planarity bound
+        assert plane_gate(self.EVALS, flat, 0.25, MAX_DEV_FLOOR)[1]
+
+    def test_flatness_gate_takes_the_larger_floor(self):
+        # MAX_DEV_RATIO * sqrt(0.13) = 0.108
+        gate = MAX_DEV_RATIO * np.sqrt(0.13)
+        plane = self.EVALS[:1]
+        assert plane_gate(plane, np.array([gate]), 0.1, MAX_DEV_FLOOR)[0]
+        assert not plane_gate(plane, np.array([1.01 * gate]), 0.1, MAX_DEV_FLOOR)[0]
+        assert plane_gate(plane, np.array([0.2]), 0.1, 0.2)[0]
+        assert plane_gate(plane, np.array([1e6]), 0.1, np.inf)[0]
+
+
+def test_eigh_only_in_ptplane():
+    """Plane fits have one kernel: no other package module calls a general
+    symmetric eigensolver by name."""
+    package = Path(lidarcalib.__file__).parent
+    for path in package.glob("*.py"):
+        if path.name == "ptplane.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([node.attr] if isinstance(node, ast.Attribute) else
+                     [a.name for a in node.names]
+                     if isinstance(node, ast.ImportFrom) else [])
+            assert "eigh" not in names, f"{path.name}:{node.lineno}"

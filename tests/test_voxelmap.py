@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lidarcalib import voxelmap as vm
-from lidarcalib.errors import DegenerateGeometry
+from lidarcalib.ptplane import (COLLINEAR_EPS, MAX_DEV_FLOOR, MAX_DEV_RATIO,
+                                fit_groups)
 
 
 def plane_patch(rng, normal, centroid, extent, n, noise=0.0):
@@ -27,47 +28,74 @@ def plane_patch(rng, normal, centroid, extent, n, noise=0.0):
     return pts
 
 
+def eigh_plane(points):
+    """Oracle plane of a point set by np.linalg.eigh: (unit normal,
+    centroid, ascending eigenvalues)."""
+    centroid = points.mean(axis=0)
+    centered = points - centroid
+    evals, evecs = np.linalg.eigh(centered.T @ centered / len(points))
+    return evecs[:, 0], centroid, np.clip(evals, 0.0, None)
+
+
+def eta_of(evals):
+    return evals[0] / (evals[1] + evals[2])
+
+
+def fit_cells(*cells):
+    """fit_groups over point sets given one by one: (centroids, evals,
+    normals), one row per set."""
+    labels = np.repeat(np.arange(len(cells)), [len(c) for c in cells])
+    return fit_groups(np.vstack(cells), labels, len(cells))
+
+
 class TestFitPlane:
+    """The voxel cell fit, `ptplane.fit_groups`, and the cells
+    `build_adaptive` rejects before any plane test."""
+
     def test_unit_square(self):
         pts = np.array([[0, 0, 2], [1, 0, 2], [1, 1, 2], [0, 1, 2]], dtype=float)
-        n, c, evals = vm.fit_plane(pts)
-        np.testing.assert_allclose(n, [0, 0, 1], atol=1e-12)
-        np.testing.assert_allclose(c, [0.5, 0.5, 2.0], atol=1e-12)
-        assert evals[0] == pytest.approx(0.0, abs=1e-15)
-
-    def test_collinear_raises(self):
-        pts = np.column_stack([np.arange(5.0), np.zeros(5), np.zeros(5)])
-        with pytest.raises(DegenerateGeometry):
-            vm.fit_plane(pts)
-
-    def test_too_few_points(self):
-        with pytest.raises(DegenerateGeometry):
-            vm.fit_plane(np.zeros((2, 3)))
+        # a second, unrelated group shares the call
+        other = np.array([[5, 0, 0], [5, 1, 0], [5, 0, 1], [5, 1, 1.0]])
+        c, evals, n = fit_cells(pts, other)
+        np.testing.assert_allclose(np.abs(n[0]), [0, 0, 1], atol=1e-12)
+        np.testing.assert_allclose(c[0], [0.5, 0.5, 2.0], atol=1e-12)
+        assert evals[0, 0] == pytest.approx(0.0, abs=1e-15)
+        np.testing.assert_allclose(np.abs(n[1]), [1, 0, 0], atol=1e-12)
 
     def test_noisy_tilted_plane(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(-1, 1, 500)
         y = rng.uniform(-1, 1, 500)
         z = 0.1 * x + 0.2 * y + rng.normal(0, 0.001, 500)
-        n, c, evals = vm.fit_plane(np.column_stack([x, y, z]))
+        _, evals, n = fit_cells(np.column_stack([x, y, z]))
         expected = np.array([-0.1, -0.2, 1.0])
         expected /= np.linalg.norm(expected)
-        angle = math.acos(min(1.0, abs(np.dot(n, expected))))
+        angle = math.acos(min(1.0, abs(np.dot(n[0], expected))))
         assert angle < math.radians(0.5)
-        assert evals[0] == pytest.approx(1e-6, rel=0.5)
-
-    def test_sign_convention(self):
-        rng = np.random.default_rng(1)
-        pts = plane_patch(rng, [0, 0, -1], [0, 0, 1], 1.0, 50)
-        n, _, _ = vm.fit_plane(pts)
-        assert n[np.argmax(np.abs(n))] > 0.0
+        assert evals[0, 0] == pytest.approx(1e-6, rel=0.5)
 
     def test_rms_equals_lambda1(self):
         rng = np.random.default_rng(2)
-        pts = plane_patch(rng, [1, 2, 3], [0.5, 0.5, 0.5], 0.5, 200, noise=0.01)
-        n, c, evals = vm.fit_plane(pts)
-        rms_sq = np.mean(((pts - c) @ n) ** 2)
-        assert rms_sq == pytest.approx(evals[0], abs=1e-12)
+        cells = [plane_patch(rng, normal, [0.5, 0.5, 0.5], 0.5, count, noise=0.01)
+                 for normal, count in (([1, 2, 3], 200), ([0, 1, 0], 37))]
+        c, evals, n = fit_cells(*cells)
+        for pts, ci, ei, ni in zip(cells, c, evals, n):
+            rms_sq = np.mean(((pts - ci) @ ni) ** 2)
+            assert rms_sq == pytest.approx(ei[0], abs=1e-12)
+
+    def test_collinear_discarded(self):
+        pts = np.column_stack([np.linspace(0.05, 0.95, 20), np.full(20, 0.5),
+                               np.full(20, 0.5)])
+        index = vm.build_adaptive(pts, vm.VoxelParams(max_depth=2))
+        assert index.nodes == {(0, 0, 0, 0): (vm.DISCARDED, None)}
+        assert not index.planes
+
+    def test_too_few_points(self):
+        rng = np.random.default_rng(3)
+        pts = plane_patch(rng, [0, 0, 1], [0.5, 0.5, 0.5], 0.4, 9)
+        index = vm.build_adaptive(pts, vm.VoxelParams(min_points=10))
+        assert index.nodes == {(0, 0, 0, 0): (vm.DISCARDED, None)}
+        assert not index.planes
 
 
 class TestConfidenceWeight:
@@ -123,8 +151,7 @@ class TestBuildAdaptive:
         status, _ = index.nodes[(0, 0, 0, 0)]
         assert status == vm.SUBDIVIDED
         # sample covariance oracle: corner voxel eta above threshold
-        _, _, evals = vm.fit_plane(pts)
-        assert vm.planarity(evals) > 0.1
+        assert eta_of(eigh_plane(pts)[2]) > 0.1
         planar_children = [k for k, (s, _) in index.nodes.items()
                            if s == vm.PLANAR and k[0] > 0]
         assert planar_children
@@ -133,8 +160,7 @@ class TestBuildAdaptive:
         rng = np.random.default_rng(5)
         pts = rng.normal(0.5, 0.15, size=(500, 3))
         pts = pts[np.all((pts > 0) & (pts < 1), axis=1)]
-        _, _, evals = vm.fit_plane(pts)
-        assert vm.planarity(evals) > 0.3  # eta oracle: isotropic sample
+        assert eta_of(eigh_plane(pts)[2]) > 0.3  # eta oracle: isotropic sample
         index = vm.build_adaptive(pts, vm.VoxelParams(l_parent=1.0, max_depth=0))
         assert index.nodes[(0, 0, 0, 0)][0] == vm.DISCARDED
         assert not index.planes
@@ -205,8 +231,9 @@ class TestMergeNeighbors:
         index = vm.build_adaptive(pts, vm.VoxelParams())
         merged = vm.merge_neighbors(index, math.radians(5.0), 1.5)
         assert len(merged.planes) == 1
-        n_ref, c_ref, _ = vm.fit_plane(pts)
-        np.testing.assert_allclose(merged.planes[0].normal, n_ref, atol=1e-9)
+        n_ref, c_ref, _ = eigh_plane(pts)
+        n = merged.planes[0].normal
+        np.testing.assert_allclose(n * np.sign(n @ n_ref), n_ref, atol=1e-9)
         np.testing.assert_allclose(merged.planes[0].centroid, c_ref, atol=1e-9)
 
     def test_distance_gate(self):
@@ -230,7 +257,7 @@ class TestMergeNeighbors:
         merged = vm.merge_neighbors(index, math.radians(5.0), 1.5)
         leaf = index.nodes[(0, 0, 0, 0)][1]
         plane = merged.planes[merged.leaf_to_plane[leaf]]
-        np.testing.assert_allclose(plane.normal, [0, 0, 1], atol=1e-9)
+        np.testing.assert_allclose(np.abs(plane.normal), [0, 0, 1], atol=1e-9)
         assert abs(plane.centroid[2] - 0.97) < 1e-9
 
     def test_idempotent_random_layouts(self):
@@ -348,3 +375,134 @@ class TestAssociate:
         assert np.count_nonzero(expected >= 0) > 300
         np.testing.assert_array_equal(
             vm.associate_batch(queries, index, reject_dist=reject), expected)
+
+
+def reference_classify(points, params):
+    """The recursive per-cell eigh classifier that `build_adaptive` replaced:
+    (nodes {key: status}, leaves [(key, normal, centroid, evals, point
+    indices)])."""
+    nodes, leaves = {}, []
+
+    def classify(idx, depth, coords):
+        key = (depth,) + coords
+        if len(idx) < params.min_points:
+            nodes[key] = vm.DISCARDED
+            return
+        normal, centroid, evals = eigh_plane(points[idx])
+        if evals[1] < COLLINEAR_EPS:
+            nodes[key] = vm.DISCARDED
+            return
+        max_dev = np.max(np.abs((points[idx] - centroid) @ normal))
+        gate = max(MAX_DEV_FLOOR, MAX_DEV_RATIO * math.sqrt(evals[1] + evals[2]))
+        if eta_of(evals) < params.eta_max and max_dev <= gate:
+            nodes[key] = vm.PLANAR
+            leaves.append((key, normal, centroid, evals, idx))
+            return
+        if depth >= params.max_depth:
+            nodes[key] = vm.DISCARDED
+            return
+        nodes[key] = vm.SUBDIVIDED
+        child = np.floor(points[idx] / (params.l_parent / 2 ** (depth + 1))
+                         ).astype(np.int64)
+        for c in sorted(set(map(tuple, child.tolist()))):
+            classify(idx[np.all(child == c, axis=1)], depth + 1, c)
+
+    roots = np.floor(points / params.l_parent).astype(np.int64)
+    for c in sorted(set(map(tuple, roots.tolist()))):
+        classify(np.flatnonzero(np.all(roots == c, axis=1)), 0, c)
+    return nodes, leaves
+
+
+def reference_merge(points, params, leaves, tau_theta, tau_d):
+    """The per-group eigh refit of merge_neighbors over reference leaves:
+    {frozenset of voxel keys: (normal, evals)} of every final plane."""
+    n = len(leaves)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    def box(key):
+        scale = 2 ** (params.max_depth - key[0])
+        lo = np.array(key[1:]) * scale
+        return lo, lo + scale
+
+    for i in range(n):
+        lo_i, hi_i = box(leaves[i][0])
+        for j in range(i + 1, n):
+            lo_j, hi_j = box(leaves[j][0])
+            touch = (hi_i == lo_j) | (hi_j == lo_i)
+            overlap = (lo_i < hi_j) & (lo_j < hi_i)
+            if (touch & ~overlap).sum() != 1 or not (touch | overlap).all():
+                continue
+            cos_t = min(1.0, abs(float(leaves[i][1] @ leaves[j][1])))
+            dist = np.linalg.norm(leaves[i][2] - leaves[j][2])
+            if math.acos(cos_t) < tau_theta and dist < tau_d:
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    planes = {}
+    for members in groups.values():
+        if len(members) > 1:
+            idx = np.concatenate([leaves[m][4] for m in members])
+            normal, centroid, evals = eigh_plane(points[idx])
+            if all(np.mean(((points[leaves[m][4]] - centroid) @ normal) ** 2)
+                   <= 4.0 * leaves[m][3][0] + 1e-12 for m in members):
+                planes[frozenset(leaves[m][0] for m in members)] = (normal, evals)
+                continue
+        for m in members:
+            planes[frozenset([leaves[m][0]])] = (leaves[m][1], leaves[m][3])
+    return planes
+
+
+def assert_same_planes(planes, reference):
+    """Same voxel-key sets; normals and eigenvalues as the eigh reference's."""
+    got = {frozenset(p.voxel_keys): p for p in planes}
+    assert set(got) == set(reference)
+    for keys, (normal, evals) in reference.items():
+        plane = got[keys]
+        assert abs(float(plane.normal @ normal)) >= 1.0 - 1e-12
+        np.testing.assert_allclose(plane.eigenvalues, evals, rtol=0,
+                                   atol=1e-12 * evals[2])
+
+
+def assert_matches_reference(points, params, tau_theta, tau_d):
+    nodes, leaves = reference_classify(points, params)
+    index = vm.build_adaptive(points, params)
+    assert {k: s for k, (s, _) in index.nodes.items()} == nodes
+    assert_same_planes(index.leaf_planes, {
+        frozenset([key]): (normal, evals) for key, normal, _, evals, _ in leaves})
+    merged = vm.merge_neighbors(index, tau_theta, tau_d)
+    assert_same_planes(merged.planes,
+                       reference_merge(points, params, leaves, tau_theta, tau_d))
+    for leaf, plane_id in zip(merged.leaf_planes, merged.leaf_to_plane):
+        assert leaf.voxel_keys[0] in merged.planes[plane_id].voxel_keys
+
+
+class TestRecursiveReference:
+    """build_adaptive and merge_neighbors against the recursive eigh
+    classifier they replaced: same cells, statuses and planes."""
+
+    def test_random_layouts(self):
+        # criterion 7's layouts
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            n_cells = rng.integers(2, 6)
+            pts = np.vstack([plane_patch(rng, rng.normal(size=3),
+                                         rng.integers(0, 3, size=3) + 0.5,
+                                         0.38, 60, noise=0.002)
+                             for _ in range(n_cells)])
+            assert_matches_reference(pts, vm.VoxelParams(min_points=5),
+                                     math.radians(8.0), 1.5)
+
+    def test_room_maps(self, room_calib_setup):
+        _, index, _ = room_calib_setup
+        rng = np.random.default_rng(20)
+        noisy = index.points + rng.normal(0.0, 0.01, index.points.shape)
+        for pts in (index.points, noisy):
+            assert_matches_reference(pts, vm.VoxelParams(), math.radians(5.0), 0.5)
