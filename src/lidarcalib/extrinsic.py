@@ -95,6 +95,8 @@ class CalibConfig:
             raise InvalidParams("convergence delta must be positive")
         if self.frame_stride < 1:
             raise InvalidParams("frame stride must be >= 1")
+        if self.reject_start <= 0.0 or self.reject_end <= 0.0:
+            raise InvalidParams("reject_start and reject_end must be positive")
 
 
 @dataclass

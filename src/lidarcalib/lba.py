@@ -9,9 +9,11 @@ non-reference frame is matched to a local plane fit over its k nearest
 neighbors from the frames before it (`ptplane.fit_planes`, the closed-form
 kernel calibration's local normals use too; collinear sets get no match),
 planes are frozen during the inner LM solve, and association is repeated
-for a few rounds. Windows are
-stitched by seeding the shared frames from the previous window's result and
-tying the first o of them with a quadratic prior on log(prev^-1 * current).
+for a few rounds. A window's initial and final costs are both taken under
+the last round's association, with that round's annealed Cauchy factor.
+Windows are stitched by seeding the shared frames from the previous
+window's result and tying the first o of them with a quadratic prior on
+log(prev^-1 * current).
 
 The union of the refined, downsampled frames becomes the reference map.
 """
@@ -56,6 +58,12 @@ class LbaParams:
 
     def validate(self):
         _check_window(self.window, self.step)
+        if self.k_neighbors < 3:
+            raise InvalidParams("k_neighbors must be >= 3 (a plane takes 3)")
+        if self.max_corr_dist <= 0.0:
+            raise InvalidParams("max_corr_dist must be positive")
+        if self.assoc_rounds < 1:
+            raise InvalidParams("assoc_rounds must be >= 1")
 
 
 def _check_window(w: int, d: int) -> None:
@@ -97,8 +105,8 @@ def plan_windows(n: int, w: int, d: int) -> WindowPlan:
 @dataclass
 class WindowResult:
     """One window's refinement. Both costs are the window objective under
-    the final association: initial_cost at the start poses, final_cost at
-    refined_poses."""
+    the last round's association and annealed Cauchy factor: initial_cost
+    at the start poses, final_cost at refined_poses."""
 
     refined_poses: list[Pose]
     final_cost: float
@@ -168,22 +176,6 @@ def _match_frame_to_pool(points_local: np.ndarray, pose: Pose,
     return pts[keep], normal[keep], centroid[keep], weight
 
 
-def _build_correspondences(frames: list[Frame], poses: list[Pose],
-                           params: LbaParams) -> list[PlaneBatch]:
-    """Window snapshot: frame j = 1..w-1 matched against the world points of
-    frames 0..j-1, one batch per frame.
-
-    Pooling neighbors from the already-anchored prefix (rather than from all
-    other frames) pins every frame to the window reference through the
-    chain: a plane pool that moves with the frames being optimized leaves a
-    coherent whole-block drift mode that robust weighting cannot anchor.
-    """
-    world = [geo.apply(pose, f.positions) for f, pose in zip(frames, poses)]
-    return [PlaneBatch(*_match_frame_to_pool(frames[j].positions, poses[j],
-                                             np.vstack(world[:j]), params))
-            for j in range(1, len(frames))]
-
-
 def point_to_plane_cost(poses: list[Pose], batches: list[PlaneBatch],
                         prior: tuple[list[int], list[Pose], float] | None = None,
                         ) -> float:
@@ -230,16 +222,21 @@ def optimize_window(frames: list[Frame], init_poses: list[Pose],
     Each association round sweeps the frames in order: frame j is matched
     against the current world points of frames 0..j-1 and solved alone by
     damped point-to-plane LM (Gauss-Seidel on the chain, so refinements
-    propagate forward within a round). fixed_prefix (empty or the stitching
-    overlap) overrides the leading init poses and ties them with the
-    quadratic overlap prior.
+    propagate forward within a round). Pooling neighbors from the
+    already-anchored prefix (rather than from all other frames) pins every
+    frame to the window reference through the chain: a plane pool that moves
+    with the frames being optimized leaves a coherent whole-block drift mode
+    that robust weighting cannot anchor. fixed_prefix (empty or the
+    stitching overlap) overrides the leading init poses and ties them with
+    the quadratic overlap prior.
 
     initial_cost (start poses) and final_cost (returned poses) are both
-    evaluated under the association built at the refined poses, the same
-    association that decides whether the refinement is kept: costs under
-    different associations are not comparable. So final_cost <= initial_cost
-    always holds.
+    evaluated under the last round's association, with its annealed Cauchy
+    factor: costs under different associations are not comparable. The same
+    two costs decide whether the refinement is kept, so final_cost <=
+    initial_cost always holds.
     """
+    params.validate()
     w = len(frames)
     if len(init_poses) != w:
         raise InvalidParams("frames and init_poses must have equal length")
@@ -256,8 +253,8 @@ def optimize_window(frames: list[Frame], init_poses: list[Pose],
     trace: list[dict] = []
     for rnd in range(params.assoc_rounds):
         factor = max(CAUCHY_FACTOR_MIN, CAUCHY_FACTOR * CAUCHY_DECAY ** rnd)
-        world = [geo.apply(poses[j], frames[j].positions) for j in range(w)]
-        pool = world[0]
+        pool = geo.apply(poses[0], frames[0].positions)
+        batches: list[PlaneBatch] = []
         max_move = 0.0
         for j in range(1, w):
             batch = PlaneBatch(*_match_frame_to_pool(
@@ -273,19 +270,18 @@ def optimize_window(frames: list[Frame], init_poses: list[Pose],
                 geo.rotation_error(new_pose, poses[j])
             max_move = max(max_move, move)
             poses[j] = new_pose
-            world[j] = geo.apply(new_pose, frames[j].positions)
+            batches.append(batch)
             for entry in frame_trace:
                 entry.update({"round": rnd, "frame": j})
             trace.extend(frame_trace)
-            pool = np.vstack([pool, world[j]])
+            pool = np.vstack([pool, geo.apply(new_pose, frames[j].positions)])
         if max_move < INNER_TOL:
             break
 
-    final_batches = _build_correspondences(frames, poses, params)
-    final_cost = point_to_plane_cost(poses, final_batches, prior)
-    initial_cost = point_to_plane_cost(start_poses, final_batches, prior)
+    final_cost = point_to_plane_cost(poses, batches, prior)
+    initial_cost = point_to_plane_cost(start_poses, batches, prior)
     if initial_cost < final_cost:
-        # refinement lost ground on the final association: reject it
+        # refinement lost ground on the last round's association: reject it
         poses = start_poses
         final_cost = initial_cost
 

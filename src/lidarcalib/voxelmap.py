@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidParams
 from .grid import pack_cells
@@ -204,8 +206,35 @@ def _refit_unions(index: VoxelMapIndex,
     return [p if bad == 0 else None for p, bad in zip(planes, misfits)]
 
 
+_FACES = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+
+
+def _face_neighbor_pairs(index: VoxelMapIndex) -> np.ndarray:
+    """(i, j) pairs of leaves, i < j, that share part of a face.
+
+    For each face of a leaf, the cell across it at the leaf's depth is
+    looked up in `index.nodes`, then that cell's ancestors; the first node
+    found decides, and a PLANAR one is a neighbour. A neighbour smaller than
+    the leaf is found from its own side.
+    """
+    pairs = set()
+    for i, leaf in enumerate(index.leaf_planes):
+        depth, *cell = leaf.voxel_keys[0]
+        for face in _FACES:
+            nbr = [c + f for c, f in zip(cell, face)]
+            for d in range(depth, -1, -1):
+                node = index.nodes.get((d, *nbr))
+                if node is not None:
+                    status, j = node
+                    if status == PLANAR:
+                        pairs.add((min(i, j), max(i, j)))
+                    break
+                nbr = [c >> 1 for c in nbr]
+    return np.array(sorted(pairs), dtype=int).reshape(-1, 2)
+
+
 def merge_neighbors(index: VoxelMapIndex, tau_theta: float, tau_d: float) -> VoxelMapIndex:
-    """Merge face-adjacent coplanar leaves (transitively, via union-find).
+    """Merge face-adjacent coplanar leaves, transitively.
 
     Candidate pairs need normals within tau_theta and centroids within
     tau_d. A candidate group is then refit over the union of its member
@@ -220,52 +249,23 @@ def merge_neighbors(index: VoxelMapIndex, tau_theta: float, tau_d: float) -> Vox
     twice equals applying it once. The plane count never increases.
     """
     n = len(index.leaf_planes)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    if n > 1:
-        # integer boxes of the leaves in units of the finest cell edge
-        keys = np.array([p.voxel_keys[0] for p in index.leaf_planes])
-        scale = 2 ** (index.params.max_depth - keys[:, :1])
-        mins = keys[:, 1:] * scale
-        maxs = mins + scale
-        normals = np.stack([p.normal for p in index.leaf_planes])
-        centroids = np.stack([p.centroid for p in index.leaf_planes])
-        for i in range(n - 1):
-            touch = ((maxs[i] == mins[i + 1:]) | (maxs[i + 1:] == mins[i]))
-            overlap = (mins[i] < maxs[i + 1:]) & (mins[i + 1:] < maxs[i])
-            face = (touch & ~overlap).sum(axis=1) == 1
-            adjacent = face & (overlap | touch).all(axis=1)
-            if not adjacent.any():
-                continue
-            cand = np.nonzero(adjacent)[0] + i + 1
-            cos_t = np.clip(np.abs(normals[cand] @ normals[i]), 0.0, 1.0)
-            theta = np.arccos(cos_t)
-            dist = np.linalg.norm(centroids[cand] - centroids[i], axis=1)
-            for j in cand[(theta < tau_theta) & (dist < tau_d)]:
-                union(i, int(j))
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    roots = sorted(groups)
-    refits = iter(_refit_unions(index, [groups[r] for r in roots
-                                        if len(groups[r]) > 1]))
+    pairs = _face_neighbor_pairs(index)
+    normals = np.array([p.normal for p in index.leaf_planes]).reshape(n, 3)
+    centroids = np.array([p.centroid for p in index.leaf_planes]).reshape(n, 3)
+    i, j = pairs.T
+    cos_t = np.clip(np.abs(np.einsum("ij,ij->i", normals[j], normals[i])), 0.0, 1.0)
+    dist = np.linalg.norm(centroids[j] - centroids[i], axis=1)
+    pairs = pairs[(np.arccos(cos_t) < tau_theta) & (dist < tau_d)]
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    # components are labelled in the order of their smallest leaf
+    n_groups, labels = connected_components(graph, directed=False)
+    bounds = np.cumsum(np.bincount(labels, minlength=n_groups))[:-1]
+    groups = [g.tolist() for g in np.split(np.argsort(labels, kind="stable"), bounds)]
+    refits = iter(_refit_unions(index, [g for g in groups if len(g) > 1]))
 
     merged: list[PlaneFeature] = []
     leaf_to_plane = np.zeros(n, dtype=int)
-    for root in roots:
-        members = groups[root]
+    for members in groups:
         plane = next(refits) if len(members) > 1 else None
         if plane is not None:
             leaf_to_plane[members] = len(merged)

@@ -53,6 +53,12 @@ class TestConfig:
             cfgmod.parse_config_lines(["sim.frames = 1"])
         with pytest.raises(ConfigError):
             cfgmod.parse_config_lines(["lba.step = 7"])
+        for line in ("calib.reject_start = 0", "calib.reject_start = -0.5",
+                     "calib.reject_end = 0", "lba.k_neighbors = 0",
+                     "lba.k_neighbors = 2", "lba.max_corr_dist = 0",
+                     "lba.assoc_rounds = 0"):
+            with pytest.raises(ConfigError):
+                cfgmod.parse_config_lines([line])
 
     def test_deskew_key_rejected(self):
         # calibrate deskews exactly the frames with a scan duration
@@ -231,6 +237,14 @@ class TestExitCodes:
                        "--out", str(tmp_path / "x")])
         assert rc == cli.EXIT_CONFIG
         assert "beam count" in capsys.readouterr().err
+
+    def test_zero_reject_start_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("calib.reject_start = 0\n")
+        rc = cli.main(["simulate", "--config", str(bad),
+                       "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_CONFIG
+        assert "reject_start" in capsys.readouterr().err
 
     def test_empty_frame_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "blind.cfg"

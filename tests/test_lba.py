@@ -54,6 +54,8 @@ class TestPlanWindows:
             lba.plan_windows(50, 10, 7)  # odd d
         with pytest.raises(InvalidParams):
             lba.plan_windows(50, 10, 12)  # d > w
+        with pytest.raises(InvalidParams):
+            lba.optimize_window([], [], [], lba.LbaParams(assoc_rounds=0))
 
     def test_coverage_and_starts(self):
         for n, w, d in [(37, 12, 6), (53, 20, 10), (11, 4, 2), (200, 40, 20)]:
@@ -289,6 +291,27 @@ class TestOptimizeWindow:
         for entry in result.trace:
             if entry["accepted"]:
                 assert entry["cand_cost"] <= entry["cost"] + 1e-15
+
+    def test_each_round_matches_each_frame_once(self, monkeypatch):
+        # the window costs are taken from the last round's matches, so no
+        # kd-tree is built after the round loop
+        built = []
+
+        class CountingKDTree(lba.cKDTree):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(lba, "cKDTree", CountingKDTree)
+        ds = room_dataset(5)
+        frames = [pc.voxel_downsample(f, 0.3) for f in deskewed_frames(ds)]
+        rng = np.random.default_rng(7)
+        init = [ds.trajectory.poses[0]] + [
+            sim.perturb(p, 0.03, 1.5, rng.integers(1 << 31))
+            for p in ds.trajectory.poses[1:]]
+        result = lba.optimize_window(frames, init, [], FAST)
+        rounds = max(entry["round"] for entry in result.trace) + 1
+        assert len(built) == rounds * (len(frames) - 1)
 
     def test_final_cost_not_above_initial(self):
         # noisy frames started 0.2 mm / 0.002 deg off their true poses: the
