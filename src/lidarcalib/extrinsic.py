@@ -15,6 +15,14 @@ joint LM solve over the consensus frames with the association and robust
 weights frozen, and stops once that step drops below the convergence
 threshold.
 
+An outer iteration recomputes only what depends on the estimate: the
+deskewed points, their world positions, the association and the steps.
+Everything else is computed once per call: downsampling, local normals,
+seeding, and each sweep's deskewing coefficients. Deskewing with the
+reference motion rel conjugated by the estimate T needs no new coefficients,
+because log(T^-1 rel T) = Ad_{T^-1} log rel gives
+T^-1 exp(s log rel) T = exp(s log(T^-1 rel T)).
+
 The per-frame steps within one outer iteration are independent; the joint
 batch stacks the consensus frames in frame order.
 """
@@ -152,8 +160,11 @@ class _NearestPlaneLookup:
 
     def __init__(self, index: VoxelMapIndex):
         owner = np.full(len(index.points), -1, dtype=int)
-        for leaf_idx, plane in enumerate(index.leaf_planes):
-            owner[plane.point_indices] = index.leaf_to_plane[leaf_idx]
+        if index.leaf_planes:
+            # leaves own disjoint point sets
+            owner[np.concatenate([p.point_indices for p in index.leaf_planes])] = \
+                np.repeat(index.leaf_to_plane,
+                          [len(p.point_indices) for p in index.leaf_planes])
         owned = owner >= 0
         self.plane_ids = owner[owned]
         self.tree = cKDTree(index.points[owned], balanced_tree=False,
@@ -328,11 +339,13 @@ def _reject_schedule(cfg: CalibConfig, stage: int) -> float:
     return cfg.reject_start * (cfg.reject_end / cfg.reject_start) ** frac
 
 
-def _associate_frame(index: VoxelMapIndex, points: np.ndarray, anchor: Pose,
-                     estimate: Pose, reject_dist: float,
+def _associate_frame(index: VoxelMapIndex, points: np.ndarray,
+                     world: np.ndarray, anchor: Pose, estimate: Pose,
+                     reject_dist: float,
                      nearest: _NearestPlaneLookup | None = None,
                      local_normals: np.ndarray | None = None) -> PlaneBatch | None:
-    world = geo.apply(anchor, geo.apply(estimate, points))
+    """The frame's matches: sensor-frame points with their world positions
+    under the anchor and the estimate."""
     if nearest is not None:
         _, ids = nearest.query(world, reject_dist)
         if (ids >= 0).any():
@@ -401,18 +414,22 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
     """Extrinsic estimation by joint weighted LM against the reference map.
 
     Per outer iteration every strided frame is deskewed with the reference
-    motion conjugated by the current estimate and associated to map planes
-    under the current rejection gate, which freezes the matches and their
-    robust weights. Each frame with at least MIN_FRAME_CORR matches then
-    votes with one minimum-norm Gauss-Newton step from the shared estimate,
-    which moves only along the directions its planes constrain, so a frame
-    that sees too few surfaces to pin all six DoF still votes. The votes
-    pick the consensus frames (twist norm within 3x the median, the only
-    frame filter) and set the pace of the gate schedule. The next estimate
-    is one joint LM solve of the summed objective over the consensus frames,
-    so every outer step decreases the frozen objective and `lm_solve` runs
-    once per outer iteration. The loop stops once the joint step drops
-    below convergence_delta.
+    motion rel conjugated by the current estimate T and associated to map
+    planes under the current rejection gate, which freezes the matches and
+    their robust weights. Each sweep's point-form coefficients M_s of
+    exp(s log rel) are computed once per call (`pc.sweep_coefficients`):
+    an iteration computes q = M_s(T p) and takes T^-1 q as the deskewed
+    points and A q as their world positions under the anchor A. Each frame
+    with at least MIN_FRAME_CORR matches then votes with one minimum-norm
+    Gauss-Newton step from the shared estimate, which moves only along the
+    directions its planes constrain, so a frame that sees too few surfaces
+    to pin all six DoF still votes. The votes pick the consensus frames
+    (twist norm within 3x the median, the only frame filter) and set the
+    pace of the gate schedule. The next estimate is one joint LM solve of
+    the summed objective over the consensus frames, so every outer step
+    decreases the frozen objective and `lm_solve` runs once per outer
+    iteration. The loop stops once the joint step drops below
+    convergence_delta.
 
     Raises NoCorrespondences when no frame has enough matches, and
     Unobservable, with every usable frame's index, when the consensus
@@ -428,11 +445,14 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
     if cfg.downsample_leaf > 0:
         frames = [pc.voxel_downsample(f, cfg.downsample_leaf) for f in frames]
 
-    # reference-frame motion over each sweep, for deskewing
+    # reference-frame motion over each sweep, and its point form for
+    # deskewing (see the docstring); None leaves a frame as it is
     stamps = [f.stamp for f in frames_b]
     rels = [pc.sweep_motion(anchors, stamps, i, frames_b[i].scan_duration)
             if frames_b[i].scan_duration > 0.0 and len(anchors) > 1 else None
             for i in sel]
+    motions = [pc.sweep_coefficients(f, rel) if rel is not None and len(f) else None
+               for f, rel in zip(frames, rels)]
 
     nearest_lookup = _NearestPlaneLookup(map_index)
     # sensor-frame local normals, computed once per frame (deskewing warps
@@ -453,12 +473,15 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
         coarse = stage < cfg.reject_iters - 1
         prev_inv = geo.inverse(t_prev)
         batches: list[PlaneBatch | None] = []
-        for k, (f, anchor, rel) in enumerate(zip(frames, anchor_list, rels)):
-            cur = f
-            if rel is not None and len(f):
-                rel_b = geo.compose(prev_inv, geo.compose(rel, t_prev))
-                cur = pc.deskew(f, Pose.identity(), rel_b)
-            batch = _associate_frame(map_index, cur.positions, anchor, t_prev,
+        for k, (f, anchor, motion) in enumerate(zip(frames, anchor_list, motions)):
+            if motion is None:
+                points = f.positions
+                world = geo.apply(anchor, geo.apply(t_prev, points))
+            else:
+                moved = geo.apply_scaled_motion(motion, geo.apply(t_prev, f.positions))
+                points = geo.apply(prev_inv, moved)
+                world = geo.apply(anchor, moved)
+            batch = _associate_frame(map_index, points, world, anchor, t_prev,
                                      reject,
                                      nearest=nearest_lookup if coarse else None,
                                      local_normals=frame_normals[k])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -320,21 +321,31 @@ def quat_to_rot(q: np.ndarray) -> np.ndarray:
     ])
 
 
-def _scaled_motion(xi: Twist | np.ndarray, scales: np.ndarray):
-    """Shared part of exp(s_k * xi): (axis, sin phi, 1 - cos phi, t(s)).
+class ScaledMotion(NamedTuple):
+    """Point-form coefficients of exp(s_k * xi) over scale factors s_k.
 
-    For phi = s * |omega| and axis a = omega / |omega|,
+    For phi = s * |omega| and axis a = omega / |omega|, the motion carries
+    point k by p + sin phi (a x p) + (1 - cos phi) a x (a x p) + t(s), with
         t(s) = s*rho + ((1-cos phi)/|omega|) (a x rho)
                      + ((phi - sin phi)/|omega|) (a x (a x rho)),
-    with series for 1 - cos phi and phi - sin phi below _SMALL_ANGLE.
-    axis, sin phi and 1 - cos phi are None for a pure translation.
+    and series for 1 - cos phi and phi - sin phi below _SMALL_ANGLE. axis,
+    sin_phi and one_minus_cos are None for a pure translation.
     """
+
+    axis: np.ndarray | None
+    sin_phi: np.ndarray | None
+    one_minus_cos: np.ndarray | None
+    trans: np.ndarray
+
+
+def scaled_motion(xi: Twist | np.ndarray, scales: np.ndarray) -> ScaledMotion:
+    """The coefficients of exp(s_k * xi) for an array of scale factors."""
     vec = xi.as_vector() if isinstance(xi, Twist) else np.asarray(xi, dtype=float).reshape(6)
     scales = np.asarray(scales, dtype=float).reshape(-1)
     omega, rho = vec[:3], vec[3:]
     theta1 = float(np.linalg.norm(omega))
     if theta1 < 1e-14:
-        return None, None, None, np.outer(scales, rho)
+        return ScaledMotion(None, None, None, np.outer(scales, rho))
     axis = omega / theta1
     phi = scales * theta1
     sin_p = np.sin(phi)
@@ -347,18 +358,18 @@ def _scaled_motion(xi: Twist | np.ndarray, scales: np.ndarray):
     trans = (scales[:, None] * rho[None, :]
              + (one_minus_cos / theta1)[:, None] * ax_rho[None, :]
              + (phi_minus_sin / theta1)[:, None] * ax_ax_rho[None, :])
-    return axis, sin_p, one_minus_cos, trans
+    return ScaledMotion(axis, sin_p, one_minus_cos, trans)
 
 
 def exp_se3_scaled(xi: Twist | np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (R, t) of exp(s_k * xi) for an array of scale factors.
 
     Returns rotations (K, 3, 3), I + sin phi [a]x + (1 - cos phi) [a]x^2,
-    and translations (K, 3) (see `_scaled_motion`). This is the kernel
+    and translations (K, 3) (see `ScaledMotion`). This is the kernel
     behind constant-twist pose interpolation: the scan simulator relies on
-    it, and `apply_se3_scaled` is its point form, used by deskewing.
+    it, and `apply_scaled_motion` is its point form, used by deskewing.
     """
-    axis, sin_p, one_minus_cos, trans = _scaled_motion(xi, scales)
+    axis, sin_p, one_minus_cos, trans = scaled_motion(xi, scales)
     if axis is None:
         return np.broadcast_to(np.eye(3), (len(trans), 3, 3)).copy(), trans
     k = skew(axis)
@@ -368,14 +379,11 @@ def exp_se3_scaled(xi: Twist | np.ndarray, scales: np.ndarray) -> tuple[np.ndarr
     return rots, trans
 
 
-def apply_se3_scaled(xi: Twist | np.ndarray, scales: np.ndarray,
-                     points: np.ndarray) -> np.ndarray:
-    """exp(s_k * xi) applied to point k, for points (K, 3) and scales (K,).
-
-    The point form of `exp_se3_scaled`, with no per-point matrix:
-    p + sin phi (a x p) + (1 - cos phi) a x (a x p) + t(s).
-    """
-    axis, sin_p, one_minus_cos, trans = _scaled_motion(xi, scales)
+def apply_scaled_motion(motion: ScaledMotion, points: np.ndarray) -> np.ndarray:
+    """The motion's k-th transform applied to point k, for points (K, 3),
+    with no per-point matrix: p + sin phi (a x p) + (1 - cos phi) a x (a x p)
+    + t(s)."""
+    axis, sin_p, one_minus_cos, trans = motion
     if axis is None:
         return points + trans
     ax_p = cross(axis, points)

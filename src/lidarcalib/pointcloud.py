@@ -96,20 +96,32 @@ class Trajectory:
         return i
 
 
+def sweep_coefficients(f: Frame, rel: Pose) -> geo.ScaledMotion | None:
+    """Point-form coefficients that deskew f over the sweep motion rel.
+
+    A point captured at fraction s = time_offset / scan_duration is mapped
+    by exp(s * log(rel)) (`geometry.scaled_motion`). None when deskewing
+    leaves f unchanged: no motion, no points or no scan duration. Raises
+    AngleNearPi if rel is a rotation too close to 180 degrees.
+    """
+    xi = geo.log_se3(rel).as_vector()
+    if np.allclose(xi, 0.0, atol=1e-15) or len(f) == 0 or f.scan_duration <= 0.0:
+        return None
+    return geo.scaled_motion(xi, f.time_offsets / f.scan_duration)
+
+
 def deskew(f: Frame, pose_start: Pose, pose_end: Pose) -> Frame:
     """Express all points at the scan-start pose under constant-twist motion.
 
-    A point captured at fraction s = time_offset / scan_duration is mapped by
-    exp(s * log(pose_start^-1 * pose_end)), applied in point form
-    (`geometry.apply_se3_scaled`) without a per-point matrix. Raises
-    AngleNearPi if the scan spans a rotation too close to 180 degrees.
+    The motion pose_start^-1 * pose_end is applied in point form
+    (`sweep_coefficients`, `geometry.apply_scaled_motion`) without a
+    per-point matrix. Raises AngleNearPi if the scan spans a rotation too
+    close to 180 degrees.
     """
-    rel = geo.compose(geo.inverse(pose_start), pose_end)
-    xi = geo.log_se3(rel).as_vector()
-    if np.allclose(xi, 0.0, atol=1e-15) or len(f) == 0 or f.scan_duration <= 0.0:
+    motion = sweep_coefficients(f, geo.compose(geo.inverse(pose_start), pose_end))
+    if motion is None:
         return f
-    s = f.time_offsets / f.scan_duration
-    return f.with_positions(geo.apply_se3_scaled(xi, s, f.positions))
+    return f.with_positions(geo.apply_scaled_motion(motion, f.positions))
 
 
 def voxel_downsample(f: Frame, leaf: float) -> Frame:

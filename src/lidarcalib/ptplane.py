@@ -85,7 +85,7 @@ class PlaneBatch:
                else self.anchor.rotation @ transform.rotation)
         u = self.normals @ rot
         rows = np.empty((len(self.points), 6))
-        rows[:, :3] = np.cross(self.points, u)
+        rows[:, :3] = geo.cross(self.points, u)
         rows[:, 3:] = u
         return rows
 

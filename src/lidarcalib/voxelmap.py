@@ -14,25 +14,35 @@ merged, and every plane carries a confidence weight
 where eta = lambda1 / (lambda2 + lambda3) is the planarity index and
 sigma_lambda the standard deviation of the three eigenvalues.
 
-The finished index is immutable and safe for concurrent association queries.
+Containment association walks the octree depth by depth through one sorted
+key table per depth, built when the index is finished: every node's cell
+key with its plane id, or whether to descend or stop. A depth's lookup is
+one `np.searchsorted`, with no loop over cells. The finished index is
+immutable and safe for concurrent association queries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidParams
-from .grid import pack_cells
+from .grid import cell_box, pack_cells
 from .ptplane import (COLLINEAR_EPS, MAX_DEV_FLOOR, fit_groups, plane_gate,
                       planarity)
 
 PLANAR = "planar"
 SUBDIVIDED = "subdivided"
 DISCARDED = "discarded"
+
+# cell targets in the association key tables: a PLANAR cell's target is its
+# plane id, a SUBDIVIDED cell's _DESCEND, a DISCARDED or absent cell's _STOP
+_STOP = -1
+_DESCEND = -2
 
 
 @dataclass
@@ -74,6 +84,52 @@ class PlaneFeature:
     point_indices: np.ndarray
 
 
+class _CellTable(NamedTuple):
+    """One depth's nodes for containment lookups. Cells are (3, M) arrays,
+    one row per axis. The key of a cell is its C-order index in the box
+    lo..hi, the nodes' cell box padded by a rim of one empty cell; `keys`
+    holds the nodes' keys in ascending order, `targets` their targets."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    strides: np.ndarray
+    keys: np.ndarray
+    targets: np.ndarray
+
+    @classmethod
+    def build(cls, cells: np.ndarray, targets: np.ndarray) -> "_CellTable":
+        lo = cells.min(axis=1, keepdims=True) - 1
+        hi = cells.max(axis=1, keepdims=True) + 1
+        _, (_, ny, nz) = cell_box(np.hstack([lo, hi]).T)
+        strides = np.array([ny * nz, nz, 1], dtype=np.int64)
+        keys = strides @ (cells - lo)
+        order = np.argsort(keys)
+        return cls(lo, hi, strides, keys[order], targets[order])
+
+    def lookup(self, cells: np.ndarray) -> np.ndarray:
+        """Each cell's target, by one `np.searchsorted`; _STOP where no
+        node holds the cell. A cell outside the box is clipped onto its
+        empty rim."""
+        keys = self.strides @ (np.clip(cells, self.lo, self.hi) - self.lo)
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return np.where(self.keys[pos] == keys, self.targets[pos], _STOP)
+
+
+def _cell_tables(nodes: dict, leaf_to_plane: np.ndarray) -> list[_CellTable]:
+    """One `_CellTable` per depth, from the root down to the deepest node."""
+    if not nodes:
+        return []
+    keys = np.array(list(nodes), dtype=np.int64)
+    depth, cells = keys[:, 0], keys[:, 1:].T
+    status = np.array([st for st, _ in nodes.values()])
+    targets = np.full(len(status), _STOP)
+    targets[status == SUBDIVIDED] = _DESCEND
+    targets[status == PLANAR] = leaf_to_plane[
+        [leaf for st, leaf in nodes.values() if st == PLANAR]]
+    return [_CellTable.build(cells[:, depth == d], targets[depth == d])
+            for d in range(int(depth.max()) + 1)]
+
+
 def confidence_weight(point_count, sigma_lambda, eta, gamma):
     """point_count / (1 + sigma_lambda) * exp(-gamma * eta), elementwise."""
     return point_count / (1.0 + sigma_lambda) * np.exp(-gamma * eta)
@@ -100,7 +156,9 @@ class VoxelMapIndex:
     by depth, and by cell within a depth. After merge_neighbors, `planes`
     holds merged features and leaf_to_plane redirects leaves. `normals`
     (P, 3), `centroids` (P, 3) and `weights` (P,) stack the fields of
-    `planes` in order, for vectorized association.
+    `planes` in order, for vectorized association. `associate_batch` reads
+    `nodes` through per-depth key tables (see the module docstring), built
+    when the planes are set.
     """
 
     def __init__(self, points: np.ndarray, params: VoxelParams):
@@ -113,6 +171,7 @@ class VoxelMapIndex:
         self.normals = np.zeros((0, 3))
         self.centroids = np.zeros((0, 3))
         self.weights = np.zeros(0)
+        self._tables: list[_CellTable] = []
 
     def _finalize(self, planes: list[PlaneFeature], leaf_to_plane: np.ndarray):
         self.planes = planes
@@ -122,6 +181,7 @@ class VoxelMapIndex:
         self.centroids = (np.stack([p.centroid for p in planes])
                           if planes else np.zeros((0, 3)))
         self.weights = np.array([p.weight for p in planes], dtype=float)
+        self._tables = _cell_tables(self.nodes, leaf_to_plane)
 
     def edge_length(self, depth: int) -> float:
         return self.params.l_parent / (2 ** depth)
@@ -288,37 +348,25 @@ def associate_batch(points: np.ndarray, index: VoxelMapIndex,
 
     Returns per-point indices into index.planes, -1 where the containing
     cell chain ends in a discarded/empty cell or the distance gate fails.
+    Depth by depth, the points still descending look their cells up in the
+    index's key table for that depth (see `VoxelMapIndex`).
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     n = len(points)
     out = np.full(n, -1, dtype=int)
     if n == 0 or not index.planes:
         return out
+    # one row per axis, so that the lookups' arithmetic runs along the points
+    coords = np.ascontiguousarray(points.T)
     active = np.arange(n)
-    for depth in range(index.params.max_depth + 1):
+    for depth, table in enumerate(index._tables):
         if len(active) == 0:
             break
-        edge = index.edge_length(depth)
-        cells = np.floor(points[active] / edge).astype(np.int64)
-        keys = pack_cells(cells)
-        # members of one cell are a run of the key-sorted order
-        order = np.argsort(keys)
-        sorted_keys = keys[order]
-        starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-        ends = np.r_[starts[1:], len(order)]
-        keep_mask = np.zeros(len(active), dtype=bool)
-        for (ix, iy, iz), s, e in zip(cells[order[starts]].tolist(),
-                                      starts.tolist(), ends.tolist()):
-            node = index.nodes.get((depth, ix, iy, iz))
-            if node is None:
-                continue
-            status, leaf_idx = node
-            members = order[s:e]
-            if status == PLANAR:
-                out[active[members]] = index.leaf_to_plane[leaf_idx]
-            elif status == SUBDIVIDED:
-                keep_mask[members] = True
-        active = active[keep_mask]
+        cells = np.floor(coords[:, active] / index.edge_length(depth)).astype(np.int64)
+        targets = table.lookup(cells)
+        planar = targets >= 0
+        out[active[planar]] = targets[planar]
+        active = active[targets == _DESCEND]
     matched = out >= 0
     if matched.any():
         ids = out[matched]

@@ -433,6 +433,24 @@ class TestCalibrate:
         assert result.iterations > 1
         assert len(calls) == result.iterations
 
+    def test_sweep_motion_once_per_frame(self, room_calib_setup, monkeypatch):
+        # deskewing under the moving estimate reuses each sweep's point-form
+        # coefficients: they are computed once per frame and call, not once
+        # per frame and outer iteration
+        ds, index, anchors = room_calib_setup
+        calls = []
+        coefficients = geo.scaled_motion
+
+        def counting_coefficients(*args, **kwargs):
+            calls.append(1)
+            return coefficients(*args, **kwargs)
+
+        monkeypatch.setattr(geo, "scaled_motion", counting_coefficients)
+        guess = sim.perturb(ds.extrinsic, 0.3, 20.0, 23)
+        result = ext.calibrate(index, ds.frames_b, anchors, guess)
+        assert result.iterations > 1
+        assert len(calls) == sum(f.scan_duration > 0.0 for f in ds.frames_b) > 0
+
     def test_single_plane_map_is_unobservable(self):
         # one plane pins 3 of the 6 extrinsic degrees of freedom, so every
         # frame fails the observability test

@@ -291,7 +291,7 @@ class TestScaledExp:
                                   rng.uniform(-1.0, 1.0, 3)])
             rots, trans = geo.exp_se3_scaled(vec, scales)
             expected = np.einsum("kij,kj->ki", rots, points) + trans
-            moved = geo.apply_se3_scaled(vec, scales, points)
+            moved = geo.apply_scaled_motion(geo.scaled_motion(vec, scales), points)
             np.testing.assert_allclose(moved, expected, rtol=0, atol=1e-13)
 
     def test_interpolate_pose_endpoints(self):

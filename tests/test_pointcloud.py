@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidarcalib import geometry as geo
 from lidarcalib import pointcloud as pc
@@ -65,6 +67,39 @@ class TestDeskew:
         np.testing.assert_allclose(out.positions[0],
                                    geo.rot_z(math.radians(10.0)) @ np.array([2.0, 0.0, 0.0]),
                                    atol=1e-12)
+
+
+class TestSweepCoefficients:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["general", "translation", "identity"]))
+    def test_precomputed_motion_matches_conjugated_deskew(self, seed, kind):
+        # a sweep's coefficients, computed once, deskew under any estimate T
+        # as T^-1 M_s(T p): log(T^-1 rel T) = Ad_{T^-1} log rel
+        rng = np.random.default_rng(seed)
+        t = random_pose(rng)
+        rel = {"general": random_pose(rng, max_angle=1.0, max_trans=0.5),
+               "translation": Pose(np.eye(3), rng.uniform(-0.5, 0.5, 3)),
+               "identity": Pose.identity()}[kind]
+        f = make_frame(rng.uniform(-20.0, 20.0, size=(200, 3)), duration=0.1,
+                       offsets=rng.uniform(0.0, 0.1, 200))
+        expected = pc.deskew(f, Pose.identity(),
+                             geo.compose(geo.inverse(t), geo.compose(rel, t)))
+        motion = pc.sweep_coefficients(f, rel)
+        assert (motion is None) == (kind == "identity")
+        if motion is None:
+            got = f.positions
+        else:
+            moved = geo.apply_scaled_motion(motion, geo.apply(t, f.positions))
+            got = geo.apply(geo.inverse(t), moved)
+        np.testing.assert_allclose(got, expected.positions, rtol=0, atol=1e-12)
+
+    def test_nothing_to_deskew(self):
+        rel = Pose(geo.rot_z(0.1), [0.1, 0.0, 0.0])
+        f = make_frame(np.ones((3, 3)), duration=0.1, offsets=[0.0, 0.05, 0.1])
+        assert pc.sweep_coefficients(f, rel) is not None
+        assert pc.sweep_coefficients(make_frame(np.ones((3, 3)), duration=0.0), rel) is None
+        assert pc.sweep_coefficients(make_frame(np.zeros((0, 3))), rel) is None
 
 
 class TestVoxelDownsample:

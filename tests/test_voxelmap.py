@@ -356,8 +356,23 @@ class TestAssociate:
         index = vm.merge_neighbors(index, math.radians(5.0), 0.5)
         statuses = {status for status, _ in index.nodes.values()}
         assert statuses == {vm.PLANAR, vm.SUBDIVIDED, vm.DISCARDED}
+        # cells at negative coordinates, and queries outside every node box:
+        # beyond the map on one axis only, on all axes, and far away
+        roots = np.array([cell for depth, *cell in index.nodes if depth == 0])
+        lo = roots.min(axis=0) * index.params.l_parent
+        hi = (roots.max(axis=0) + 1) * index.params.l_parent
+        beside = rng.uniform(lo, hi, size=(300, 3))
+        axis = rng.integers(0, 3, 300)
+        side = rng.integers(0, 2, 300).astype(bool)
+        beside[np.arange(300), axis] = np.where(
+            side, hi[axis] + rng.uniform(0.0, 3.0, 300),
+            lo[axis] - rng.uniform(1e-9, 3.0, 300))
         queries = np.vstack([rng.uniform(-2.5, 2.5, size=(3000, 3)),
-                             floor[:300] + rng.normal(0, 0.05, (300, 3))])
+                             rng.uniform(-3.0, 0.0, size=(300, 3)),
+                             floor[:300] + rng.normal(0, 0.05, (300, 3)),
+                             beside,
+                             rng.uniform(-1e6, 1e6, size=(100, 3)),
+                             lo - 1e-9, hi, lo + (hi - lo) * [1, 0, 0]])
         reject = 0.2
         expected = np.full(len(queries), -1)
         for i, q in enumerate(queries):
