@@ -203,11 +203,13 @@ def inverse(a: Pose) -> Pose:
 
 
 def apply(a: Pose, p: np.ndarray) -> np.ndarray:
-    """Transform a point (3,) or point array (N, 3)."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim == 1:
-        return a.rotation @ p + a.translation
-    return p @ a.rotation.T + a.translation
+    """Transform a point (3,) or point array (N, 3): p R^T + t."""
+    out = np.asarray(p, dtype=float) @ a.rotation.T
+    # one column at a time: broadcasting the (3,) translation over (N, 3)
+    # runs N inner loops of length 3
+    for k in range(3):
+        out[..., k] += a.translation[k]
+    return out
 
 
 def _elementary(axis: int, angle: float) -> np.ndarray:

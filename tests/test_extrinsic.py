@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidarcalib import extrinsic as ext
 from lidarcalib import geometry as geo
@@ -356,7 +358,7 @@ class TestCalibrate:
     def test_frames_seeing_two_of_three_patches(self):
         # two orthogonal patches leave translation along their intersection
         # free, so no frame pins all six DoF alone; the frames jointly do,
-        # and each votes along the directions it constrains
+        # and only the joint step must be observable
         views = [(0, 1), (1, 2), (0, 2)] * 2
         index, gt, anchors, frames = patch_world(views)
         result = calibrate_patch_world(index, gt, anchors, frames)
@@ -417,21 +419,27 @@ class TestCalibrate:
 
     def test_one_lm_solve_per_outer_iteration(self, room_calib_setup,
                                               monkeypatch):
-        # per-frame consensus votes are Gauss-Newton steps; only the joint
-        # step of each outer iteration runs the LM solver
+        # frames are scored by their residuals, not by a solve of their own:
+        # the joint step of each outer iteration is the only LM solve, and
+        # its observability test the only normal equations calibrate forms
         ds, index, anchors = room_calib_setup
-        calls = []
-        solve = ext.lm_solve
+        calls = {"lm_solve": 0, "normal_equations": 0}
 
-        def counting_solve(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
+        def counting(name):
+            original = getattr(ext, name)
 
-        monkeypatch.setattr(ext, "lm_solve", counting_solve)
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(ext, name, counting(name))
         guess = sim.perturb(ds.extrinsic, 0.3, 20.0, 23)
         result = ext.calibrate(index, ds.frames_b, anchors, guess)
         assert result.iterations > 1
-        assert len(calls) == result.iterations
+        assert calls == {"lm_solve": result.iterations,
+                         "normal_equations": result.iterations}
 
     def test_sweep_motion_once_per_frame(self, room_calib_setup, monkeypatch):
         # deskewing under the moving estimate reuses each sweep's point-form
@@ -495,6 +503,77 @@ class TestCalibrate:
         stamp, pose = pc.parse_pose_line(
             [ln for ln in text.splitlines() if not ln.startswith(("#", "iter", "e_"))][0])
         assert geo.translation_error(pose, result.extrinsic) < 1e-9
+
+
+class TestConsensusMask:
+    """`_consensus_mask` on per-frame scores (robust RMS residuals)."""
+
+    def test_drops_scores_above_six_medians(self):
+        # median 0.0115: 0.070 is above 6x the median, 0.060 is not
+        scores = np.array([0.010, 0.012, 0.011, 0.070, 0.060, 0.009])
+        np.testing.assert_array_equal(ext._consensus_mask(scores),
+                                      [True, True, True, False, True, True])
+
+    def test_zero_median_keeps_every_frame(self):
+        scores = np.array([0.0, 0.0, 0.0, 0.5])
+        assert ext._consensus_mask(scores).all()
+
+    def test_nan_median_keeps_every_frame(self):
+        # the 6x rule would keep no frame here
+        scores = np.array([0.01, np.nan, 0.02])
+        assert ext._consensus_mask(scores).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e6) | st.just(math.nan),
+                    min_size=1, max_size=40))
+    def test_never_empty(self, values):
+        scores = np.array(values)
+        keep = ext._consensus_mask(scores)
+        assert keep.any()
+        med = np.median(scores)
+        if med > 0.0:
+            np.testing.assert_array_equal(keep, scores <= 6.0 * med)
+
+
+class TestRejectSchedule:
+    """The gate shrinks one stage per outer iteration."""
+
+    @pytest.mark.parametrize("it,expected", [
+        (0, 0.5), (1, 0.5 * 0.2 ** 0.25), (2, 0.5 * 0.2 ** 0.5),
+        (3, 0.5 * 0.2 ** 0.75), (4, 0.1), (5, 0.1), (29, 0.1)])
+    def test_default_schedule(self, it, expected):
+        assert ext._reject_schedule(ext.CalibConfig(), it) == \
+            pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("it", [0, 1, 7])
+    def test_single_stage_is_reject_end(self, it):
+        cfg = ext.CalibConfig(reject_iters=1, reject_end=0.2)
+        assert ext._reject_schedule(cfg, it) == 0.2
+
+    def test_containment_from_last_stage(self, room_calib_setup,
+                                         monkeypatch):
+        # association is by nearest surface while the gate is still
+        # shrinking and by containment from iteration reject_iters - 1 on
+        ds, index, anchors = room_calib_setup
+        cfg = ext.CalibConfig()
+        calls = []
+        associate = ext._associate_frame
+
+        def recording(*args, **kwargs):
+            calls.append((args[5], kwargs["nearest"] is None))
+            return associate(*args, **kwargs)
+
+        monkeypatch.setattr(ext, "_associate_frame", recording)
+        guess = sim.perturb(ds.extrinsic, 0.3, 20.0, 23)
+        result = ext.calibrate(index, ds.frames_b, anchors, guess, cfg)
+        assert result.iterations >= cfg.reject_iters
+        per_iter = len(calls) // result.iterations
+        assert len(calls) == per_iter * result.iterations
+        for it in range(result.iterations):
+            gate = ext._reject_schedule(cfg, it)
+            assert result.outer_trace[it].reject_dist == gate
+            assert calls[it * per_iter:(it + 1) * per_iter] == \
+                [(gate, it >= cfg.reject_iters - 1)] * per_iter
 
 
 class TestEvaluate:

@@ -157,6 +157,17 @@ class TestComposeApply:
         for i in range(10):
             np.testing.assert_allclose(batch[i], geo.apply(p, pts[i]), atol=1e-12)
 
+    @pytest.mark.parametrize("n", [0, 1, 3500, 20000])
+    def test_apply_equals_broadcast_add(self, n):
+        rng = np.random.default_rng(n)
+        p = random_pose(rng)
+        pts = rng.normal(size=(n, 3)) * 10.0
+        expected = pts @ p.rotation.T + p.translation
+        assert np.array_equal(geo.apply(p, pts), expected)
+        if n:
+            assert np.array_equal(geo.apply(p, pts[0]),
+                                  pts[0] @ p.rotation.T + p.translation)
+
 
 class TestEuler:
     def test_zero_angles_identity(self):
