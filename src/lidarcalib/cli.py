@@ -87,8 +87,7 @@ def _deskew_all(frames, traj, scan_period):
 
 def build_map_index(map_points: np.ndarray, cfg: RunConfig) -> vm.VoxelMapIndex:
     index = vm.build_adaptive(map_points, cfg.voxel)
-    return vm.merge_neighbors(index, math.radians(cfg.voxel.tau_theta_deg),
-                              cfg.voxel.tau_d)
+    return vm.merge_neighbors(index, math.radians(vm.TAU_THETA_DEG), vm.TAU_D)
 
 
 def cmd_simulate(args) -> int:
@@ -143,7 +142,6 @@ def _resolve_guess(args, gt: Pose | None) -> Pose:
 
 def cmd_calibrate(args) -> int:
     cfg = _load_effective_config(args)
-    root = Path(args.dataset)
     ds = sim.read_dataset(args.dataset)
     map_path = args.map or str(Path(args.lba_dir or args.dataset) / "map_A.pcd")
     traj_path = args.traj or str(Path(args.lba_dir or args.dataset)
@@ -155,7 +153,7 @@ def cmd_calibrate(args) -> int:
     map_frame = pc.load_cloud(map_path)
     traj = pc.load_trajectory(traj_path)
     anchors = [traj.poses[traj.index_for_stamp(f.stamp)] for f in ds.frames_b]
-    gt = ds.extrinsic if (root / "extrinsic_gt.txt").exists() else None
+    gt = ds.extrinsic
     guess = _resolve_guess(args, gt)
     index = build_map_index(map_frame.positions, cfg)
     result = ext.calibrate(index, ds.frames_b, anchors, guess, cfg.calib)
@@ -208,16 +206,14 @@ def run_trial(cfg: RunConfig, trial: int, base_seed: int,
     """simulate -> lba -> calibrate once; returns one sweep CSV row."""
     start_time = time.perf_counter()
     seed = base_seed + trial
-    trial_cfg = cfg
-    scene, traj, rig, model = _sim_objects(trial_cfg)
-    ds = sim.generate_dataset(scene, traj, rig, model, seed,
-                              rig_name=trial_cfg.sim.rig)
+    scene, traj, rig, model = _sim_objects(cfg)
+    ds = sim.generate_dataset(scene, traj, rig, model, seed, rig_name=cfg.sim.rig)
     frames = _deskew_all(ds.frames_a, traj, model.scan_period)
-    lba_result = lba.run_sliding_lba(frames, traj, trial_cfg.lba)
-    index = build_map_index(lba_result.map.points, trial_cfg)
+    lba_result = lba.run_sliding_lba(frames, traj, cfg.lba)
+    index = build_map_index(lba_result.map.points, cfg)
     guess = sim.perturb(ds.extrinsic, perturb_spec[0], perturb_spec[1], seed)
     anchors = list(lba_result.trajectory.poses)
-    result = ext.calibrate(index, ds.frames_b, anchors, guess, trial_cfg.calib)
+    result = ext.calibrate(index, ds.frames_b, anchors, guess, cfg.calib)
     init_t, init_r = ext.evaluate(guess, ds.extrinsic)
     final_t, final_r = ext.evaluate(result, ds.extrinsic)
     return {

@@ -3,10 +3,10 @@
 Sections map onto the pipeline stages (sim, lba, voxel, calib); unknown keys
 are rejected so typos fail loudly. The lba, voxel and calib sections are the
 parameter dataclasses of their modules (`LbaParams`, `VoxelParams`,
-`CalibConfig`): the method's own parameters, the tolerated initial-guess
-envelope and the run-size options. Solver internals with one value in use
-(LM damping, Cauchy factor, flatness gate, normal gate and the like) are
-module constants in `ptplane`, `lba` and `extrinsic`, not config keys.
+`CalibConfig`) and hold only what callers set. Everything with one value
+in use (LM damping and tolerance, Cauchy factor, planarity, flatness and
+merge gates, seeding grid and the like) is a module constant in `ptplane`,
+`lba`, `voxelmap` or `extrinsic`, not a config key.
 """
 
 from __future__ import annotations

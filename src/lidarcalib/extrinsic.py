@@ -61,6 +61,11 @@ COND_LIMIT = 1e12
 # with proximity weight 1 / (1 + (d / ROT_SEED_KERNEL)^2) at distance d (m)
 ROT_SEED_FRAMES = 6
 ROT_SEED_KERNEL = 0.1
+# seeding's grid: rotation offsets of 0.15 rad to ROT_SEED_MAX_DEG (the
+# basin covers ~10 degrees, the guess envelope 30) crossed with a
+# +-TRANS_SEED_STEP (m) cube of translation offsets
+ROT_SEED_MAX_DEG = 35.0
+TRANS_SEED_STEP = 0.45
 # the best-ranked rotations get the full translation grid; rotation ranking
 # and that grid run on every SEED_COARSE_STRIDE-th probe point, and the
 # SEED_FINALISTS best grid candidates are rescored on all of them
@@ -73,7 +78,6 @@ SEED_FINALISTS = 8
 class CalibConfig:
     max_outer_iters: int = 30
     convergence_delta: float = 1e-5
-    inner_tol: float = INNER_TOL
     frame_stride: int = 1
     # association gate shrinks geometrically from start to end over the
     # first reject_iters outer iterations, tolerating coarse initial guesses
@@ -81,26 +85,20 @@ class CalibConfig:
     reject_end: float = 0.1
     reject_iters: int = 5
     downsample_leaf: float = 0.1
-    # rotation multi-start: the point-to-plane basin covers ~10 degrees of
-    # rotation error in room-scale scenes, well short of the tolerated
-    # 30-degree guess envelope; before iterating, rotation offsets around
-    # the guess are scored by robust match quality and the best becomes the
-    # working initial estimate (0 disables)
+    # rotation offsets of the guess that seeding scores (0 disables it)
     rot_seed_candidates: int = 40
-    rot_seed_max_deg: float = 35.0
-    # translation analogue: after rotation seeding, a +-step grid of
-    # translation offsets is scored the same way (covers the cube envelope)
-    trans_seed_step: float = 0.45
 
     def validate(self):
         if self.max_outer_iters < 1:
             raise InvalidParams("max_outer_iters must be >= 1")
-        if self.convergence_delta <= 0.0:
+        if not self.convergence_delta > 0.0:
             raise InvalidParams("convergence delta must be positive")
         if self.frame_stride < 1:
             raise InvalidParams("frame stride must be >= 1")
-        if self.reject_start <= 0.0 or self.reject_end <= 0.0:
+        if not (self.reject_start > 0.0 and self.reject_end > 0.0):
             raise InvalidParams("reject_start and reject_end must be positive")
+        if not self.downsample_leaf >= 0.0:
+            raise InvalidParams("downsample_leaf must be >= 0 (0 is off)")
 
 
 @dataclass
@@ -257,7 +255,7 @@ def _seed_initial(map_index: VoxelMapIndex, nearest: "_NearestPlaneLookup",
 
     The point-to-plane basin is narrower than the tolerated guess envelope,
     so a joint grid (identity plus a fixed, seeded set of axis-angle offsets
-    within rot_seed_max_deg, crossed with a +-trans_seed_step cube) is
+    within ROT_SEED_MAX_DEG, crossed with a +-TRANS_SEED_STEP cube) is
     scored on subsampled probe frames (`_seed_score`). The score combines
     chamfer proximity to the mapped surface points with agreement between
     each probe point's own local normal and the matched plane normal: with
@@ -281,13 +279,11 @@ def _seed_initial(map_index: VoxelMapIndex, nearest: "_NearestPlaneLookup",
     for _ in range(cfg.rot_seed_candidates):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        angle = rng.uniform(0.15, math.radians(cfg.rot_seed_max_deg))
+        angle = rng.uniform(0.15, math.radians(ROT_SEED_MAX_DEG))
         rot_offsets.append(axis * angle)
-    s = cfg.trans_seed_step
-    trans_offsets = ([np.array([dx, dy, dz])
-                      for dx in (-s, 0.0, s) for dy in (-s, 0.0, s)
-                      for dz in (-s, 0.0, s)]
-                     if s > 0.0 else [np.zeros(3)])
+    s = TRANS_SEED_STEP
+    trans_offsets = [np.array([dx, dy, dz]) for dx in (-s, 0.0, s)
+                     for dy in (-s, 0.0, s) for dz in (-s, 0.0, s)]
     full = _seed_probes(frames, anchors)
     if full is None:
         return t_guess
@@ -494,7 +490,7 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
         skipped = [sel[i] for i in range(len(frames)) if i not in consensus]
         joint = _joint_batch([batches[i] for i in consensus])
         try:
-            t_new, joint_trace = lm_solve(joint, t_prev, cfg.inner_tol)
+            t_new, joint_trace = lm_solve(joint, t_prev, INNER_TOL)
         except Unobservable as exc:
             raise Unobservable(str(exc),
                                frame_indices=[sel[i] for i in usable]) from exc

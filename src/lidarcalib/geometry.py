@@ -55,11 +55,14 @@ class Pose:
     def __post_init__(self):
         rot = np.asarray(self.rotation, dtype=float).reshape(3, 3)
         trans = np.asarray(self.translation, dtype=float).reshape(3)
+        # negated comparisons, so that NaN and inf entries fail them too
         err = np.linalg.norm(rot.T @ rot - np.eye(3))
-        if err > _ORTHO_TOL:
+        if not err <= _ORTHO_TOL:
             raise ValueError(f"rotation not orthonormal (|R'R - I| = {err:.3e})")
-        if abs(np.linalg.det(rot) - 1.0) > _ORTHO_TOL:
+        if not abs(np.linalg.det(rot) - 1.0) <= _ORTHO_TOL:
             raise ValueError("rotation determinant is not +1")
+        if not np.isfinite(trans).all():
+            raise ValueError("translation not finite")
         rot.flags.writeable = False
         trans.flags.writeable = False
         object.__setattr__(self, "rotation", rot)
@@ -91,11 +94,6 @@ class Twist:
     @classmethod
     def zero(cls) -> "Twist":
         return cls(np.zeros(3), np.zeros(3))
-
-    @classmethod
-    def from_vector(cls, v: np.ndarray) -> "Twist":
-        v = np.asarray(v, dtype=float).reshape(6)
-        return cls(v[:3], v[3:])
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.rot, self.trans])

@@ -43,6 +43,8 @@ from .ptplane import (CAUCHY_FACTOR, CAUCHY_SCALE_FLOOR, INNER_TOL,
 # stall the iteration millimeters short of the optimum.
 CAUCHY_DECAY = 0.7
 CAUCHY_FACTOR_MIN = 1.2
+# weight of the prior tying a window's overlap frames to the last window
+OVERLAP_WEIGHT = 1e3
 
 
 @dataclass
@@ -51,19 +53,19 @@ class LbaParams:
     step: int = 10
     k_neighbors: int = 5
     max_corr_dist: float = 1.0
-    eta_max: float = 0.1
     assoc_rounds: int = 4
-    overlap_weight: float = 1e3
     downsample_leaf: float = 0.25
 
     def validate(self):
         _check_window(self.window, self.step)
         if self.k_neighbors < 3:
             raise InvalidParams("k_neighbors must be >= 3 (a plane takes 3)")
-        if self.max_corr_dist <= 0.0:
+        if not self.max_corr_dist > 0.0:
             raise InvalidParams("max_corr_dist must be positive")
         if self.assoc_rounds < 1:
             raise InvalidParams("assoc_rounds must be >= 1")
+        if not self.downsample_leaf >= 0.0:
+            raise InvalidParams("downsample_leaf must be >= 0 (0 is off)")
 
 
 def _check_window(w: int, d: int) -> None:
@@ -163,13 +165,12 @@ def _match_frame_to_pool(points_local: np.ndarray, pose: Pose,
     # planes by shape alone (an infinite floor passes any flatness) set the
     # round's residual scale; the flatness floor then tracks 3x that scale,
     # so the slab-like (but legitimate) sets of early rounds survive
-    shaped = plane_gate(evals, dev, params.eta_max, np.inf)
+    shaped = plane_gate(evals, dev, np.inf)
     if not shaped.any():
         return empty
     resid_all = np.abs(np.einsum("ij,ij->i", normal, world_pts - centroid))
     scale = max(CAUCHY_SCALE_FLOOR, float(np.median(resid_all[shaped])))
-    keep = plane_gate(evals, dev, params.eta_max,
-                      max(MAX_DEV_FLOOR, 3.0 * scale))
+    keep = plane_gate(evals, dev, max(MAX_DEV_FLOOR, 3.0 * scale))
     if not keep.any():
         return empty
     weight = cauchy_weights(resid_all[keep], cauchy_factor, scale)
@@ -247,8 +248,7 @@ def optimize_window(frames: list[Frame], init_poses: list[Pose],
             poses[i] = p
     start_poses = list(poses)
     prior = (None if n_prefix == 0 else
-             (list(range(1, n_prefix)), list(fixed_prefix[1:]),
-              params.overlap_weight))
+             (list(range(1, n_prefix)), list(fixed_prefix[1:]), OVERLAP_WEIGHT))
 
     trace: list[dict] = []
     for rnd in range(params.assoc_rounds):
@@ -263,7 +263,7 @@ def optimize_window(frames: list[Frame], init_poses: list[Pose],
                 _check_frame_constraints(j, batch, poses[j])
             frame_prior = None
             if 0 < j < n_prefix:
-                frame_prior = (fixed_prefix[j], params.overlap_weight)
+                frame_prior = (fixed_prefix[j], OVERLAP_WEIGHT)
             new_pose, frame_trace = lm_refine(batch, poses[j], INNER_TOL,
                                               frame_prior)
             move = geo.translation_error(new_pose, poses[j]) + \

@@ -46,7 +46,9 @@ class Frame:
         offs = np.zeros(len(pos)) if offs is None else np.asarray(offs, dtype=float).reshape(-1)
         if len(offs) != len(pos):
             raise ValueError("time_offsets length mismatch")
-        if len(offs) and (offs.min() < 0.0 or offs.max() > self.scan_duration + 1e-12):
+        # negated, so that NaN offsets fail too
+        if len(offs) and not (offs.min() >= 0.0
+                              and offs.max() <= self.scan_duration + 1e-12):
             raise ValueError("time_offsets outside [0, scan_duration]")
         inten = self.intensities
         if inten is not None:
@@ -264,7 +266,10 @@ def load_cloud(path, *, stamp: float = 0.0, sensor_id: str = "A",
     inten = data[:, fields.index("intensity")] if "intensity" in fields else None
     if scan_duration is None:
         scan_duration = float(offs.max()) if offs is not None and len(offs) else 0.0
-    return Frame(pos, stamp, sensor_id, scan_duration, offs, inten)
+    try:
+        return Frame(pos, stamp, sensor_id, scan_duration, offs, inten)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _parse_rows_slow(data_lines: list[str], header_len: int, k: int) -> np.ndarray:
@@ -299,11 +304,14 @@ def format_pose_line(pose: Pose, stamp: float = 0.0) -> str:
 
 
 def parse_pose_line(line: str) -> tuple[float, Pose]:
+    """(stamp, pose) of a `stamp tx ty tz qx qy qz qw` line."""
     parts = line.split()
     if len(parts) != 8:
         raise ParseError(f"expected 8 values, got {len(parts)}")
-    vals = [float(p) for p in parts]
-    return vals[0], Pose(geo.quat_to_rot(np.array(vals[4:8])), np.array(vals[1:4]))
+    vals = np.array([float(p) for p in parts])
+    if not (np.isfinite(vals).all() and 0.0 < np.linalg.norm(vals[4:8]) < np.inf):
+        raise ParseError("non-finite value or zero-norm quaternion")
+    return float(vals[0]), Pose(geo.quat_to_rot(vals[4:8]), vals[1:4])
 
 
 def load_trajectory(path) -> Trajectory:

@@ -26,9 +26,8 @@ MU0 = 1e-4
 MU_UP = 10.0
 MU_DOWN = 0.5
 MAX_INNER = 30
-# LBA stops a frame solve once a step's largest entry drops below this, and
-# a window once no frame moved further in a round; calibration takes its
-# own `CalibConfig.inner_tol`, which defaults to the same value
+# an LM solve stops once a step's largest entry drops below this; LBA also
+# ends a window once no frame moved further in a round
 INNER_TOL = 1e-7
 
 # Cauchy robust weight 1 / (1 + (r / (factor * scale))^2) with scale =
@@ -41,6 +40,8 @@ INNER_TOL = 1e-7
 CAUCHY_FACTOR = 3.0
 CAUCHY_SCALE_FLOOR = 1e-8
 
+# Planarity gate: eta = lambda1 / (lambda2 + lambda3) below ETA_MAX.
+ETA_MAX = 0.1
 # Flatness gate on a fitted point set: its max |point-to-plane| deviation
 # must stay below max(MAX_DEV_FLOOR, MAX_DEV_RATIO * sqrt(lambda2 + lambda3)).
 # The planarity index eta is an RMS ratio and admits thin L-shaped sets
@@ -204,16 +205,15 @@ def planarity(evals: np.ndarray) -> np.ndarray:
         return np.where(lam_sum > 0.0, evals[:, 0] / lam_sum, np.inf)
 
 
-def plane_gate(evals: np.ndarray, max_dev: np.ndarray, eta_max: float,
-               dev_floor: float) -> np.ndarray:
+def plane_gate(evals: np.ndarray, max_dev: np.ndarray, dev_floor: float) -> np.ndarray:
     """The one plane test of fitted point sets, from their ascending
     eigenvalues (M, 3) and max |point-to-plane| deviations (M,): planarity
-    below eta_max, not collinear (middle eigenvalue at least COLLINEAR_EPS)
+    below ETA_MAX, not collinear (middle eigenvalue at least COLLINEAR_EPS)
     and deviation within max(dev_floor, MAX_DEV_RATIO * sqrt(lambda2 +
     lambda3)). Voxel cells pass dev_floor MAX_DEV_FLOOR."""
     dev_gate = np.maximum(dev_floor,
                           MAX_DEV_RATIO * np.sqrt(evals[:, 1] + evals[:, 2]))
-    return ((planarity(evals) < eta_max) & (evals[:, 1] >= COLLINEAR_EPS)
+    return ((planarity(evals) < ETA_MAX) & (evals[:, 1] >= COLLINEAR_EPS)
             & (max_dev <= dev_gate))
 
 

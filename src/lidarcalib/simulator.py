@@ -260,7 +260,7 @@ class SimDataset:
     frames_a: list[Frame]
     frames_b: list[Frame]
     trajectory: Trajectory
-    extrinsic: Pose
+    extrinsic: Pose | None  # None for a read dataset without ground truth
     scene: Scene
     model: LidarModel
     seed: int
@@ -371,7 +371,8 @@ def read_meta(path) -> dict[str, str]:
 def read_dataset(dataset_dir) -> SimDataset:
     """Load a dataset directory written by write_dataset.
 
-    Frame j of each sensor is stamped with trajectory stamp j. Raises
+    Frame j of each sensor is stamped with trajectory stamp j. The
+    extrinsic is None when the directory has no extrinsic_gt.txt. Raises
     ParseError when the sensors hold different frame counts or more frames
     than the trajectory has poses.
     """
@@ -379,7 +380,8 @@ def read_dataset(dataset_dir) -> SimDataset:
     meta = read_meta(root / "meta.txt")
     period = float(meta.get("scan_period", 0.1))
     trajectory = pc.load_trajectory(root / "trajectory_gt.txt")
-    extrinsic = pc.load_pose(root / "extrinsic_gt.txt")
+    gt_path = root / "extrinsic_gt.txt"
+    extrinsic = pc.load_pose(gt_path) if gt_path.exists() else None
     files = {sensor: sorted((root / sensor).glob("*.pcd")) for sensor in "AB"}
     if len(files["A"]) != len(files["B"]):
         raise ParseError(f"{root}: {len(files['A'])} sensor A frames but "

@@ -9,7 +9,7 @@ that pass become planes; complex cells subdivide into eight children of half
 the edge length until max_depth. Face-adjacent coplanar leaves can be
 merged, and every plane carries a confidence weight
 
-    weight = point_count / (1 + sigma_lambda) * exp(-gamma * eta)
+    weight = point_count / (1 + sigma_lambda) * exp(-GAMMA * eta)
 
 where eta = lambda1 / (lambda2 + lambda3) is the planarity index and
 sigma_lambda the standard deviation of the three eigenvalues.
@@ -43,25 +43,23 @@ DISCARDED = "discarded"
 # plane id, a SUBDIVIDED cell's _DESCEND, a DISCARDED or absent cell's _STOP
 _STOP = -1
 _DESCEND = -2
+# the confidence weight's decay with planarity (see the module docstring)
+GAMMA = 1.0
+# merge gates, passed by cli.build_map_index: normals within TAU_THETA_DEG,
+# centroids within TAU_D (m)
+TAU_THETA_DEG = 5.0
+TAU_D = 0.5
 
 
 @dataclass
 class VoxelParams:
     l_parent: float = 1.0
-    eta_max: float = 0.1
     max_depth: int = 3
     min_points: int = 10
-    gamma: float = 1.0
-    # merge_neighbors gates: normals within tau_theta_deg, centroids within
-    # tau_d (cli.build_map_index passes them on)
-    tau_theta_deg: float = 5.0
-    tau_d: float = 0.5
 
     def validate(self):
-        if self.l_parent <= 0.0:
+        if not self.l_parent > 0.0:
             raise InvalidParams("l_parent must be positive")
-        if not 0.0 < self.eta_max < 1.0:
-            raise InvalidParams("eta_max must be in (0, 1)")
         if self.max_depth < 0:
             raise InvalidParams("max_depth must be >= 0")
         if self.min_points < 3:
@@ -135,14 +133,14 @@ def confidence_weight(point_count, sigma_lambda, eta, gamma):
     return point_count / (1.0 + sigma_lambda) * np.exp(-gamma * eta)
 
 
-def _features(fit, counts: np.ndarray, gamma: float, keys: list,
+def _features(fit, counts: np.ndarray, keys: list,
               point_indices: list) -> list[PlaneFeature]:
     """PlaneFeatures of fitted point sets: fit = (centroids, eigenvalues,
     normals) as `ptplane.fit_groups` returns them, one row per set."""
     centroids, evals, normals = fit
     eta = planarity(evals)
     sigma = np.std(evals, axis=1)
-    weight = confidence_weight(counts, sigma, eta, gamma)
+    weight = confidence_weight(counts, sigma, eta, GAMMA)
     return [PlaneFeature(*row) for row in zip(
         normals, centroids, evals, counts.tolist(), eta.tolist(),
         sigma.tolist(), weight.tolist(), keys, point_indices)]
@@ -219,7 +217,7 @@ def build_adaptive(source, params: VoxelParams | None = None) -> VoxelMapIndex:
                                normals[labels]))
         enough = counts >= params.min_points
         planar = enough & plane_gate(evals, np.maximum.reduceat(dev, starts),
-                                     params.eta_max, MAX_DEV_FLOOR)
+                                     MAX_DEV_FLOOR)
         split = (enough & ~planar & (evals[:, 1] >= COLLINEAR_EPS)
                  & (depth < params.max_depth))
         node_keys = [(depth, *c) for c in cells[order[starts]].tolist()]
@@ -230,8 +228,7 @@ def build_adaptive(source, params: VoxelParams | None = None) -> VoxelMapIndex:
             for key, st, leaf in zip(node_keys, status.tolist(), leaf_ids.tolist()))
         sel = np.flatnonzero(planar)
         index.leaf_planes += _features(
-            [a[sel] for a in fit], counts[sel], params.gamma,
-            [(node_keys[c],) for c in sel],
+            [a[sel] for a in fit], counts[sel], [(node_keys[c],) for c in sel],
             [active[s:s + m] for s, m in zip(starts[sel], counts[sel])])
         active = active[np.repeat(split, counts)]
     index._finalize(list(index.leaf_planes), np.arange(len(index.leaf_planes)))
@@ -261,8 +258,7 @@ def _refit_unions(index: VoxelMapIndex,
     counts = np.bincount(labels, minlength=len(unions))
     keys = [tuple(k for m in u for k in index.leaf_planes[m].voxel_keys)
             for u in unions]
-    planes = _features(fit, counts, index.params.gamma, keys,
-                       np.split(point_idx, np.cumsum(counts)[:-1]))
+    planes = _features(fit, counts, keys, np.split(point_idx, np.cumsum(counts)[:-1]))
     return [p if bad == 0 else None for p, bad in zip(planes, misfits)]
 
 

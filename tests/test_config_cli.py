@@ -8,9 +8,10 @@ import pytest
 
 from lidarcalib import cli
 from lidarcalib import config as cfgmod
+from lidarcalib import errors
 from lidarcalib import geometry as geo
 from lidarcalib import pointcloud as pc
-from lidarcalib.errors import AngleNearPi, ConfigError
+from lidarcalib.errors import ConfigError
 
 FAST_CONFIG = """
 sim.frames = 8
@@ -56,9 +57,30 @@ class TestConfig:
         for line in ("calib.reject_start = 0", "calib.reject_start = -0.5",
                      "calib.reject_end = 0", "lba.k_neighbors = 0",
                      "lba.k_neighbors = 2", "lba.max_corr_dist = 0",
-                     "lba.assoc_rounds = 0"):
+                     "lba.assoc_rounds = 0", "calib.downsample_leaf = -0.1",
+                     "lba.downsample_leaf = -0.1", "calib.downsample_leaf = nan",
+                     "calib.convergence_delta = nan", "calib.reject_end = nan",
+                     "lba.max_corr_dist = nan", "voxel.l_parent = nan"):
             with pytest.raises(ConfigError):
                 cfgmod.parse_config_lines([line])
+        # 0 turns downsampling off
+        cfg = cfgmod.parse_config_lines(["calib.downsample_leaf = 0",
+                                         "lba.downsample_leaf = 0"])
+        assert cfg.calib.downsample_leaf == cfg.lba.downsample_leaf == 0.0
+
+    @pytest.mark.parametrize("key", [
+        "lba.eta_max", "lba.overlap_weight", "voxel.eta_max", "voxel.gamma",
+        "voxel.tau_theta_deg", "voxel.tau_d", "calib.rot_seed_max_deg",
+        "calib.trans_seed_step", "calib.inner_tol"])
+    def test_constant_key_exits_2(self, tmp_path, capsys, key):
+        # each is a module constant, not a key
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"{key} = 0.1\n")
+        rc = cli.main(["simulate", "--config", str(bad),
+                       "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_CONFIG
+        assert f"unknown key {key}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_deskew_key_rejected(self):
         # calibrate deskews exactly the frames with a scan duration
@@ -177,6 +199,24 @@ class TestCalibrateCommand:
         # on the full-resolution configuration
         assert float(e_line[0].split()[1]) < 2e-3
 
+    def test_dataset_without_ground_truth(self, cli_dataset, cli_lba_dir,
+                                          tmp_path, capsys):
+        _, cfg_path, out = cli_dataset
+        ds = tmp_path / "ds"
+        shutil.copytree(out, ds)
+        guess = tmp_path / "guess.txt"
+        (ds / "extrinsic_gt.txt").rename(guess)
+        args = ["calibrate", str(ds), "--config", str(cfg_path),
+                "--lba-dir", str(cli_lba_dir), "--out", str(tmp_path / "calib")]
+        assert cli.main(args + ["--guess", str(guess)]) == cli.EXIT_OK
+        report = (tmp_path / "calib" / "calibration_report.txt").read_text()
+        assert "# converged True" in report
+        assert "e_trans_m" not in report
+        assert "e_trans" not in capsys.readouterr().out
+        # a perturbation of the ground truth needs the ground truth
+        assert cli.main(args + ["--perturb", "0.2", "10"]) == cli.EXIT_CONFIG
+        assert "extrinsic_gt.txt" in capsys.readouterr().err
+
     def test_no_guess_exits_2(self, cli_dataset, cli_lba_dir, tmp_path, capsys):
         # ground truth is never a silent default guess
         _, cfg_path, out = cli_dataset
@@ -226,9 +266,61 @@ class TestReadDataset:
         assert rc == cli.EXIT_CONFIG
         assert "trajectory poses" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column, value, error", [
+        (0, "nan", "non-finite point positions"),
+        (3, "1.0", "time_offsets outside"),  # t beyond the 0.1 s sweep
+        (3, "nan", "time_offsets outside"),
+    ])
+    def test_bad_point_row_exits_2(self, cli_dataset, tmp_path, capsys,
+                                   column, value, error):
+        _, cfg_path, out = cli_dataset
+        ds = tmp_path / "ds"
+        shutil.copytree(out, ds)
+        cloud = ds / "A" / "000000.pcd"
+        lines = cloud.read_text().splitlines()
+        row = lines[-1].split()
+        row[column] = value
+        lines[-1] = " ".join(row)
+        cloud.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["lba", str(ds), "--config", str(cfg_path),
+                       "--out", str(tmp_path / "lba")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(cloud) in err and error in err
+
+
+# every exception `cli.main` maps, with its exit code
+MAPPED_ERRORS = [
+    (errors.ConfigError, cli.EXIT_CONFIG), (errors.ParseError, cli.EXIT_CONFIG),
+    (errors.InvalidParams, cli.EXIT_CONFIG),
+    (errors.UnsupportedField, cli.EXIT_CONFIG),
+    (errors.NonMonotonicStamps, cli.EXIT_CONFIG),
+    (errors.StampMismatch, cli.EXIT_CONFIG), (errors.EmptyFrame, cli.EXIT_CONFIG),
+    (OSError, cli.EXIT_IO), (errors.DegenerateGeometry, cli.EXIT_DEGENERATE),
+    (errors.NoCorrespondences, cli.EXIT_NO_CORRESPONDENCES),
+    (errors.Unobservable, cli.EXIT_UNOBSERVABLE),
+    (errors.AngleNearPi, cli.EXIT_UNOBSERVABLE),
+]
+
 
 class TestExitCodes:
     """Each documented error reaches its exit code, with a message."""
+
+    @pytest.mark.parametrize("error, code", MAPPED_ERRORS,
+                             ids=[e.__name__ for e, _ in MAPPED_ERRORS])
+    def test_error_exits_with_its_code(self, monkeypatch, capsys, error, code):
+        def fail(args):
+            raise error("the reason")
+
+        monkeypatch.setitem(cli._HANDLERS, "evaluate", fail)
+        assert cli.main(["evaluate"]) == code
+        assert "the reason" in capsys.readouterr().err
+
+    def test_every_package_error_is_mapped(self):
+        package = {c for c in vars(errors).values() if isinstance(c, type)
+                   and issubclass(c, errors.LidarCalibError)}
+        package.discard(errors.LidarCalibError)
+        assert package == {e for e, _ in MAPPED_ERRORS} - {OSError}
 
     def test_invalid_params_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -288,14 +380,6 @@ class TestExitCodes:
         assert rc == cli.EXIT_CONFIG
         assert "does not match trajectory" in capsys.readouterr().err
 
-    def test_angle_near_pi_exits_6(self, monkeypatch, capsys):
-        def near_pi(args):
-            raise AngleNearPi("rotation angle 3.141592 within 1e-06 of pi")
-
-        monkeypatch.setitem(cli._HANDLERS, "evaluate", near_pi)
-        assert cli.main(["evaluate"]) == cli.EXIT_UNOBSERVABLE
-        assert "of pi" in capsys.readouterr().err
-
 
 class TestEvaluateCommand:
     def test_identical_files(self, cli_dataset, capsys):
@@ -340,6 +424,18 @@ class TestEvaluateCommand:
         bad.write_text("this is not a pose\n")
         rc = cli.main(["evaluate", str(bad), "--gt", str(bad)])
         assert rc == 2
+
+    @pytest.mark.parametrize("line", ["0 0 0 0 0 0 0 0", "0 0 0 0 nan 0 0 1",
+                                      "0 inf 0 0 0 0 0 1"])
+    def test_degenerate_pose_exits_2(self, cli_dataset, tmp_path, capsys, line):
+        _, _, out = cli_dataset
+        est = tmp_path / "est.txt"
+        est.write_text(line + "\n")
+        rc = cli.main(["evaluate", str(est), "--gt", str(out / "extrinsic_gt.txt")])
+        assert rc == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "line 1" in captured.err
+        assert "nan" not in captured.out
 
 
 class TestSweepCommand:

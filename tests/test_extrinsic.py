@@ -206,8 +206,7 @@ def patch_world(views):
 
 def calibrate_patch_world(index, gt, anchors, frames):
     guess = sim.perturb(gt, 0.1, 5.0, 29)
-    cfg = ext.CalibConfig(inner_tol=1e-12, convergence_delta=1e-9,
-                          downsample_leaf=0.0)
+    cfg = ext.CalibConfig(convergence_delta=1e-9, downsample_leaf=0.0)
     return ext.calibrate(index, frames, anchors, guess, cfg)
 
 
@@ -304,13 +303,13 @@ class TestSeeding:
                 continue
             moved += 1
             # a grid candidate: a cube offset of the translation and one of
-            # the rotation offsets (identity, or 0.15 rad to rot_seed_max_deg)
+            # the rotation offsets (identity, or 0.15 rad to ROT_SEED_MAX_DEG)
             offset = np.abs(seeded.translation - guess.translation)
             assert np.all((offset < 1e-12)
-                          | (np.abs(offset - cfg.trans_seed_step) < 1e-12))
+                          | (np.abs(offset - ext.TRANS_SEED_STEP) < 1e-12))
             angle = geo.rotation_error(seeded, guess)
             assert angle < 1e-12 or (
-                0.15 - 1e-9 <= angle <= math.radians(cfg.rot_seed_max_deg) + 1e-9)
+                0.15 - 1e-9 <= angle <= math.radians(ext.ROT_SEED_MAX_DEG) + 1e-9)
             assert score(seeded) > 1.10 * score(guess)
         assert moved > 0
 

@@ -324,3 +324,15 @@ class TestPoseValidation:
     def test_rejects_reflection(self):
         with pytest.raises(ValueError):
             Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_rejects_non_finite_entries(self, value):
+        rot = np.eye(3)
+        rot[0, 0] = value
+        with pytest.raises(ValueError, match="rotation"):
+            Pose(rot, np.zeros(3))
+        with pytest.raises(ValueError, match="rotation"):
+            Pose(np.full((3, 3), value), np.zeros(3))
+        with pytest.raises(ValueError, match="translation"):
+            Pose(np.eye(3), np.array([0.0, value, 0.0]))

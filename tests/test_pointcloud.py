@@ -279,6 +279,17 @@ class TestTrajectoryIO:
             pc.load_trajectory(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("line", [
+        "0.0 0 0 0 0 0 0 0",        # zero-norm quaternion
+        "0.0 0 0 0 nan 0 0 1",
+        "0.0 0 inf 0 0 0 0 1",
+        "nan 0 0 0 0 0 0 1",
+        "0.0 0 0 0 0 0 0 inf",
+    ])
+    def test_rejects_degenerate_pose_line(self, line):
+        with pytest.raises(ParseError):
+            pc.parse_pose_line(line)
+
     def test_stamp_association(self):
         traj = pc.Trajectory(np.array([0.0, 0.1, 0.2]), [Pose.identity()] * 3)
         assert traj.index_for_stamp(0.1 + 5e-7) == 1

@@ -149,18 +149,16 @@ class TestPlaneGate:
     def test_each_condition_rejects(self):
         flat = np.zeros(3)
         np.testing.assert_array_equal(
-            plane_gate(self.EVALS, flat, 0.1, MAX_DEV_FLOOR), [True, False, False])
-        # eta 0.2 passes a looser planarity bound
-        assert plane_gate(self.EVALS, flat, 0.25, MAX_DEV_FLOOR)[1]
+            plane_gate(self.EVALS, flat, MAX_DEV_FLOOR), [True, False, False])
 
     def test_flatness_gate_takes_the_larger_floor(self):
         # MAX_DEV_RATIO * sqrt(0.13) = 0.108
         gate = MAX_DEV_RATIO * np.sqrt(0.13)
         plane = self.EVALS[:1]
-        assert plane_gate(plane, np.array([gate]), 0.1, MAX_DEV_FLOOR)[0]
-        assert not plane_gate(plane, np.array([1.01 * gate]), 0.1, MAX_DEV_FLOOR)[0]
-        assert plane_gate(plane, np.array([0.2]), 0.1, 0.2)[0]
-        assert plane_gate(plane, np.array([1e6]), 0.1, np.inf)[0]
+        assert plane_gate(plane, np.array([gate]), MAX_DEV_FLOOR)[0]
+        assert not plane_gate(plane, np.array([1.01 * gate]), MAX_DEV_FLOOR)[0]
+        assert plane_gate(plane, np.array([0.2]), 0.2)[0]
+        assert plane_gate(plane, np.array([1e6]), np.inf)[0]
 
 
 def test_eigh_only_in_ptplane():

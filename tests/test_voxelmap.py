@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lidarcalib import voxelmap as vm
-from lidarcalib.ptplane import (COLLINEAR_EPS, MAX_DEV_FLOOR, MAX_DEV_RATIO,
-                                fit_groups)
+from lidarcalib.ptplane import (COLLINEAR_EPS, ETA_MAX, MAX_DEV_FLOOR,
+                                MAX_DEV_RATIO, fit_groups)
 
 
 def plane_patch(rng, normal, centroid, extent, n, noise=0.0):
@@ -409,7 +409,7 @@ def reference_classify(points, params):
             return
         max_dev = np.max(np.abs((points[idx] - centroid) @ normal))
         gate = max(MAX_DEV_FLOOR, MAX_DEV_RATIO * math.sqrt(evals[1] + evals[2]))
-        if eta_of(evals) < params.eta_max and max_dev <= gate:
+        if eta_of(evals) < ETA_MAX and max_dev <= gate:
             nodes[key] = vm.PLANAR
             leaves.append((key, normal, centroid, evals, idx))
             return
