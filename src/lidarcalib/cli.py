@@ -258,6 +258,7 @@ def _trial_task(payload):
 def cmd_sweep(args) -> int:
     cfg = _load_effective_config(args)
     perturb_spec = tuple(args.perturb) if args.perturb else (0.4, 30.0)
+    sim.check_perturb_bounds(*perturb_spec)
     base_seed = cfg.sim.seed
     payloads = [(dump_config(cfg), i, base_seed, perturb_spec)
                 for i in range(args.trials)]

@@ -4,22 +4,23 @@ Each source frame's points are carried into the map's world frame through
 the synchronized reference-sensor pose (the anchor) composed with the
 current extrinsic estimate, matched to voxel planes by containment, and the
 extrinsic is refined by weighted point-to-plane Levenberg-Marquardt on the
-Lie algebra: each frame's matches form a `ptplane.PlaneBatch` anchored at
-its reference pose, and the consensus frames' batches are solved jointly by
-`ptplane.lm_refine`, the solver the LBA uses too. An outer loop
-re-associates every frame under a distance gate that shrinks one stage per
-iteration, keeps the consensus frames (robust RMS residual at the shared
-estimate within 6x the median), takes one joint LM solve over them with the
-association and robust weights frozen, and stops once that step drops below
-the convergence threshold.
+Lie algebra: each frame's matches form a `ptplane.PlaneBatch` that folds
+its reference pose into the planes, and the consensus frames' batches are
+stacked and solved jointly by `ptplane.lm_refine`, the solver the LBA uses
+too. An outer loop re-associates every frame under a distance gate that
+shrinks one stage per iteration, keeps the consensus frames (robust RMS
+residual at the shared estimate within 6x the median), takes one joint LM
+solve over them with the association and robust weights frozen, and stops
+once that step drops below the convergence threshold.
 
 An outer iteration recomputes only what depends on the estimate: the
 deskewed points, their world positions, the association, the per-frame
 residuals and the joint step.
-Everything else is computed once per call: downsampling, local normals,
-seeding, and each sweep's deskewing coefficients. Deskewing with the
-reference motion rel conjugated by the estimate T needs no new coefficients,
-because log(T^-1 rel T) = Ad_{T^-1} log rel gives
+Everything else is computed once per call: downsampling, seeding, which
+frames have the MIN_FRAME_CORR points to ever be usable, and their local
+normals and deskewing coefficients. Deskewing with the reference motion
+rel conjugated by the estimate T needs no new coefficients, because
+log(T^-1 rel T) = Ad_{T^-1} log rel gives
 T^-1 exp(s log rel) T = exp(s log(T^-1 rel T)).
 
 The joint batch stacks the consensus frames in frame order.
@@ -41,7 +42,7 @@ from . import voxelmap as vm
 from .errors import InvalidParams, NoCorrespondences, Unobservable
 from .geometry import Pose
 from .pointcloud import Frame
-from .ptplane import (CAUCHY_FACTOR, CAUCHY_SCALE_FLOOR, INNER_TOL, PlaneBatch,
+from .ptplane import (CAUCHY_FACTOR, CAUCHY_SCALE_FLOOR, PlaneBatch,
                       cauchy_weights, fit_planes, lm_refine, normal_equations)
 from .voxelmap import VoxelMapIndex
 
@@ -124,8 +125,7 @@ class CalibrationResult:
     iterations: int
 
 
-def lm_solve(batch: PlaneBatch, t_init: Pose,
-             inner_tol: float) -> tuple[Pose, list[dict]]:
+def lm_solve(batch: PlaneBatch, t_init: Pose) -> tuple[Pose, list[dict]]:
     """Weighted point-to-plane LM (`ptplane.lm_refine`) for one batch.
 
     `calibrate` runs it once per outer iteration, on the joint batch of the
@@ -139,7 +139,7 @@ def lm_solve(batch: PlaneBatch, t_init: Pose,
     if np.linalg.cond(h) > COND_LIMIT:
         raise Unobservable("normal equations are ill conditioned "
                            "(degenerate plane geometry)")
-    return lm_refine(batch, t_init, inner_tol)
+    return lm_refine(batch, t_init)
 
 
 class _NearestPlaneLookup:
@@ -330,11 +330,11 @@ def _reject_schedule(cfg: CalibConfig, it: int) -> float:
 
 def _associate_frame(index: VoxelMapIndex, points: np.ndarray,
                      world: np.ndarray, anchor: Pose, estimate: Pose,
-                     reject_dist: float,
-                     nearest: _NearestPlaneLookup | None = None,
-                     local_normals: np.ndarray | None = None) -> PlaneBatch | None:
+                     reject_dist: float, local_normals: np.ndarray,
+                     nearest: _NearestPlaneLookup | None = None) -> PlaneBatch | None:
     """The frame's matches: sensor-frame points with their world positions
-    under the anchor and the estimate."""
+    under the anchor and the estimate, and their sensor-frame local
+    normals. None with fewer than MIN_FRAME_CORR matches."""
     if nearest is not None:
         _, ids = nearest.query(world, reject_dist)
         if (ids >= 0).any():
@@ -344,13 +344,13 @@ def _associate_frame(index: VoxelMapIndex, points: np.ndarray,
             ids = np.where(resid <= reject_dist, ids, -1)
     else:
         ids = vm.associate_batch(world, index, reject_dist)
-    if local_normals is not None and (ids >= 0).any():
+    if (ids >= 0).any():
         rot_w = anchor.rotation @ estimate.rotation
         agree = np.abs(np.einsum("ij,ij->i", index.normals[np.maximum(ids, 0)],
                                  local_normals @ rot_w.T))
         ids = np.where(agree >= NORMAL_GATE, ids, -1)
     matched = ids >= 0
-    if not matched.any():
+    if np.count_nonzero(matched) < MIN_FRAME_CORR:
         return None
     world = world[matched]
     ids = ids[matched]
@@ -374,14 +374,11 @@ def _associate_frame(index: VoxelMapIndex, points: np.ndarray,
 
 
 def _joint_batch(batches: list[PlaneBatch]) -> PlaneBatch:
-    """One batch over several frames with each anchor folded into its planes:
-    n . (A T p - c) = (R_A^T n) . (T p - A^-1 c), so every residual depends
-    on the shared extrinsic alone."""
-    return PlaneBatch(
-        np.vstack([b.points for b in batches]),
-        np.vstack([b.normals @ b.anchor.rotation for b in batches]),
-        np.vstack([geo.apply(geo.inverse(b.anchor), b.centroids) for b in batches]),
-        np.concatenate([b.weights for b in batches]))
+    """One batch over several frames' batches, in order."""
+    return PlaneBatch(np.vstack([b.points for b in batches]),
+                      np.vstack([b.normals for b in batches]),
+                      np.vstack([b.centroids for b in batches]),
+                      np.concatenate([b.weights for b in batches]))
 
 
 def _consensus_mask(scores: np.ndarray) -> np.ndarray:
@@ -436,23 +433,22 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
     if cfg.downsample_leaf > 0:
         frames = [pc.voxel_downsample(f, cfg.downsample_leaf) for f in frames]
 
+    nearest_lookup = _NearestPlaneLookup(map_index)
+    t_prev = _seed_initial(map_index, nearest_lookup, frames, anchor_list,
+                           t_guess, cfg)
+    # a frame with fewer points than MIN_FRAME_CORR never has enough matches
+    active = [k for k, f in enumerate(frames) if len(f) >= MIN_FRAME_CORR]
     # reference-frame motion over each sweep, and its point form for
     # deskewing (see the docstring); None leaves a frame as it is
     stamps = [f.stamp for f in frames_b]
-    rels = [pc.sweep_motion(anchors, stamps, i, frames_b[i].scan_duration)
-            if frames_b[i].scan_duration > 0.0 and len(anchors) > 1 else None
-            for i in sel]
-    motions = [pc.sweep_coefficients(f, rel) if rel is not None and len(f) else None
-               for f, rel in zip(frames, rels)]
-
-    nearest_lookup = _NearestPlaneLookup(map_index)
+    motions = {k: pc.sweep_coefficients(frames[k], pc.sweep_motion(
+                   anchors, stamps, sel[k], frames[k].scan_duration))
+               if frames[k].scan_duration > 0.0 and len(anchors) > 1 else None
+               for k in active}
     # sensor-frame local normals, computed once per frame (deskewing warps
     # positions by at most the intra-scan motion, which leaves 6-neighbor
     # normal directions unchanged at any useful tolerance)
-    frame_normals: list[np.ndarray | None] = [
-        _local_normals(f.positions) if len(f) >= 8 else None for f in frames]
-    t_prev = _seed_initial(map_index, nearest_lookup, frames, anchor_list,
-                           t_guess, cfg)
+    frame_normals = {k: _local_normals(frames[k].positions) for k in active}
     outer_trace: list[OuterIteration] = []
     lm_traces: list[list[dict]] = []
     converged = False
@@ -462,8 +458,10 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
         reject = _reject_schedule(cfg, it)
         coarse = it < cfg.reject_iters - 1
         prev_inv = geo.inverse(t_prev)
-        batches: list[PlaneBatch | None] = []
-        for k, (f, anchor, motion) in enumerate(zip(frames, anchor_list, motions)):
+        # the usable frames' batches, keyed by frame
+        batches: dict[int, PlaneBatch] = {}
+        for k in active:
+            f, anchor, motion = frames[k], anchor_list[k], motions[k]
             if motion is None:
                 points = f.positions
                 world = geo.apply(anchor, geo.apply(t_prev, points))
@@ -472,28 +470,25 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
                 points = geo.apply(prev_inv, moved)
                 world = geo.apply(anchor, moved)
             batch = _associate_frame(map_index, points, world, anchor, t_prev,
-                                     reject,
-                                     nearest=nearest_lookup if coarse else None,
-                                     local_normals=frame_normals[k])
-            batches.append(batch)
-        usable = [i for i, b in enumerate(batches)
-                  if b is not None and len(b) >= MIN_FRAME_CORR]
-        if not usable:
+                                     reject, frame_normals[k],
+                                     nearest=nearest_lookup if coarse else None)
+            if batch is not None:
+                batches[k] = batch
+        if not batches:
             raise NoCorrespondences(
                 "no frame found enough map correspondences (check FoV overlap "
                 "with the map and the initial guess)")
-        scores = np.array([math.sqrt(batches[i].objective(t_prev)
-                                     / float(np.sum(batches[i].weights)))
-                           for i in usable])
-        kept = _consensus_mask(scores)
-        consensus = [usable[k] for k in np.nonzero(kept)[0]]
+        scores = np.array([math.sqrt(b.objective(t_prev) / float(np.sum(b.weights)))
+                           for b in batches.values()])
+        consensus = [k for k, kept in zip(batches, _consensus_mask(scores))
+                     if kept]
         skipped = [sel[i] for i in range(len(frames)) if i not in consensus]
         joint = _joint_batch([batches[i] for i in consensus])
         try:
-            t_new, joint_trace = lm_solve(joint, t_prev, INNER_TOL)
+            t_new, joint_trace = lm_solve(joint, t_prev)
         except Unobservable as exc:
             raise Unobservable(str(exc),
-                               frame_indices=[sel[i] for i in usable]) from exc
+                               frame_indices=[sel[k] for k in batches]) from exc
         lm_traces.append(joint_trace)
         # translation norm plus half the rotation angle of the joint step
         step = geo.log_se3(geo.compose(prev_inv, t_new))

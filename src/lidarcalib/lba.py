@@ -12,8 +12,8 @@ planes are frozen during the inner LM solve, and association is repeated
 for a few rounds. A window's initial and final costs are both taken under
 the last round's association, with that round's annealed Cauchy factor.
 Windows are stitched by seeding the shared frames from the previous
-window's result and tying the first o of them with a quadratic prior on
-log(prev^-1 * current).
+window's result: the first o of them are tied to those seeds with a
+quadratic prior on log(seed^-1 * current).
 
 The union of the refined, downsampled frames becomes the reference map.
 """
@@ -21,6 +21,7 @@ The union of the refined, downsampled frames becomes the reference map.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,26 +179,20 @@ def _match_frame_to_pool(points_local: np.ndarray, pose: Pose,
 
 
 def point_to_plane_cost(poses: list[Pose], batches: list[PlaneBatch],
-                        prior: tuple[list[int], list[Pose], float] | None = None,
-                        ) -> float:
+                        overlap: Sequence[Pose] = ()) -> float:
     """Window objective: the weighted point-to-plane cost of every
     non-reference frame against its frozen planes, summed in frame order.
 
-    batches[j - 1] holds frame j's matches, j = 1..len(poses)-1.
-    `prior` = (frame indices, reference poses, weight) adds quadratic terms
-    weight * |log(ref^-1 pose)|^2, frame 0 excepted.
+    batches[j - 1] holds frame j's matches, j = 1..len(poses)-1. `overlap`
+    holds the reference poses of the leading frames; each but frame 0 adds
+    the prior OVERLAP_WEIGHT * |log(ref^-1 pose)|^2.
     """
     cost = 0.0
     for pose, batch in zip(poses[1:], batches):
-        if len(batch):
-            cost += batch.objective(pose)
-    if prior is not None:
-        indices, refs, weight = prior
-        for idx, ref in zip(indices, refs):
-            if idx == 0:
-                continue
-            rho = prior_residual(ref, poses[idx])
-            cost += weight * float(rho @ rho)
+        cost += batch.objective(pose)
+    for ref, pose in zip(overlap[1:], poses[1:]):
+        rho = prior_residual(ref, pose)
+        cost += OVERLAP_WEIGHT * float(rho @ rho)
     return cost
 
 
@@ -217,7 +212,7 @@ def _check_frame_constraints(j: int, batch: PlaneBatch, pose: Pose):
 
 
 def optimize_window(frames: list[Frame], init_poses: list[Pose],
-                    fixed_prefix: list[Pose], params: LbaParams) -> WindowResult:
+                    n_overlap: int, params: LbaParams) -> WindowResult:
     """Refine one window's poses; the first pose is held fixed throughout.
 
     Each association round sweeps the frames in order: frame j is matched
@@ -227,9 +222,9 @@ def optimize_window(frames: list[Frame], init_poses: list[Pose],
     already-anchored prefix (rather than from all other frames) pins every
     frame to the window reference through the chain: a plane pool that moves
     with the frames being optimized leaves a coherent whole-block drift mode
-    that robust weighting cannot anchor. fixed_prefix (empty or the
-    stitching overlap) overrides the leading init poses and ties them with
-    the quadratic overlap prior.
+    that robust weighting cannot anchor. The first n_overlap frames (0, or
+    the stitching overlap) are tied to their init poses by the quadratic
+    overlap prior.
 
     initial_cost (start poses) and final_cost (returned poses) are both
     evaluated under the last round's association, with its annealed Cauchy
@@ -241,14 +236,10 @@ def optimize_window(frames: list[Frame], init_poses: list[Pose],
     w = len(frames)
     if len(init_poses) != w:
         raise InvalidParams("frames and init_poses must have equal length")
+    if not 0 <= n_overlap <= w:
+        raise InvalidParams("n_overlap must lie in 0..len(frames)")
     poses = list(init_poses)
-    n_prefix = len(fixed_prefix)
-    if n_prefix:
-        for i, p in enumerate(fixed_prefix):
-            poses[i] = p
     start_poses = list(poses)
-    prior = (None if n_prefix == 0 else
-             (list(range(1, n_prefix)), list(fixed_prefix[1:]), OVERLAP_WEIGHT))
 
     trace: list[dict] = []
     for rnd in range(params.assoc_rounds):
@@ -261,11 +252,8 @@ def optimize_window(frames: list[Frame], init_poses: list[Pose],
                 frames[j].positions, poses[j], pool, params, factor))
             if rnd == 0:
                 _check_frame_constraints(j, batch, poses[j])
-            frame_prior = None
-            if 0 < j < n_prefix:
-                frame_prior = (fixed_prefix[j], OVERLAP_WEIGHT)
-            new_pose, frame_trace = lm_refine(batch, poses[j], INNER_TOL,
-                                              frame_prior)
+            frame_prior = (start_poses[j], OVERLAP_WEIGHT) if j < n_overlap else None
+            new_pose, frame_trace = lm_refine(batch, poses[j], frame_prior)
             move = geo.translation_error(new_pose, poses[j]) + \
                 geo.rotation_error(new_pose, poses[j])
             max_move = max(max_move, move)
@@ -278,8 +266,9 @@ def optimize_window(frames: list[Frame], init_poses: list[Pose],
         if max_move < INNER_TOL:
             break
 
-    final_cost = point_to_plane_cost(poses, batches, prior)
-    initial_cost = point_to_plane_cost(start_poses, batches, prior)
+    overlap = start_poses[:n_overlap]
+    final_cost = point_to_plane_cost(poses, batches, overlap)
+    initial_cost = point_to_plane_cost(start_poses, batches, overlap)
     if initial_cost < final_cost:
         # refinement lost ground on the last round's association: reject it
         poses = start_poses
@@ -315,9 +304,9 @@ def run_sliding_lba(frames: list[Frame], trajectory: Trajectory,
     for m, (start, end) in enumerate(plan.windows):
         win_frames = ds_frames[start:end + 1]
         init = poses[start:end + 1]
-        prefix = poses[start:start + plan.o] if m > 0 else []
         try:
-            result = optimize_window(win_frames, init, prefix, params)
+            result = optimize_window(win_frames, init, plan.o if m > 0 else 0,
+                                     params)
         except DegenerateGeometry as exc:
             raise DegenerateGeometry(str(exc), window=m) from exc
         poses[start:end + 1] = result.refined_poses

@@ -2,15 +2,16 @@
 behind both the sliding-window LBA and the extrinsic calibration.
 
 A batch pairs sensor-frame points p_i with frozen planes (unit normal n_i,
-centroid c_i) and weights w_i, optionally through a fixed anchor pose A:
+centroid c_i) and weights w_i:
 
-    r_i(T) = n_i . (A T p_i - c_i),    f(T) = sum_i w_i r_i(T)^2.
+    r_i(T) = n_i . (T p_i - c_i),    f(T) = sum_i w_i r_i(T)^2.
 
-LBA refines one frame pose T against planes fitted in the world frame
-(no anchor); calibration refines the extrinsic T with the reference pose
-of each frame as its anchor. The pose is updated on the right,
-T <- T exp(xi), xi = (rotation, translation), so the Jacobian row of r_i
-is [p_i x u_i, u_i] with u_i = (R_A R)^T n_i.
+LBA refines one frame pose T against planes fitted in the world frame;
+calibration refines the extrinsic T against world planes seen through each
+frame's reference pose A, which the batch folds into its planes once:
+n . (A T p - c) = (R_A^T n) . (T p - A^-1 c). The pose is updated on the
+right, T <- T exp(xi), xi = (rotation, translation), so the Jacobian row of
+r_i is [p_i x u_i, u_i] with u_i = R^T n_i.
 """
 
 from __future__ import annotations
@@ -56,25 +57,26 @@ COLLINEAR_EPS = 1e-12
 
 
 class PlaneBatch:
-    """Point-to-plane matches frozen for one solve; anchor None is the
-    identity."""
+    """Point-to-plane matches frozen for one solve. An anchor A is folded
+    into the planes (normals n R_A, centroids A^-1 c), so the residuals are
+    n . (A T p - c)."""
 
     def __init__(self, points: np.ndarray, normals: np.ndarray,
                  centroids: np.ndarray, weights: np.ndarray,
                  anchor: Pose | None = None):
+        if anchor is not None:
+            normals = normals @ anchor.rotation
+            centroids = geo.apply(geo.inverse(anchor), centroids)
         self.points = points
         self.normals = normals
         self.centroids = centroids
         self.weights = weights
-        self.anchor = anchor
 
     def __len__(self) -> int:
         return len(self.points)
 
     def residuals(self, transform: Pose) -> np.ndarray:
         world = geo.apply(transform, self.points)
-        if self.anchor is not None:
-            world = geo.apply(self.anchor, world)
         return np.einsum("ij,ij->i", self.normals, world - self.centroids)
 
     def objective(self, transform: Pose) -> float:
@@ -82,9 +84,7 @@ class PlaneBatch:
         return float(self.weights @ (r * r))
 
     def jacobian(self, transform: Pose) -> np.ndarray:
-        rot = (transform.rotation if self.anchor is None
-               else self.anchor.rotation @ transform.rotation)
-        u = self.normals @ rot
+        u = self.normals @ transform.rotation
         rows = np.empty((len(self.points), 6))
         rows[:, :3] = geo.cross(self.points, u)
         rows[:, 3:] = u
@@ -262,15 +262,14 @@ def normal_equations(batch: PlaneBatch, pose: Pose,
     return _assemble(batch, batch.jacobian(pose), r, rho, prior)
 
 
-def lm_refine(batch: PlaneBatch, pose: Pose, inner_tol: float,
-              prior: tuple[Pose, float] | None = None
+def lm_refine(batch: PlaneBatch, pose: Pose, prior: tuple[Pose, float] | None = None
               ) -> tuple[Pose, list[dict]]:
     """Damped Gauss-Newton on the batch cost from pose.
 
     Each iteration solves (H + mu I) xi = -g, mu starting at MU0, and
     accepts T exp(xi) only if it strictly lowers the cost, so the returned
     pose never costs more than the start. The loop ends after MAX_INNER
-    iterations or once a step's largest entry drops below inner_tol. Each
+    iterations or once a step's largest entry drops below INNER_TOL. Each
     trace entry records iter, cost, cand_cost, accepted, mu and step_inf.
     """
     cost, r, rho = _evaluate(batch, pose, prior)
@@ -292,6 +291,6 @@ def lm_refine(batch: PlaneBatch, pose: Pose, inner_tol: float,
             mu *= MU_DOWN
         else:
             mu *= MU_UP
-        if step_inf < inner_tol:
+        if step_inf < INNER_TOL:
             break
     return pose, trace

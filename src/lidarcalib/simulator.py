@@ -295,11 +295,17 @@ def generate_dataset(scene: Scene, trajectory: Trajectory, rig: RigConfig | Pose
                       seed, rig_name)
 
 
+def check_perturb_bounds(max_trans: float, max_rot_deg: float) -> None:
+    """Raise InvalidParams unless both `perturb` bounds are finite and >= 0
+    (a negated test, so that NaN fails it too)."""
+    if not (0.0 <= max_trans < math.inf and 0.0 <= max_rot_deg < math.inf):
+        raise InvalidParams("perturbation bounds must be finite and >= 0")
+
+
 def perturb(pose: Pose, max_trans: float, max_rot_deg: float, seed) -> Pose:
     """Random initial-guess error: uniform cube translation offset plus a
     rotation about a uniform random axis by an angle uniform in [0, max]."""
-    if max_trans < 0.0 or max_rot_deg < 0.0:
-        raise InvalidParams("perturbation bounds must be >= 0")
+    check_perturb_bounds(max_trans, max_rot_deg)
     rng = np.random.default_rng(seed)
     dt = rng.uniform(-max_trans, max_trans, size=3)
     axis = rng.normal(size=3)
@@ -373,12 +379,21 @@ def read_dataset(dataset_dir) -> SimDataset:
 
     Frame j of each sensor is stamped with trajectory stamp j. The
     extrinsic is None when the directory has no extrinsic_gt.txt. Raises
-    ParseError when the sensors hold different frame counts or more frames
-    than the trajectory has poses.
+    ParseError when a meta.txt value does not parse, or when the sensors
+    hold different frame counts or more frames than the trajectory has
+    poses.
     """
     root = Path(dataset_dir)
     meta = read_meta(root / "meta.txt")
-    period = float(meta.get("scan_period", 0.1))
+
+    def value(key, kind, default):
+        try:
+            return kind(meta.get(key, default))
+        except ValueError:
+            raise ParseError(f"{root / 'meta.txt'}: {key} = {meta[key]!r} is not "
+                             f"a valid {kind.__name__}") from None
+
+    period = value("scan_period", float, 0.1)
     trajectory = pc.load_trajectory(root / "trajectory_gt.txt")
     gt_path = root / "extrinsic_gt.txt"
     extrinsic = pc.load_pose(gt_path) if gt_path.exists() else None
@@ -395,13 +410,13 @@ def read_dataset(dataset_dir) -> SimDataset:
             sink.append(pc.load_cloud(path, stamp=float(trajectory.stamps[j]),
                                       sensor_id=sensor, scan_duration=period))
     model = LidarModel(
-        beams=int(meta.get("beams", 16)),
-        vertical_fov_deg=float(meta.get("vertical_fov_deg", 30.0)),
-        horizontal_res_deg=float(meta.get("horizontal_res_deg", 0.4)),
-        max_range=float(meta.get("max_range", 50.0)),
-        range_sigma=float(meta.get("range_sigma", 0.01)),
+        beams=value("beams", int, 16),
+        vertical_fov_deg=value("vertical_fov_deg", float, 30.0),
+        horizontal_res_deg=value("horizontal_res_deg", float, 0.4),
+        max_range=value("max_range", float, 50.0),
+        range_sigma=value("range_sigma", float, 0.01),
         scan_period=period,
     )
     scene = Scene(meta.get("scene", "unknown"), [Rect([0, 0, 0], [1, 0, 0], [0, 1, 0])])
     return SimDataset(frames_a, frames_b, trajectory, extrinsic, scene, model,
-                      int(meta.get("seed", 0)), meta.get("rig", ""))
+                      value("seed", int, 0), meta.get("rig", ""))

@@ -4,14 +4,19 @@
 by name and sums the spans named in `PER_LAYER`. A function that is renamed,
 made private or moved to another module is no longer wrapped, and its
 metrics read 0 without any error. This test names such a span instead.
+It also pins the field order of `extrinsic.CalibrationResult`, which the
+benchmark's self-test builds positionally.
 """
 
 import importlib
 import importlib.util
 import inspect
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from lidarcalib.extrinsic import CalibrationResult
 
 _TRACING = Path(__file__).resolve().parent.parent / "calibbench" / "tracing.py"
 _spec = importlib.util.spec_from_file_location("calibbench_tracing", _TRACING)
@@ -36,3 +41,9 @@ def test_span_resolves_to_public_function(span):
     assert inspect.isfunction(fn), f"{span}: no function {attr} in {layer}"
     assert fn.__module__ == module.__name__, \
         f"{span}: {attr} is defined in {fn.__module__}, not {module.__name__}"
+
+
+def test_calibration_result_field_order():
+    # a reordering would break the self-test's check without an error
+    assert [f.name for f in fields(CalibrationResult)] == [
+        "extrinsic", "outer_trace", "lm_traces", "converged", "iterations"]

@@ -199,6 +199,17 @@ class TestCalibrateCommand:
         # on the full-resolution configuration
         assert float(e_line[0].split()[1]) < 2e-3
 
+    @pytest.mark.parametrize("bounds", [("nan", "30"), ("0.1", "inf"),
+                                        ("-0.1", "5")])
+    def test_bad_perturb_bounds_exit_2(self, cli_dataset, cli_lba_dir,
+                                       tmp_path, capsys, bounds):
+        _, cfg_path, out = cli_dataset
+        rc = cli.main(["calibrate", str(out), "--config", str(cfg_path),
+                       "--lba-dir", str(cli_lba_dir), "--perturb", *bounds,
+                       "--out", str(tmp_path / "calib")])
+        assert rc == cli.EXIT_CONFIG
+        assert "perturbation bounds" in capsys.readouterr().err
+
     def test_dataset_without_ground_truth(self, cli_dataset, cli_lba_dir,
                                           tmp_path, capsys):
         _, cfg_path, out = cli_dataset
@@ -265,6 +276,21 @@ class TestReadDataset:
                        "--out", str(tmp_path / "lba")])
         assert rc == cli.EXIT_CONFIG
         assert "trajectory poses" in capsys.readouterr().err
+
+    def test_malformed_meta_value_exits_2(self, cli_dataset, tmp_path, capsys):
+        _, cfg_path, out = cli_dataset
+        ds = tmp_path / "ds"
+        shutil.copytree(out, ds)
+        meta = ds / "meta.txt"
+        lines = [("beams=sixteen" if ln.split("=")[0].strip() == "beams" else ln)
+                 for ln in meta.read_text().splitlines()]
+        assert "beams=sixteen" in lines
+        meta.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["lba", str(ds), "--config", str(cfg_path),
+                       "--out", str(tmp_path / "lba")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(meta) in err and "beams" in err
 
     @pytest.mark.parametrize("column, value, error", [
         (0, "nan", "non-finite point positions"),
@@ -490,6 +516,21 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert "trial 1: FAILED (LinAlgError: Singular matrix)" in captured.out
         assert "only 1/2 trials succeeded" in captured.err
+
+    @pytest.mark.parametrize("bounds", [("nan", "30"), ("0.1", "inf")])
+    def test_bad_perturb_bounds_exit_2_before_any_trial(self, tmp_path,
+                                                         monkeypatch, capsys,
+                                                         bounds):
+        def run_trial(cfg, trial, base_seed, perturb_spec):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "run_trial", run_trial)
+        csv_path = tmp_path / "sweep.csv"
+        rc = cli.main(["sweep", "--trials", "2", "--jobs", "1",
+                       "--out-csv", str(csv_path), "--perturb", *bounds])
+        assert rc == cli.EXIT_CONFIG
+        assert "perturbation bounds" in capsys.readouterr().err
+        assert not csv_path.exists()
 
     def test_error_cell_is_quoted(self, tmp_path, monkeypatch):
         def run_trial(cfg, trial, base_seed, perturb_spec):

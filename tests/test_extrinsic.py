@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from lidarcalib import extrinsic as ext
 from lidarcalib import geometry as geo
 from lidarcalib import pointcloud as pc
+from lidarcalib import ptplane
 from lidarcalib import simulator as sim
 from lidarcalib import voxelmap as vm
 from lidarcalib.errors import InvalidParams, NoCorrespondences, Unobservable
 from lidarcalib.geometry import Pose
-from lidarcalib.ptplane import INNER_TOL, PlaneBatch
+from lidarcalib.ptplane import PlaneBatch
 
 from test_geometry import random_pose
 
@@ -40,17 +41,19 @@ class TestResidual:
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            batch = make_batch(rng.normal(size=3), rng.normal(size=3),
-                               rng.normal(size=3), anchor=random_pose(rng))
+            p, n, c = rng.normal(size=(3, 3))
+            n /= np.linalg.norm(n)
+            anchor = random_pose(rng)
+            # the batch folds its anchor into the plane rows
+            batch = make_batch(p, n, c, anchor=anchor)
             t = random_pose(rng)
             # independent scalar evaluation of n . (R_w p + t_w - c)
-            rw = batch.anchor.rotation @ t.rotation
-            tw = batch.anchor.rotation @ t.translation + batch.anchor.translation
-            n, p = batch.normals[0], batch.points[0]
+            rw = anchor.rotation @ t.rotation
+            tw = anchor.rotation @ t.translation + anchor.translation
             expected = (n[0] * (rw[0] @ p + tw[0] - 0) +
                         n[1] * (rw[1] @ p + tw[1] - 0) +
                         n[2] * (rw[2] @ p + tw[2] - 0) -
-                        float(n @ batch.centroids[0]))
+                        float(n @ c))
             assert batch.residuals(t)[0] == pytest.approx(expected, abs=1e-12)
 
 
@@ -128,7 +131,7 @@ class TestLmSolve:
     def test_ground_truth_is_fixed_point(self):
         rng = np.random.default_rng(3)
         batch = orthogonal_plane_batch(rng)
-        pose, trace = ext.lm_solve(batch, Pose.identity(), INNER_TOL)
+        pose, trace = ext.lm_solve(batch, Pose.identity())
         assert geo.translation_error(pose, Pose.identity()) < 1e-9
         assert batch.objective(pose) < 1e-18
 
@@ -136,7 +139,7 @@ class TestLmSolve:
         rng = np.random.default_rng(4)
         batch = orthogonal_plane_batch(rng)
         t_init = sim.perturb(Pose.identity(), 0.1 / math.sqrt(3), 5.0, 9)
-        pose, _ = ext.lm_solve(batch, t_init, INNER_TOL)
+        pose, _ = ext.lm_solve(batch, t_init)
         assert geo.translation_error(pose, Pose.identity()) < 1e-6
         assert geo.rotation_error(pose, Pose.identity()) < 1e-6
 
@@ -149,25 +152,26 @@ class TestLmSolve:
             pts.append(pt)
         batch = make_batch(pts, [[0, 0, 1]] * 40, [0, 0, 0])
         with pytest.raises(Unobservable):
-            ext.lm_solve(batch, Pose.identity(), INNER_TOL)
+            ext.lm_solve(batch, Pose.identity())
 
     def test_accepted_steps_strictly_decrease(self):
         rng = np.random.default_rng(6)
         batch = orthogonal_plane_batch(rng)
         t_init = sim.perturb(Pose.identity(), 0.15, 10.0, 10)
-        _, trace = ext.lm_solve(batch, t_init, INNER_TOL)
+        _, trace = ext.lm_solve(batch, t_init)
         for entry in trace:
             if entry["accepted"]:
                 assert entry["cand_cost"] < entry["cost"]
 
-    def test_weight_scaling_leaves_argmin(self):
+    def test_weight_scaling_leaves_argmin(self, monkeypatch):
+        monkeypatch.setattr(ptplane, "INNER_TOL", 1e-12)
         rng = np.random.default_rng(7)
         base = orthogonal_plane_batch(rng, weight=1.0)
         scaled = PlaneBatch(base.points, base.normals, base.centroids,
                             np.full(len(base), 7.5))
         t_init = sim.perturb(Pose.identity(), 0.05, 3.0, 11)
-        p1, _ = ext.lm_solve(base, t_init, 1e-12)
-        p2, _ = ext.lm_solve(scaled, t_init, 1e-12)
+        p1, _ = ext.lm_solve(base, t_init)
+        p2, _ = ext.lm_solve(scaled, t_init)
         assert geo.translation_error(p1, p2) < 1e-9
         assert geo.rotation_error(p1, p2) < 1e-9
 
@@ -439,6 +443,28 @@ class TestCalibrate:
         assert result.iterations > 1
         assert calls == {"lm_solve": result.iterations,
                          "normal_equations": result.iterations}
+
+    def test_tiny_frame_sits_out(self, room_calib_setup, monkeypatch):
+        # a frame with fewer points than MIN_FRAME_CORR can never be usable:
+        # it is never associated, and every outer iteration skips it
+        ds, index, anchors = room_calib_setup
+        frames = list(ds.frames_b)
+        keep = ext.MIN_FRAME_CORR - 1
+        frames[3] = pc.Frame(frames[3].positions[:keep], frames[3].stamp, "B",
+                             frames[3].scan_duration,
+                             frames[3].time_offsets[:keep])
+        calls = []
+        associate = ext._associate_frame
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return associate(*args, **kwargs)
+
+        monkeypatch.setattr(ext, "_associate_frame", counting)
+        guess = sim.perturb(ds.extrinsic, 0.1, 5.0, 23)
+        result = ext.calibrate(index, frames, anchors, guess)
+        assert len(calls) == result.iterations * (len(frames) - 1)
+        assert all(3 in entry.skipped_frames for entry in result.outer_trace)
 
     def test_sweep_motion_once_per_frame(self, room_calib_setup, monkeypatch):
         # deskewing under the moving estimate reuses each sweep's point-form

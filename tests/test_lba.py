@@ -55,7 +55,10 @@ class TestPlanWindows:
         with pytest.raises(InvalidParams):
             lba.plan_windows(50, 10, 12)  # d > w
         with pytest.raises(InvalidParams):
-            lba.optimize_window([], [], [], lba.LbaParams(assoc_rounds=0))
+            lba.optimize_window([], [], 0, lba.LbaParams(assoc_rounds=0))
+        for n_overlap in (-1, 1):  # outside 0..len(frames)
+            with pytest.raises(InvalidParams):
+                lba.optimize_window([], [], n_overlap, lba.LbaParams())
 
     def test_coverage_and_starts(self):
         for n, w, d in [(37, 12, 6), (53, 20, 10), (11, 4, 2), (200, 40, 20)]:
@@ -181,6 +184,22 @@ class TestPointToPlaneCost:
         cost = lba.point_to_plane_cost([Pose.identity()] * 2, [batch])
         assert cost == pytest.approx(0.04)
 
+    def test_overlap_prior_oracle(self):
+        # each overlap frame but frame 0 adds OVERLAP_WEIGHT |log(ref^-1 T)|^2
+        rng = np.random.default_rng(3)
+        batches = synthetic_correspondences(rng, n_frames=4)
+        poses = [random_pose(rng) for _ in range(4)]
+        refs = [random_pose(rng) for _ in range(3)]
+        terms = [w * float(n @ (t.rotation @ p + t.translation - c)) ** 2
+                 for t, b in zip(poses[1:], batches)
+                 for p, n, c, w in zip(b.points, b.normals, b.centroids,
+                                       b.weights)]
+        for ref, t in zip(refs[1:], poses[1:]):
+            xi = geo.log_se3(geo.compose(geo.inverse(ref), t)).as_vector()
+            terms.append(lba.OVERLAP_WEIGHT * float(xi @ xi))
+        cost = lba.point_to_plane_cost(poses, batches, refs)
+        assert cost == pytest.approx(math.fsum(terms), rel=1e-12)
+
     def test_gradient_matches_central_differences(self):
         # the window cost is a sum of per-frame batch costs, so each frame's
         # block of its gradient is twice that frame's kernel g
@@ -212,16 +231,16 @@ class TestPointToPlaneCost:
         pose1 = random_pose(rng, max_angle=0.2, max_trans=0.2)
         ref = geo.compose(pose1, geo.exp_se3(np.full(6, 0.005)))
         poses = [Pose.identity(), pose1]
-        prior = ([1], [ref], 100.0)
-        _, g = normal_equations(batches[0], pose1, (ref, 100.0))
+        overlap = [Pose.identity(), ref]
+        _, g = normal_equations(batches[0], pose1, (ref, lba.OVERLAP_WEIGHT))
         h = 1e-6
         for k in range(6):
             delta = np.zeros(6)
             delta[k] = h
             plus = [poses[0], geo.compose(poses[1], geo.exp_se3(delta))]
             minus = [poses[0], geo.compose(poses[1], geo.exp_se3(-delta))]
-            cp = lba.point_to_plane_cost(plus, batches, prior)
-            cm = lba.point_to_plane_cost(minus, batches, prior)
+            cp = lba.point_to_plane_cost(plus, batches, overlap)
+            cm = lba.point_to_plane_cost(minus, batches, overlap)
             fd = (cp - cm) / (2 * h)
             assert 2.0 * g[k] == pytest.approx(fd, rel=2e-2, abs=1e-6)
 
@@ -231,7 +250,7 @@ class TestOptimizeWindow:
         ds = room_dataset(6)
         frames = [pc.voxel_downsample(f, 0.25) for f in deskewed_frames(ds)]
         init = list(ds.trajectory.poses)
-        result = lba.optimize_window(frames, init, [], FAST)
+        result = lba.optimize_window(frames, init, 0, FAST)
         for refined, gt in zip(result.refined_poses, init):
             assert geo.translation_error(refined, gt) < 1e-6
             assert geo.rotation_error(refined, gt) < 1e-6
@@ -242,7 +261,7 @@ class TestOptimizeWindow:
         ds = room_dataset(2, kind="line", length=0.5)
         frame = pc.voxel_downsample(deskewed_frames(ds)[0], 0.25)
         result = lba.optimize_window([frame, frame],
-                                     [Pose.identity(), Pose.identity()], [], FAST)
+                                     [Pose.identity(), Pose.identity()], 0, FAST)
         first, second = result.refined_poses
         delta = geo.compose(geo.inverse(first), second)
         assert geo.translation_error(delta, Pose.identity()) < 1e-9
@@ -258,7 +277,7 @@ class TestOptimizeWindow:
         for p in traj.poses[1:]:
             init.append(sim.perturb(p, 0.05 / math.sqrt(3), 2.0, rng.integers(1 << 31)))
         params = lba.LbaParams(assoc_rounds=6)
-        result = lba.optimize_window(frames, init, [], params)
+        result = lba.optimize_window(frames, init, 0, params)
         for refined, gt in zip(result.refined_poses, traj.poses):
             assert geo.translation_error(refined, gt) < 0.005
             assert geo.rotation_error(refined, gt) < math.radians(0.1)
@@ -267,7 +286,7 @@ class TestOptimizeWindow:
         ds = room_dataset(4)
         frames = [pc.voxel_downsample(f, 0.3) for f in deskewed_frames(ds)]
         init = list(ds.trajectory.poses)
-        result = lba.optimize_window(frames, init, [], FAST)
+        result = lba.optimize_window(frames, init, 0, FAST)
         assert result.refined_poses[0] is init[0]
 
     def test_single_plane_degenerate(self):
@@ -278,7 +297,7 @@ class TestOptimizeWindow:
         ds = sim.generate_dataset(scene, traj, Pose.identity(), model, 6)
         frames = [pc.voxel_downsample(f, 0.25) for f in deskewed_frames(ds)]
         with pytest.raises(DegenerateGeometry):
-            lba.optimize_window(frames, list(traj.poses), [], FAST)
+            lba.optimize_window(frames, list(traj.poses), 0, FAST)
 
     def test_monotone_accepted_steps(self):
         ds = room_dataset(5)
@@ -287,10 +306,49 @@ class TestOptimizeWindow:
         init = [ds.trajectory.poses[0]] + [
             sim.perturb(p, 0.03, 1.5, rng.integers(1 << 31))
             for p in ds.trajectory.poses[1:]]
-        result = lba.optimize_window(frames, init, [], FAST)
+        result = lba.optimize_window(frames, init, 0, FAST)
         for entry in result.trace:
             if entry["accepted"]:
                 assert entry["cand_cost"] <= entry["cost"] + 1e-15
+
+    def test_overlap_prior_in_solves_and_cost(self, monkeypatch):
+        # the first n_overlap frames but frame 0 are tied to their init
+        # poses: each of their LM solves carries the prior, and the window
+        # cost adds it at the refined poses
+        solves = []
+        refine = lba.lm_refine
+
+        def recording(batch, pose, prior=None):
+            solves.append((batch, prior))
+            return refine(batch, pose, prior)
+
+        monkeypatch.setattr(lba, "lm_refine", recording)
+        ds = room_dataset(5)
+        frames = [pc.voxel_downsample(f, 0.3) for f in deskewed_frames(ds)]
+        rng = np.random.default_rng(7)
+        init = [ds.trajectory.poses[0]] + [
+            sim.perturb(p, 0.03, 1.5, rng.integers(1 << 31))
+            for p in ds.trajectory.poses[1:]]
+        n_overlap = 3
+        result = lba.optimize_window(frames, init, n_overlap, FAST)
+        per_round = len(frames) - 1
+        for k, (_, prior) in enumerate(solves):
+            j = k % per_round + 1
+            if j < n_overlap:
+                assert prior[0] is init[j] and prior[1] == lba.OVERLAP_WEIGHT
+            else:
+                assert prior is None
+        assert result.final_cost < result.initial_cost
+        refined = result.refined_poses
+        data = math.fsum(batch.objective(pose) for (batch, _), pose
+                         in zip(solves[-per_round:], refined[1:]))
+        ties = []
+        for j in range(1, n_overlap):
+            xi = geo.log_se3(geo.compose(geo.inverse(init[j]), refined[j]))
+            ties.append(lba.OVERLAP_WEIGHT * float(np.sum(xi.as_vector() ** 2)))
+        assert math.fsum(ties) > 1e-6 * result.final_cost
+        assert result.final_cost == pytest.approx(data + math.fsum(ties),
+                                                  rel=1e-12)
 
     def test_each_round_matches_each_frame_once(self, monkeypatch):
         # the window costs are taken from the last round's matches, so no
@@ -309,7 +367,7 @@ class TestOptimizeWindow:
         init = [ds.trajectory.poses[0]] + [
             sim.perturb(p, 0.03, 1.5, rng.integers(1 << 31))
             for p in ds.trajectory.poses[1:]]
-        result = lba.optimize_window(frames, init, [], FAST)
+        result = lba.optimize_window(frames, init, 0, FAST)
         rounds = max(entry["round"] for entry in result.trace) + 1
         assert len(built) == rounds * (len(frames) - 1)
 
@@ -327,7 +385,7 @@ class TestOptimizeWindow:
         rng = np.random.default_rng(3)
         init = [traj.poses[0]] + [sim.perturb(p, 0.0002, 0.002, rng.integers(1 << 31))
                                   for p in traj.poses[1:]]
-        result = lba.optimize_window(frames, init, [], lba.LbaParams())
+        result = lba.optimize_window(frames, init, 0, lba.LbaParams())
         assert result.final_cost <= result.initial_cost
 
     def test_gauge_invariance(self):
@@ -342,10 +400,10 @@ class TestOptimizeWindow:
             sim.perturb(p, 0.02, 1.0, rng.integers(1 << 31))
             for p in ds.trajectory.poses[1:]]
         params = lba.LbaParams(downsample_leaf=0.25, assoc_rounds=10)
-        base = lba.optimize_window(frames, list(init), [], params)
+        base = lba.optimize_window(frames, list(init), 0, params)
         q = Pose(geo.rot_z(0.7) @ geo.rot_x(0.2), np.array([5.0, -3.0, 1.0]))
         moved_init = [geo.compose(q, p) for p in init]
-        moved = lba.optimize_window(frames, moved_init, [], params)
+        moved = lba.optimize_window(frames, moved_init, 0, params)
         for a, b in zip(base.refined_poses, moved.refined_poses):
             qa = geo.compose(q, a)
             assert geo.translation_error(qa, b) < 1e-6
