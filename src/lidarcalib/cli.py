@@ -66,11 +66,7 @@ def _sim_objects(cfg: RunConfig):
         cfg.sim.traj_kind, cfg.sim.traj_length, cfg.sim.frames,
         dt=cfg.sim.dt, start=(cfg.sim.start_x, cfg.sim.start_y, cfg.sim.start_z),
         sweep_deg=cfg.sim.sweep_deg)
-    model = sim.LidarModel(
-        beams=cfg.sim.beams, vertical_fov_deg=cfg.sim.vertical_fov_deg,
-        horizontal_res_deg=cfg.sim.horizontal_res_deg,
-        max_range=cfg.sim.max_range, range_sigma=cfg.sim.range_sigma,
-        scan_period=cfg.sim.scan_period)
+    model = cfg.sim.lidar_model()
     if cfg.sim.rig == "custom":
         rig = sim.RigConfig(cfg.sim.rig_x, cfg.sim.rig_y, cfg.sim.rig_z,
                             cfg.sim.rig_roll_deg, cfg.sim.rig_pitch_deg,

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, fields
 from .errors import ConfigError, InvalidParams
 from .extrinsic import CalibConfig
 from .lba import LbaParams
+from .simulator import LidarModel
 from .voxelmap import VoxelParams
 
 
@@ -45,6 +46,14 @@ class SimSection:
     rig_yaw_deg: float = 0.0
     seed: int = 0
 
+    def lidar_model(self) -> LidarModel:
+        """The sensor model these keys describe; raises InvalidParams."""
+        return LidarModel(
+            beams=self.beams, vertical_fov_deg=self.vertical_fov_deg,
+            horizontal_res_deg=self.horizontal_res_deg,
+            max_range=self.max_range, range_sigma=self.range_sigma,
+            scan_period=self.scan_period)
+
 
 @dataclass
 class RunConfig:
@@ -60,8 +69,10 @@ class RunConfig:
             raise ConfigError(f"sim.traj_kind: unknown kind {self.sim.traj_kind!r}")
         if self.sim.frames < 2:
             raise ConfigError("sim.frames must be >= 2")
-        if self.sim.range_sigma < 0:
-            raise ConfigError("sim.range_sigma must be >= 0")
+        try:
+            self.sim.lidar_model()
+        except InvalidParams as exc:
+            raise ConfigError(f"sim.{exc}") from exc
         if self.sim.rig not in ("custom", "config1", "config2", "config3",
                                 "config4", "config5"):
             raise ConfigError(f"sim.rig: unknown preset {self.sim.rig!r}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ class Rect:
         if np.linalg.norm(np.cross(self.e1, self.e2)) < 1e-12:
             raise InvalidParams("rectangle edges are parallel or zero area")
 
-    @property
+    @cached_property
     def normal(self) -> np.ndarray:
         n = np.cross(self.e1, self.e2)
         return n / np.linalg.norm(n)
@@ -65,10 +66,23 @@ class LidarModel:
     scan_period: float = 0.1
 
     def __post_init__(self):
-        if self.beams < 1:
-            raise InvalidParams("beam count must be >= 1")
-        if self.range_sigma < 0.0:
-            raise InvalidParams("range sigma must be >= 0")
+        # negated tests, so that NaN fails them too
+        rules = (
+            ("beams", 1 <= self.beams, "beam count must be >= 1"),
+            ("vertical_fov_deg", 0.0 <= self.vertical_fov_deg <= 180.0,
+             "must be in [0, 180]"),
+            ("horizontal_res_deg", 0.0 < self.horizontal_res_deg <= 360.0,
+             "must be in (0, 360]"),
+            ("max_range", 0.0 < self.max_range < math.inf,
+             "must be finite and > 0"),
+            ("range_sigma", 0.0 <= self.range_sigma < math.inf,
+             "must be finite and >= 0"),
+            ("scan_period", 0.0 <= self.scan_period < math.inf,
+             "must be finite and >= 0"),
+        )
+        for key, ok, rule in rules:
+            if not ok:
+                raise InvalidParams(f"{key} = {getattr(self, key)!r}: {rule}")
 
 
 @dataclass(frozen=True)
@@ -157,6 +171,13 @@ def simulate_scan(scene: Scene, pose_start: Pose, pose_end: Pose,
     is kept and its range perturbed by Gaussian noise along the ray. Points
     are stored in the sensor frame at their own capture time (a raw, skewed
     sweep) with time_offset = fraction * scan_period.
+
+    Rectangles are tested in scene order. For each one, only rays whose
+    plane hit lies within range and strictly nearer than the nearest hit so
+    far go on to the hit point and the in-rectangle solve: a hit at or
+    beyond it could never replace it, so leaving those rays out changes no
+    output bit. The plane offset (corner - origin) . n is computed once per
+    azimuth origin, which that azimuth's beams share.
     """
     n_az = max(1, int(round(360.0 / model.horizontal_res_deg)))
     fractions = np.arange(n_az) / n_az
@@ -166,6 +187,7 @@ def simulate_scan(scene: Scene, pose_start: Pose, pose_end: Pose,
     else:
         half = math.radians(model.vertical_fov_deg) / 2.0
         elevations = np.linspace(-half, half, model.beams)
+    n_el = len(elevations)
 
     rel = geo.compose(geo.inverse(pose_start), pose_end)
     xi = geo.log_se3(rel).as_vector()
@@ -174,32 +196,34 @@ def simulate_scan(scene: Scene, pose_start: Pose, pose_end: Pose,
     origins = trans_i @ pose_start.rotation.T + pose_start.translation
 
     cos_el = np.cos(elevations)
-    dirs_local = np.empty((n_az, len(elevations), 3))
+    dirs_local = np.empty((n_az, n_el, 3))
     dirs_local[:, :, 0] = np.cos(azimuths)[:, None] * cos_el[None, :]
     dirs_local[:, :, 1] = np.sin(azimuths)[:, None] * cos_el[None, :]
     dirs_local[:, :, 2] = np.sin(elevations)[None, :]
     dirs_world = np.einsum("aij,abj->abi", rot_w, dirs_local)
 
-    k = n_az * len(elevations)
+    k = n_az * n_el
     d_flat = dirs_world.reshape(k, 3)
-    o_flat = np.repeat(origins, len(elevations), axis=0)
+    o_flat = np.repeat(origins, n_el, axis=0)
     best_tau = np.full(k, np.inf)
     for rect in scene.rects:
         n = rect.normal
         denom = d_flat @ n
+        offset = np.repeat((rect.corner - origins) @ n, n_el)
         with np.errstate(divide="ignore", invalid="ignore"):
-            tau = ((rect.corner - o_flat) @ n) / denom
+            tau = offset / denom
         tau = np.where(np.abs(denom) < 1e-12, np.inf, tau)
-        valid = (tau > 1e-9) & (tau <= model.max_range) & np.isfinite(tau)
-        if not valid.any():
+        idx = np.nonzero((tau > 1e-9) & (tau <= model.max_range)
+                         & (tau < best_tau))[0]
+        if not len(idx):
             continue
-        p = o_flat[valid] + tau[valid, None] * d_flat[valid]
+        # np.take gathers the same rows as fancy indexing, in about half the time
+        p = (np.take(o_flat, idx, axis=0)
+             + np.take(tau, idx)[:, None] * np.take(d_flat, idx, axis=0))
         basis = np.column_stack([rect.e1, rect.e2])
         coords = np.linalg.solve(basis.T @ basis, basis.T @ (p - rect.corner).T).T
         inside = np.all((coords >= -1e-12) & (coords <= 1.0 + 1e-12), axis=1)
-        idx = np.nonzero(valid)[0][inside]
-        closer = tau[idx] < best_tau[idx]
-        best_tau[idx] = np.where(closer, tau[idx], best_tau[idx])
+        best_tau[idx[inside]] = tau[idx[inside]]
 
     hit = np.isfinite(best_tau)
     ranges = best_tau[hit]
@@ -207,7 +231,7 @@ def simulate_scan(scene: Scene, pose_start: Pose, pose_end: Pose,
         rng = np.random.default_rng(seed)
         ranges = ranges + rng.normal(0.0, model.range_sigma, size=len(ranges))
     positions = dirs_local.reshape(k, 3)[hit] * ranges[:, None]
-    offsets = np.repeat(fractions, len(elevations))[hit] * model.scan_period
+    offsets = np.repeat(fractions, n_el)[hit] * model.scan_period
     return Frame(positions, stamp, sensor_id, model.scan_period, offsets)
 
 
@@ -379,21 +403,32 @@ def read_dataset(dataset_dir) -> SimDataset:
 
     Frame j of each sensor is stamped with trajectory stamp j. The
     extrinsic is None when the directory has no extrinsic_gt.txt. Raises
-    ParseError when a meta.txt value does not parse, or when the sensors
-    hold different frame counts or more frames than the trajectory has
-    poses.
+    ParseError, before any cloud is read, when a meta.txt value does not
+    parse or breaks a `LidarModel` rule; and when the sensors hold
+    different frame counts or more frames than the trajectory has poses.
     """
     root = Path(dataset_dir)
-    meta = read_meta(root / "meta.txt")
+    meta_path = root / "meta.txt"
+    meta = read_meta(meta_path)
 
     def value(key, kind, default):
         try:
             return kind(meta.get(key, default))
         except ValueError:
-            raise ParseError(f"{root / 'meta.txt'}: {key} = {meta[key]!r} is not "
+            raise ParseError(f"{meta_path}: {key} = {meta[key]!r} is not "
                              f"a valid {kind.__name__}") from None
 
-    period = value("scan_period", float, 0.1)
+    try:
+        model = LidarModel(
+            beams=value("beams", int, 16),
+            vertical_fov_deg=value("vertical_fov_deg", float, 30.0),
+            horizontal_res_deg=value("horizontal_res_deg", float, 0.4),
+            max_range=value("max_range", float, 50.0),
+            range_sigma=value("range_sigma", float, 0.01),
+            scan_period=value("scan_period", float, 0.1),
+        )
+    except InvalidParams as exc:
+        raise ParseError(f"{meta_path}: {exc}") from None
     trajectory = pc.load_trajectory(root / "trajectory_gt.txt")
     gt_path = root / "extrinsic_gt.txt"
     extrinsic = pc.load_pose(gt_path) if gt_path.exists() else None
@@ -408,15 +443,8 @@ def read_dataset(dataset_dir) -> SimDataset:
     for sensor, sink in (("A", frames_a), ("B", frames_b)):
         for j, path in enumerate(files[sensor]):
             sink.append(pc.load_cloud(path, stamp=float(trajectory.stamps[j]),
-                                      sensor_id=sensor, scan_duration=period))
-    model = LidarModel(
-        beams=value("beams", int, 16),
-        vertical_fov_deg=value("vertical_fov_deg", float, 30.0),
-        horizontal_res_deg=value("horizontal_res_deg", float, 0.4),
-        max_range=value("max_range", float, 50.0),
-        range_sigma=value("range_sigma", float, 0.01),
-        scan_period=period,
-    )
+                                      sensor_id=sensor,
+                                      scan_duration=model.scan_period))
     scene = Scene(meta.get("scene", "unknown"), [Rect([0, 0, 0], [1, 0, 0], [0, 1, 0])])
     return SimDataset(frames_a, frames_b, trajectory, extrinsic, scene, model,
                       value("seed", int, 0), meta.get("rig", ""))

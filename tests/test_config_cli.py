@@ -63,6 +63,23 @@ class TestConfig:
                      "lba.max_corr_dist = nan", "voxel.l_parent = nan"):
             with pytest.raises(ConfigError):
                 cfgmod.parse_config_lines([line])
+        # the sensor model's rules, reported under their sim. key
+        for line in ("sim.beams = 0", "sim.horizontal_res_deg = 0",
+                     "sim.horizontal_res_deg = -2", "sim.horizontal_res_deg = 361",
+                     "sim.horizontal_res_deg = nan", "sim.vertical_fov_deg = -1",
+                     "sim.vertical_fov_deg = 181", "sim.vertical_fov_deg = nan",
+                     "sim.max_range = 0", "sim.max_range = inf",
+                     "sim.max_range = nan", "sim.range_sigma = -0.01",
+                     "sim.range_sigma = inf", "sim.range_sigma = nan",
+                     "sim.scan_period = -0.1", "sim.scan_period = inf",
+                     "sim.scan_period = nan"):
+            with pytest.raises(ConfigError, match=line.split(" =")[0]):
+                cfgmod.parse_config_lines(["sim.frames = 2", line])
+        cfg = cfgmod.parse_config_lines([
+            "sim.horizontal_res_deg = 360", "sim.vertical_fov_deg = 0",
+            "sim.vertical_fov_deg = 180", "sim.range_sigma = 0",
+            "sim.scan_period = 0"])
+        assert cfg.sim.lidar_model().scan_period == 0.0
         # 0 turns downsampling off
         cfg = cfgmod.parse_config_lines(["calib.downsample_leaf = 0",
                                          "lba.downsample_leaf = 0"])
@@ -292,6 +309,28 @@ class TestReadDataset:
         err = capsys.readouterr().err
         assert str(meta) in err and "beams" in err
 
+    # caught before any cloud is read, so the message names meta.txt and
+    # the key, not the first .pcd file
+    @pytest.mark.parametrize("key, value", [
+        ("scan_period", "nan"), ("scan_period", "-1"), ("beams", "0"),
+        ("range_sigma", "nan"), ("horizontal_res_deg", "0")])
+    def test_bad_meta_model_exits_2(self, cli_dataset, tmp_path, capsys,
+                                    key, value):
+        _, cfg_path, out = cli_dataset
+        ds = tmp_path / "ds"
+        shutil.copytree(out, ds)
+        meta = ds / "meta.txt"
+        lines = [(f"{key}={value}" if ln.split("=")[0].strip() == key else ln)
+                 for ln in meta.read_text().splitlines()]
+        assert f"{key}={value}" in lines
+        meta.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["lba", str(ds), "--config", str(cfg_path),
+                       "--out", str(tmp_path / "lba")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{meta}: {key} = " in err
+        assert ".pcd" not in err
+
     @pytest.mark.parametrize("column, value, error", [
         (0, "nan", "non-finite point positions"),
         (3, "1.0", "time_offsets outside"),  # t beyond the 0.1 s sweep
@@ -355,6 +394,20 @@ class TestExitCodes:
                        "--out", str(tmp_path / "x")])
         assert rc == cli.EXIT_CONFIG
         assert "beam count" in capsys.readouterr().err
+
+    # each must stop before anything is simulated: 0 divides 360, a NaN
+    # period breaks the sweep's rotations, and a NaN sigma reads as no noise
+    @pytest.mark.parametrize("line", ["sim.horizontal_res_deg = 0",
+                                      "sim.scan_period = nan",
+                                      "sim.range_sigma = nan"])
+    def test_bad_sensor_model_exits_2(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"sim.frames = 2\n{line}\n")
+        out = tmp_path / "x"
+        rc = cli.main(["simulate", "--config", str(bad), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert line.split(" =")[0] in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_reject_start_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -26,6 +26,61 @@ def scene_distance(scene, point, tol=1e-9):
 COARSE = sim.LidarModel(horizontal_res_deg=2.0, range_sigma=0.0)
 
 
+def reference_scan(scene, pose_start, pose_end, model, seed):
+    """simulate_scan as a plain loop: every in-range plane hit of every
+    rectangle is solved for, and a strictly nearer in-rectangle hit wins.
+    Also returns how many rays met a second in-rectangle hit within 1e-12
+    (relative) of their nearest, where the order of the tests matters."""
+    n_az = max(1, int(round(360.0 / model.horizontal_res_deg)))
+    fractions = np.arange(n_az) / n_az
+    azimuths = 2.0 * math.pi * fractions
+    if model.beams == 1:
+        elevations = np.zeros(1)
+    else:
+        half = math.radians(model.vertical_fov_deg) / 2.0
+        elevations = np.linspace(-half, half, model.beams)
+    rel = geo.compose(geo.inverse(pose_start), pose_end)
+    rot_i, trans_i = geo.exp_se3_scaled(geo.log_se3(rel).as_vector(), fractions)
+    rot_w = pose_start.rotation @ rot_i
+    origins = trans_i @ pose_start.rotation.T + pose_start.translation
+    cos_el = np.cos(elevations)
+    dirs_local = np.empty((n_az, len(elevations), 3))
+    dirs_local[:, :, 0] = np.cos(azimuths)[:, None] * cos_el[None, :]
+    dirs_local[:, :, 1] = np.sin(azimuths)[:, None] * cos_el[None, :]
+    dirs_local[:, :, 2] = np.sin(elevations)[None, :]
+    dirs_world = np.einsum("aij,abj->abi", rot_w, dirs_local)
+    k = n_az * len(elevations)
+    d_flat = dirs_world.reshape(k, 3)
+    o_flat = np.repeat(origins, len(elevations), axis=0)
+    best_tau = np.full(k, np.inf)
+    ties = np.zeros(k, dtype=bool)
+    for rect in scene.rects:
+        n = rect.normal
+        denom = d_flat @ n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = ((rect.corner - o_flat) @ n) / denom
+        tau = np.where(np.abs(denom) < 1e-12, np.inf, tau)
+        valid = (tau > 1e-9) & (tau <= model.max_range) & np.isfinite(tau)
+        if not valid.any():
+            continue
+        p = o_flat[valid] + tau[valid, None] * d_flat[valid]
+        basis = np.column_stack([rect.e1, rect.e2])
+        coords = np.linalg.solve(basis.T @ basis, basis.T @ (p - rect.corner).T).T
+        inside = np.all((coords >= -1e-12) & (coords <= 1.0 + 1e-12), axis=1)
+        idx = np.nonzero(valid)[0][inside]
+        ties[idx] |= np.abs(tau[idx] - best_tau[idx]) <= 1e-12 * tau[idx]
+        closer = tau[idx] < best_tau[idx]
+        best_tau[idx] = np.where(closer, tau[idx], best_tau[idx])
+    hit = np.isfinite(best_tau)
+    ranges = best_tau[hit]
+    if model.range_sigma > 0.0 and len(ranges):
+        rng = np.random.default_rng(seed)
+        ranges = ranges + rng.normal(0.0, model.range_sigma, size=len(ranges))
+    positions = dirs_local.reshape(k, 3)[hit] * ranges[:, None]
+    offsets = np.repeat(fractions, len(elevations))[hit] * model.scan_period
+    return positions, offsets, int(ties.sum())
+
+
 class TestScenes:
     @pytest.mark.parametrize("kind,count", [("room", 8), ("corridor", 4), ("yard", 5)])
     def test_rect_counts(self, kind, count):
@@ -81,6 +136,58 @@ class TestSimulateScan:
         f1 = sim.simulate_scan(scene, pose, end, model, 42)
         f2 = sim.simulate_scan(scene, pose, end, model, 42)
         np.testing.assert_array_equal(f1.positions, f2.positions)
+
+    # moving sweeps through each scene, a 1-beam and a 2-degree sensor, and a
+    # sensor 5 cm off the room's floor-wall edge whose rays hit both within
+    # 1e-12 of each other
+    @pytest.mark.parametrize("kind,start,end,model,min_ties", [
+        ("room", Pose(geo.rot_z(0.3), [3.0, 3.0, 1.6]),
+         Pose(geo.rot_z(0.4), [3.2, 3.1, 1.65]), sim.LidarModel(), 0),
+        ("yard", Pose(geo.rot_z(-1.0), [1.0, -2.0, 1.5]),
+         Pose(geo.rot_z(-0.9), [1.3, -1.9, 1.5]), sim.LidarModel(), 0),
+        ("corridor", Pose(np.eye(3), [2.0, 0.5, 1.5]),
+         Pose(geo.rot_z(0.05), [2.4, 0.5, 1.5]), sim.LidarModel(), 0),
+        ("room", Pose(np.eye(3), [5.0, 4.0, 1.2]),
+         Pose(np.eye(3), [5.1, 4.0, 1.2]), sim.LidarModel(beams=1), 0),
+        ("room", Pose(geo.rot_z(1.0), [6.0, 2.0, 2.0]),
+         Pose(geo.rot_z(1.2), [6.1, 2.2, 2.0]), COARSE, 0),
+        ("room", Pose(np.eye(3), [0.55, 4.5, 0.5]),
+         Pose(np.eye(3), [0.55, 4.5, 0.5]),
+         sim.LidarModel(beams=2, vertical_fov_deg=90.0, range_sigma=0.0), 1),
+    ], ids=["room", "yard", "corridor", "beams-1", "res-2deg", "edge-ties"])
+    def test_bitwise_equal_to_reference_loop(self, kind, start, end, model,
+                                             min_ties):
+        scene = sim.builtin_scene(kind)
+        frame = sim.simulate_scan(scene, start, end, model, (3, 0, 1))
+        positions, offsets, ties = reference_scan(scene, start, end, model,
+                                                  (3, 0, 1))
+        assert ties >= min_ties
+        assert len(frame) > 0
+        assert np.array_equal(frame.positions, positions)
+        assert np.array_equal(frame.time_offsets, offsets)
+
+    def test_farther_hits_skip_the_solve(self, monkeypatch):
+        # the nearer plane, listed first, covers every downward ray, so no
+        # hit on the farther one can win and none of them is solved for
+        # (the -1 degree beam meets the nearer plane 57.3 m out)
+        model = sim.LidarModel(horizontal_res_deg=2.0, range_sigma=0.0,
+                               max_range=200.0)
+        near = sim.Rect([-60, -60, -1], [120, 0, 0], [0, 120, 0])
+        far = sim.Rect([-150, -150, -2], [300, 0, 0], [0, 300, 0])
+        solved = []
+        solve = sim.np.linalg.solve
+
+        def counting_solve(a, b):
+            solved.append(b.shape[-1])
+            return solve(a, b)
+
+        monkeypatch.setattr(sim.np.linalg, "solve", counting_solve)
+        frame = sim.simulate_scan(sim.Scene("two", [near, far]), Pose.identity(),
+                                  Pose.identity(), model, 0)
+        downward = 180 * 8  # 2-degree azimuth steps, 8 of 16 beams downward
+        assert len(frame) == downward
+        np.testing.assert_allclose(frame.positions[:, 2], -1.0, atol=1e-9)
+        assert solved == [downward]
 
     def test_max_range_cutoff(self):
         scene = sim.Scene("far", [sim.Rect([60, -5, -1], [0, 10, 0], [0, 0, 10])])
