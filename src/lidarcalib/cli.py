@@ -253,6 +253,9 @@ def _trial_task(payload):
 
 def cmd_sweep(args) -> int:
     cfg = _load_effective_config(args)
+    for flag, count in (("--trials", args.trials), ("--jobs", args.jobs)):
+        if count < 1:
+            raise ConfigError(f"{flag} = {count}: must be >= 1")
     perturb_spec = tuple(args.perturb) if args.perturb else (0.4, 30.0)
     sim.check_perturb_bounds(*perturb_spec)
     base_seed = cfg.sim.seed

@@ -69,6 +69,8 @@ class RunConfig:
             raise ConfigError(f"sim.traj_kind: unknown kind {self.sim.traj_kind!r}")
         if self.sim.frames < 2:
             raise ConfigError("sim.frames must be >= 2")
+        if self.sim.seed < 0:
+            raise ConfigError(f"sim.seed = {self.sim.seed}: must be >= 0")
         try:
             self.sim.lidar_model()
         except InvalidParams as exc:

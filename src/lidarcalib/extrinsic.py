@@ -153,14 +153,8 @@ class _NearestPlaneLookup:
     """
 
     def __init__(self, index: VoxelMapIndex):
-        owner = np.full(len(index.points), -1, dtype=int)
-        if index.leaf_planes:
-            # leaves own disjoint point sets
-            owner[np.concatenate([p.point_indices for p in index.leaf_planes])] = \
-                np.repeat(index.leaf_to_plane,
-                          [len(p.point_indices) for p in index.leaf_planes])
-        owned = owner >= 0
-        self.plane_ids = owner[owned]
+        owned = index.point_leaf >= 0
+        self.plane_ids = index.leaf_to_plane[index.point_leaf[owned]]
         self.tree = cKDTree(index.points[owned], balanced_tree=False,
                             compact_nodes=False)
 

@@ -54,6 +54,8 @@ MAX_DEV_RATIO = 0.3
 # A point set whose middle covariance eigenvalue is below this (m^2) is
 # collinear: it has no plane normal, and any fitted one is arbitrary.
 COLLINEAR_EPS = 1e-12
+# rows and columns of a symmetric 3x3 matrix's entries xx yy zz xy xz yz
+_PAIRS = ([0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2])
 
 
 class PlaneBatch:
@@ -111,24 +113,43 @@ def fit_planes(nbrs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     k = nbrs.shape[1]
     centroids = np.einsum("mkc->mc", nbrs) / k
     centered = nbrs - centroids[:, None, :]
-    x, y, z = centered[:, :, 0], centered[:, :, 1], centered[:, :, 2]
-    moments = (np.einsum("mk,mk->m", s, t) / k for s, t in
-               ((x, x), (y, y), (z, z), (x, y), (x, z), (y, z)))
+    moments = (np.einsum("mk,mk->m", centered[:, :, i], centered[:, :, j]) / k
+               for i, j in zip(*_PAIRS))
     return (centroids, *_eigen(*moments))
 
 
-def fit_groups(points: np.ndarray, labels: np.ndarray,
-               n_groups: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fit_groups(points: np.ndarray, labels: np.ndarray, n_groups: int):
     """`fit_planes` of the non-empty point groups labels == 0..n_groups-1,
-    of any sizes: two `np.bincount` passes give the centroids and then the
-    centred second moments."""
-    counts = np.bincount(labels, minlength=n_groups)
-    centroids = np.column_stack([np.bincount(labels, points[:, a], n_groups)
-                                 for a in range(3)]) / counts[:, None]
-    x, y, z = (points - centroids[labels]).T
-    moments = (np.bincount(labels, s * t, n_groups) / counts for s, t in
-               ((x, x), (y, y), (z, z), (x, y), (x, z), (y, z)))
-    return (centroids, *_eigen(*moments))
+    of any sizes: `fit_clusters` of single points, whose moments are 0."""
+    return fit_clusters(np.ones(len(points)), points, np.zeros((1, 6)), labels,
+                        n_groups)
+
+
+def fit_clusters(counts: np.ndarray, centroids: np.ndarray,
+                 moments: np.ndarray, labels: np.ndarray, n_groups: int):
+    """Centroids, eigenvalues, normals and moments of the unions of point
+    clusters labels == 0..n_groups-1. A cluster is a count n, a centroid mu
+    and moments C (M, 6, or one row for all): the centred second moments xx
+    yy zz xy xz yz divided by n. The parallel-axis rule sums them: mu = sum
+    n_k mu_k / N and C = sum n_k (C_k + (mu_k - mu)(mu_k - mu)^T) / N."""
+    total = np.bincount(labels, counts, n_groups)[:, None]
+    mean = np.column_stack([np.bincount(labels, counts * centroids[:, a], n_groups)
+                            for a in range(3)]) / total
+    d = centroids - mean[labels]
+    summed = np.column_stack([
+        np.bincount(labels, counts * (m + d[:, i] * d[:, j]), n_groups)
+        for m, i, j in zip(moments.T, *_PAIRS)]) / total
+    return (mean, *_eigen(*summed.T), summed)
+
+
+def cluster_sq_distance(centroids: np.ndarray, moments: np.ndarray,
+                        normals: np.ndarray, origins: np.ndarray) -> np.ndarray:
+    """Mean squared distance of each cluster (centroid mu, moments C) to the
+    plane through c with unit normal n: n^T (C + (mu - c)(mu - c)^T) n."""
+    d = centroids - origins
+    spread = moments + d[:, _PAIRS[0]] * d[:, _PAIRS[1]]
+    return np.einsum("mp,mp,mp,p->m", spread, normals[:, _PAIRS[0]],
+                     normals[:, _PAIRS[1]], [1, 1, 1, 2, 2, 2])
 
 
 def _eigen(xx, yy, zz, xy, xz, yz) -> tuple[np.ndarray, np.ndarray]:

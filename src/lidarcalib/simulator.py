@@ -71,6 +71,9 @@ class LidarModel:
             ("beams", 1 <= self.beams, "beam count must be >= 1"),
             ("vertical_fov_deg", 0.0 <= self.vertical_fov_deg <= 180.0,
              "must be in [0, 180]"),
+            # a zero span casts every beam along one ray
+            ("vertical_fov_deg", self.beams == 1 or self.vertical_fov_deg > 0.0,
+             "must be > 0 with more than one beam"),
             ("horizontal_res_deg", 0.0 < self.horizontal_res_deg <= 360.0,
              "must be in (0, 360]"),
             ("max_range", 0.0 < self.max_range < math.inf,

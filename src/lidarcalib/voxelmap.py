@@ -6,8 +6,10 @@ higher-index cell). The octree is built one depth at a time: every cell of
 a depth is fitted in one `ptplane.fit_groups` call and judged by
 `ptplane.plane_gate`, the plane test LBA's neighbour sets pass too. Cells
 that pass become planes; complex cells subdivide into eight children of half
-the edge length until max_depth. Face-adjacent coplanar leaves can be
-merged, and every plane carries a confidence weight
+the edge length until max_depth. Each plane keeps its point cluster (count,
+centroid, centred second moments). Face-adjacent coplanar leaves can be
+merged, fitted from the sum of their clusters without reading a map
+point, and every plane carries a confidence weight
 
     weight = point_count / (1 + sigma_lambda) * exp(-GAMMA * eta)
 
@@ -23,6 +25,7 @@ immutable and safe for concurrent association queries.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,8 +35,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidParams
 from .grid import cell_box, pack_cells
-from .ptplane import (COLLINEAR_EPS, MAX_DEV_FLOOR, fit_groups, plane_gate,
-                      planarity)
+from .ptplane import (COLLINEAR_EPS, MAX_DEV_FLOOR, cluster_sq_distance,
+                      fit_clusters, fit_groups, plane_gate, planarity)
 
 PLANAR = "planar"
 SUBDIVIDED = "subdivided"
@@ -69,7 +72,8 @@ class VoxelParams:
 @dataclass(frozen=True)
 class PlaneFeature:
     """Fitted voxel plane: unit normal (of arbitrary sign), centroid,
-    ascending eigenvalues."""
+    ascending eigenvalues. The count, centroid and moments (see
+    `ptplane.fit_groups`) are the plane's point cluster."""
 
     normal: np.ndarray
     centroid: np.ndarray
@@ -79,7 +83,7 @@ class PlaneFeature:
     sigma_lambda: float
     weight: float
     voxel_keys: tuple
-    point_indices: np.ndarray
+    moments: np.ndarray
 
 
 class _CellTable(NamedTuple):
@@ -133,17 +137,16 @@ def confidence_weight(point_count, sigma_lambda, eta, gamma):
     return point_count / (1.0 + sigma_lambda) * np.exp(-gamma * eta)
 
 
-def _features(fit, counts: np.ndarray, keys: list,
-              point_indices: list) -> list[PlaneFeature]:
-    """PlaneFeatures of fitted point sets: fit = (centroids, eigenvalues,
-    normals) as `ptplane.fit_groups` returns them, one row per set."""
-    centroids, evals, normals = fit
+def _features(fit, counts: np.ndarray, keys: list) -> list[PlaneFeature]:
+    """PlaneFeatures of fitted point sets, one per row of fit = (centroids,
+    eigenvalues, normals, moments) as `ptplane.fit_groups` returns it."""
+    centroids, evals, normals, moments = fit
     eta = planarity(evals)
     sigma = np.std(evals, axis=1)
     weight = confidence_weight(counts, sigma, eta, GAMMA)
     return [PlaneFeature(*row) for row in zip(
         normals, centroids, evals, counts.tolist(), eta.tolist(),
-        sigma.tolist(), weight.tolist(), keys, point_indices)]
+        sigma.tolist(), weight.tolist(), keys, moments)]
 
 
 class VoxelMapIndex:
@@ -151,7 +154,8 @@ class VoxelMapIndex:
 
     nodes maps (depth, ix, iy, iz) to PLANAR/SUBDIVIDED/DISCARDED; planar
     nodes also record their index into leaf_planes, which lists the leaves
-    by depth, and by cell within a depth. After merge_neighbors, `planes`
+    by depth, and by cell within a depth. `point_leaf` holds each map
+    point's leaf, -1 outside every leaf. After merge_neighbors, `planes`
     holds merged features and leaf_to_plane redirects leaves. `normals`
     (P, 3), `centroids` (P, 3) and `weights` (P,) stack the fields of
     `planes` in order, for vectorized association. `associate_batch` reads
@@ -164,20 +168,14 @@ class VoxelMapIndex:
         self.params = params
         self.nodes: dict[tuple, tuple[str, int | None]] = {}
         self.leaf_planes: list[PlaneFeature] = []
-        self.planes: list[PlaneFeature] = []
-        self.leaf_to_plane: np.ndarray = np.zeros(0, dtype=int)
-        self.normals = np.zeros((0, 3))
-        self.centroids = np.zeros((0, 3))
-        self.weights = np.zeros(0)
-        self._tables: list[_CellTable] = []
+        self.point_leaf = np.full(len(self.points), -1)
+        self._finalize([], np.zeros(0, dtype=int))
 
     def _finalize(self, planes: list[PlaneFeature], leaf_to_plane: np.ndarray):
         self.planes = planes
         self.leaf_to_plane = leaf_to_plane
-        self.normals = (np.stack([p.normal for p in planes])
-                        if planes else np.zeros((0, 3)))
-        self.centroids = (np.stack([p.centroid for p in planes])
-                          if planes else np.zeros((0, 3)))
+        self.normals = np.array([p.normal for p in planes]).reshape(-1, 3)
+        self.centroids = np.array([p.centroid for p in planes]).reshape(-1, 3)
         self.weights = np.array([p.weight for p in planes], dtype=float)
         self._tables = _cell_tables(self.nodes, leaf_to_plane)
 
@@ -212,7 +210,7 @@ def build_adaptive(source, params: VoxelParams | None = None) -> VoxelMapIndex:
         counts = np.diff(np.r_[starts, len(keys)])
         labels = np.repeat(np.arange(len(starts)), counts)
         pts = index.points[active]
-        fit = centroids, evals, normals = fit_groups(pts, labels, len(starts))
+        fit = centroids, evals, normals, _ = fit_groups(pts, labels, len(starts))
         dev = np.abs(np.einsum("ij,ij->i", pts - centroids[labels],
                                normals[labels]))
         enough = counts >= params.min_points
@@ -226,40 +224,37 @@ def build_adaptive(source, params: VoxelParams | None = None) -> VoxelMapIndex:
         index.nodes.update(
             (key, (st, leaf if st == PLANAR else None))
             for key, st, leaf in zip(node_keys, status.tolist(), leaf_ids.tolist()))
+        on_leaf = np.repeat(planar, counts)
+        index.point_leaf[active[on_leaf]] = leaf_ids[labels[on_leaf]]
         sel = np.flatnonzero(planar)
-        index.leaf_planes += _features(
-            [a[sel] for a in fit], counts[sel], [(node_keys[c],) for c in sel],
-            [active[s:s + m] for s, m in zip(starts[sel], counts[sel])])
+        index.leaf_planes += _features([a[sel] for a in fit], counts[sel],
+                                       [(node_keys[c],) for c in sel])
         active = active[np.repeat(split, counts)]
     index._finalize(list(index.leaf_planes), np.arange(len(index.leaf_planes)))
     return index
 
 
-def _refit_unions(index: VoxelMapIndex,
-                  unions: list[list[int]]) -> list[PlaneFeature | None]:
-    """The plane of each union of leaves, fitted in one kernel call, or None
-    where a member leaf's points fit it worse than their own plane: mean
-    squared distance to the union plane above 4 * lambda1(leaf) + 1e-12."""
-    if not unions:
-        return []
-    leaves = [index.leaf_planes[m] for u in unions for m in u]
-    union_of_leaf = np.repeat(np.arange(len(unions)), [len(u) for u in unions])
+def _refit_unions(index: VoxelMapIndex, labels: np.ndarray,
+                  n_groups: int) -> dict[int, PlaneFeature]:
+    """The plane of each group of two or more leaves (labels ==
+    0..n_groups-1), fitted in one kernel call from the sum of the leaves'
+    clusters, where every member's mean squared distance to it, n^T (C +
+    (mu - c)(mu - c)^T) n from the leaf's moments C and centroid mu, is at
+    most 4 * lambda1(leaf) + 1e-12. No map point is read."""
+    leaves = index.leaf_planes
     sizes = np.array([leaf.point_count for leaf in leaves])
-    leaf_of_point = np.repeat(np.arange(len(leaves)), sizes)
-    labels = union_of_leaf[leaf_of_point]
-    point_idx = np.concatenate([leaf.point_indices for leaf in leaves])
-    pts = index.points[point_idx]
-    fit = centroids, _, normals = fit_groups(pts, labels, len(unions))
-    dist = np.einsum("ij,ij->i", pts - centroids[labels], normals[labels])
-    mean_sq = np.bincount(leaf_of_point, dist * dist) / sizes
+    mu = np.array([leaf.centroid for leaf in leaves]).reshape(-1, 3)
+    cov = np.array([leaf.moments for leaf in leaves]).reshape(-1, 6)
+    fit = centroids, _, normals, _ = fit_clusters(sizes, mu, cov, labels, n_groups)
+    mean_sq = cluster_sq_distance(mu, cov, normals[labels], centroids[labels])
     own = np.array([leaf.eigenvalues[0] for leaf in leaves])
-    misfits = np.bincount(union_of_leaf, mean_sq > 4.0 * own + 1e-12,
-                          len(unions))
-    counts = np.bincount(labels, minlength=len(unions))
-    keys = [tuple(k for m in u for k in index.leaf_planes[m].voxel_keys)
-            for u in unions]
-    planes = _features(fit, counts, keys, np.split(point_idx, np.cumsum(counts)[:-1]))
-    return [p if bad == 0 else None for p, bad in zip(planes, misfits)]
+    fits = np.bincount(labels, mean_sq > 4.0 * own + 1e-12, n_groups) == 0
+    kept = np.flatnonzero(fits & (np.bincount(labels, minlength=n_groups) > 1))
+    keys = [tuple(k for m in np.flatnonzero(labels == g)
+                  for k in leaves[m].voxel_keys) for g in kept]
+    counts = np.bincount(labels, sizes, n_groups).astype(int)
+    planes = _features([a[kept] for a in fit], counts[kept], keys)
+    return dict(zip(kept.tolist(), planes))
 
 
 _FACES = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
@@ -293,13 +288,13 @@ def merge_neighbors(index: VoxelMapIndex, tau_theta: float, tau_d: float) -> Vox
     """Merge face-adjacent coplanar leaves, transitively.
 
     Candidate pairs need normals within tau_theta and centroids within
-    tau_d. A candidate group is then refit over the union of its member
-    points and kept only if every member leaf fits the union plane about as
-    well as its own plane (see _refit_unions); otherwise the group's leaves
-    stay unmerged. The angle and distance gates are pairwise, so a chain of
-    leaves that each hold a strip of an adjacent surface can pass them and
-    still blend two surfaces into one tilted plane; the member check rejects
-    such unions.
+    tau_d. A candidate group is then refit from the sum of its member
+    leaves' point clusters, reading no map point, and kept only if every
+    member leaf fits the union plane about as well as its own plane (see
+    _refit_unions); otherwise the group's leaves stay unmerged. The angle
+    and distance gates are pairwise, so a chain of leaves that each hold a
+    strip of an adjacent surface can pass them and still blend two surfaces
+    into one tilted plane; the member check rejects such unions.
 
     Merging always starts over from the unmerged leaves, so applying this
     twice equals applying it once. The plane count never increases.
@@ -313,27 +308,17 @@ def merge_neighbors(index: VoxelMapIndex, tau_theta: float, tau_d: float) -> Vox
     dist = np.linalg.norm(centroids[j] - centroids[i], axis=1)
     pairs = pairs[(np.arccos(cos_t) < tau_theta) & (dist < tau_d)]
     graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    # components are labelled in the order of their smallest leaf
     n_groups, labels = connected_components(graph, directed=False)
-    bounds = np.cumsum(np.bincount(labels, minlength=n_groups))[:-1]
-    groups = [g.tolist() for g in np.split(np.argsort(labels, kind="stable"), bounds)]
-    refits = iter(_refit_unions(index, [g for g in groups if len(g) > 1]))
-
-    merged: list[PlaneFeature] = []
-    leaf_to_plane = np.zeros(n, dtype=int)
-    for members in groups:
-        plane = next(refits) if len(members) > 1 else None
-        if plane is not None:
-            leaf_to_plane[members] = len(merged)
-            merged.append(plane)
-            continue
-        for m in members:
-            leaf_to_plane[m] = len(merged)
-            merged.append(index.leaf_planes[m])
-
-    out = VoxelMapIndex(index.points, index.params)
-    out.nodes = index.nodes
-    out.leaf_planes = index.leaf_planes
+    unions = _refit_unions(index, labels, n_groups)
+    # components are labelled in the order of their smallest leaf; a kept
+    # union becomes one plane, and each leaf of any other group its own
+    order = np.argsort(labels, kind="stable")
+    group = labels[order]
+    starts = np.r_[True, group[1:] != group[:-1]] | ~np.isin(group, list(unions))
+    leaf_to_plane = (np.cumsum(starts) - 1)[np.argsort(order)]
+    merged = [unions.get(g, index.leaf_planes[m])
+              for m, g in zip(order[starts].tolist(), group[starts].tolist())]
+    out = copy.copy(index)
     out._finalize(merged, leaf_to_plane)
     return out
 

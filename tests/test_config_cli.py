@@ -31,6 +31,8 @@ class TestConfig:
         cfg.validate()
         assert cfg.voxel.l_parent == 1.0
         assert cfg.calib.reject_start == 0.5
+        # one beam needs no vertical span
+        cfgmod.parse_config_lines(["sim.beams = 1", "sim.vertical_fov_deg = 0"])
 
     def test_parse_overrides(self):
         cfg = cfgmod.parse_config_lines(FAST_CONFIG.splitlines())
@@ -313,7 +315,8 @@ class TestReadDataset:
     # the key, not the first .pcd file
     @pytest.mark.parametrize("key, value", [
         ("scan_period", "nan"), ("scan_period", "-1"), ("beams", "0"),
-        ("range_sigma", "nan"), ("horizontal_res_deg", "0")])
+        ("range_sigma", "nan"), ("horizontal_res_deg", "0"),
+        ("vertical_fov_deg", "0")])
     def test_bad_meta_model_exits_2(self, cli_dataset, tmp_path, capsys,
                                     key, value):
         _, cfg_path, out = cli_dataset
@@ -396,10 +399,14 @@ class TestExitCodes:
         assert "beam count" in capsys.readouterr().err
 
     # each must stop before anything is simulated: 0 divides 360, a NaN
-    # period breaks the sweep's rotations, and a NaN sigma reads as no noise
+    # period breaks the sweep's rotations, a NaN sigma reads as no noise, a
+    # zero vertical span stores each point once per beam, and numpy's
+    # generators take no negative seed
     @pytest.mark.parametrize("line", ["sim.horizontal_res_deg = 0",
                                       "sim.scan_period = nan",
-                                      "sim.range_sigma = nan"])
+                                      "sim.range_sigma = nan",
+                                      "sim.vertical_fov_deg = 0",
+                                      "sim.seed = -1"])
     def test_bad_sensor_model_exits_2(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.cfg"
         bad.write_text(f"sim.frames = 2\n{line}\n")
@@ -408,6 +415,17 @@ class TestExitCodes:
         assert rc == cli.EXIT_CONFIG
         assert line.split(" =")[0] in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--out", "x"],
+        ["calibrate", "ds", "--perturb", "0.1", "5", "--out", "x"],
+        ["sweep", "--trials", "1", "--out-csv", "x.csv"]])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main([*command, "--seed", "-1"])
+        assert rc == cli.EXIT_CONFIG
+        assert "sim.seed = -1" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_zero_reject_start_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -583,6 +601,24 @@ class TestSweepCommand:
                        "--out-csv", str(csv_path), "--perturb", *bounds])
         assert rc == cli.EXIT_CONFIG
         assert "perturbation bounds" in capsys.readouterr().err
+        assert not csv_path.exists()
+
+    # a count below 1 wrote a header-only CSV (--trials) or ran serially
+    # (--jobs)
+    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-2"),
+                                             ("--jobs", "0"), ("--jobs", "-1")])
+    def test_bad_count_exits_2_before_any_trial(self, tmp_path, monkeypatch,
+                                                capsys, flag, value):
+        def run_trial(cfg, trial, base_seed, perturb_spec):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "run_trial", run_trial)
+        csv_path = tmp_path / "sweep.csv"
+        args = {"--trials": "2", "--jobs": "1", flag: value}
+        rc = cli.main(["sweep", "--out-csv", str(csv_path),
+                       *(a for kv in args.items() for a in kv)])
+        assert rc == cli.EXIT_CONFIG
+        assert f"{flag} = {value}" in capsys.readouterr().err
         assert not csv_path.exists()
 
     def test_error_cell_is_quoted(self, tmp_path, monkeypatch):

@@ -259,6 +259,24 @@ def probe_frames(frames, anchors, stride=1):
     return probes
 
 
+def test_nearest_lookup_owners(room_calib_setup):
+    """The nearest-surface lookup holds every point of a leaf cell, each
+    with its leaf's plane id, and no other point."""
+    _, index, _ = room_calib_setup
+    owner = np.full(len(index.points), -1)
+    for leaf, plane_id in zip(index.leaf_planes, index.leaf_to_plane):
+        depth, *cell = leaf.voxel_keys[0]
+        inside = np.all(np.floor(index.points / index.edge_length(depth)) == cell,
+                        axis=1)
+        assert np.all(owner[inside] == -1) and inside.sum() == leaf.point_count
+        owner[inside] = plane_id
+    lookup = ext._NearestPlaneLookup(index)
+    owned = owner >= 0
+    assert len(set(index.leaf_to_plane)) < len(index.leaf_planes)
+    np.testing.assert_array_equal(lookup.plane_ids, owner[owned])
+    np.testing.assert_array_equal(lookup.tree.data, index.points[owned])
+
+
 class TestSeeding:
     @staticmethod
     def inputs(room_calib_setup):

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 
 import lidarcalib
-from lidarcalib.ptplane import (MAX_DEV_FLOOR, MAX_DEV_RATIO, fit_groups,
+from lidarcalib.ptplane import (MAX_DEV_FLOOR, MAX_DEV_RATIO,
+                                cluster_sq_distance, fit_clusters, fit_groups,
                                 fit_planes, plane_gate)
 
 from test_geometry import random_pose
@@ -122,7 +123,7 @@ class TestFitGroups:
         nbrs = rotated_sets(rng, 200, 7, np.array([1.0, 0.3, 0.05]))
         labels = np.repeat(np.arange(200), 7)
         c1, e1, n1 = fit_planes(nbrs)
-        c2, e2, n2 = fit_groups(nbrs.reshape(-1, 3), labels, 200)
+        c2, e2, n2, _ = fit_groups(nbrs.reshape(-1, 3), labels, 200)
         np.testing.assert_allclose(c1, c2, rtol=0, atol=1e-14)
         np.testing.assert_allclose(e1, e2, rtol=0, atol=1e-14 * e1[:, 2:].max())
         assert np.all(np.abs(np.einsum("mi,mi->m", n1, n2)) >= 1.0 - 1e-12)
@@ -134,12 +135,55 @@ class TestFitGroups:
         points = np.vstack(sets)
         labels = np.repeat(np.arange(4), [len(s) for s in sets])
         perm = rng.permutation(len(points))
-        centroid, evals, normal = fit_groups(points[perm], labels[perm], 4)
+        centroid, evals, normal, moments = fit_groups(points[perm],
+                                                      labels[perm], 4)
         for m, pts in enumerate(sets):
             ref_c, ref_e, ref_n = eigh_reference(pts[None])
             np.testing.assert_allclose(centroid[m], ref_c[0], rtol=0, atol=1e-14)
             assert np.all(np.abs(evals[m] - ref_e[0]) <= 1e-12 * ref_e[0, 2])
             assert abs(normal[m] @ ref_n[0]) >= 1.0 - 1e-12
+            cov = np.cov(pts.T, bias=True)
+            np.testing.assert_allclose(moments[m], cov[[0, 1, 2, 0, 0, 1],
+                                                       [0, 1, 2, 1, 2, 2]],
+                                       rtol=0, atol=1e-14)
+            # a group's mean squared distance to its own plane is lambda1,
+            # and to another plane the mean of its points'
+            row = slice(m, m + 1)
+            dist = cluster_sq_distance(centroid[row], moments[row], normal[row],
+                                       centroid[row])
+            assert abs(dist[0] - evals[m, 0]) <= 1e-12 * evals[m, 2]
+            other = np.array([[0.6, 0.0, 0.8]]), np.array([[0.3, -1.0, 2.0]])
+            dist = cluster_sq_distance(centroid[row], moments[row], *other)
+            expected = np.mean(((pts - other[1]) @ other[0][0]) ** 2)
+            assert abs(dist[0] - expected) <= 1e-12 * expected
+
+    def test_clusters_sum_to_the_union_fit(self):
+        """Unions fitted from their parts' clusters against `fit_groups`
+        over the unions' points: a noisy plane near the origin, one about
+        1e3 m away (the parallel-axis sum must not cancel there) and a
+        zero-noise one."""
+        rng = np.random.default_rng(12)
+        unions = [patch + offset for patch, offset in (
+            (rotated_sets(rng, 1, 400, np.array([1.0, 0.6, 0.01]))[0], 0.0),
+            (rotated_sets(rng, 1, 400, np.array([1.0, 0.6, 0.01]))[0],
+             [700.0, -500.0, 500.0]),
+            (rotated_sets(rng, 1, 400, np.array([1.0, 0.6, 0.0]))[0], 3.0))]
+        points = np.vstack(unions)
+        union_of_point = np.repeat(np.arange(3), 400)
+        # each union cut into parts of unequal sizes, as voxel leaves are
+        starts = np.union1d(rng.choice(np.arange(5, 1195), 9, replace=False),
+                            [0, 400, 800])
+        part_of_point = np.searchsorted(starts, np.arange(1200), side="right") - 1
+        mu, _, _, cov = fit_groups(points, part_of_point, len(starts))
+        sizes = np.diff(np.r_[starts, 1200])
+        c1, e1, n1, m1 = fit_clusters(sizes, mu, cov, union_of_point[starts], 3)
+        c2, e2, n2, m2 = fit_groups(points, union_of_point, 3)
+        for u in range(3):
+            assert abs(n1[u] @ n2[u]) >= 1.0 - 1e-12
+            assert np.all(np.abs(e1[u] - e2[u]) <= 1e-12 * e2[u, 2])
+            np.testing.assert_allclose(m1[u], m2[u], rtol=0, atol=1e-12 * e2[u, 2])
+            np.testing.assert_allclose(c1[u], c2[u], rtol=1e-14, atol=1e-14)
+        assert e2[2, 0] < 1e-14 * e2[2, 2]
 
 
 class TestPlaneGate:

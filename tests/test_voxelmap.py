@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -45,7 +46,7 @@ def fit_cells(*cells):
     """fit_groups over point sets given one by one: (centroids, evals,
     normals), one row per set."""
     labels = np.repeat(np.arange(len(cells)), [len(c) for c in cells])
-    return fit_groups(np.vstack(cells), labels, len(cells))
+    return fit_groups(np.vstack(cells), labels, len(cells))[:3]
 
 
 class TestFitPlane:
@@ -259,6 +260,23 @@ class TestMergeNeighbors:
         plane = merged.planes[merged.leaf_to_plane[leaf]]
         np.testing.assert_allclose(np.abs(plane.normal), [0, 0, 1], atol=1e-9)
         assert abs(plane.centroid[2] - 0.97) < 1e-9
+
+    def test_merging_reads_no_point(self, room_calib_setup):
+        """Merging works from the leaves' clusters alone: with every map
+        point overwritten by NaN it gives the same planes."""
+        _, index, _ = room_calib_setup
+        blind = copy.copy(index)
+        blind.points = np.full_like(index.points, np.nan)
+        tau_theta, tau_d = math.radians(5.0), 0.5
+        merged = vm.merge_neighbors(index, tau_theta, tau_d)
+        assert len(merged.planes) < len(index.leaf_planes)
+        blind_merged = vm.merge_neighbors(blind, tau_theta, tau_d)
+        np.testing.assert_array_equal(blind_merged.leaf_to_plane, merged.leaf_to_plane)
+        assert len(blind_merged.planes) == len(merged.planes)
+        for p, q in zip(blind_merged.planes, merged.planes):
+            assert p.voxel_keys == q.voxel_keys and p.point_count == q.point_count
+            for field in ("normal", "centroid", "eigenvalues", "moments"):
+                np.testing.assert_array_equal(getattr(p, field), getattr(q, field))
 
     def test_idempotent_random_layouts(self):
         rng = np.random.default_rng(12)
