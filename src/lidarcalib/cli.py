@@ -99,10 +99,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_lba(args) -> int:
+    if not args.traj:
+        raise ConfigError("no trajectory to refine: pass --traj FILE "
+                          "(DATASET/trajectory_gt.txt starts from ground truth)")
     cfg = _load_effective_config(args)
     ds = sim.read_dataset(args.dataset)
-    traj_path = args.traj or str(Path(args.dataset) / "trajectory_gt.txt")
-    traj = pc.load_trajectory(traj_path)
+    traj = pc.load_trajectory(args.traj)
     frames = _deskew_all(ds.frames_a, traj, ds.model.scan_period)
     result = lba.run_sliding_lba(frames, traj, cfg.lba)
     out = Path(args.out)
@@ -316,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lba = sub.add_parser("lba", help="refine the trajectory and build the map")
     p_lba.add_argument("dataset")
     p_lba.add_argument("--config")
-    p_lba.add_argument("--traj", help="trajectory to refine (default: dataset gt)")
+    p_lba.add_argument("--traj", help="trajectory to refine (required)")
     p_lba.add_argument("--out", required=True)
 
     p_cal = sub.add_parser("calibrate", help="estimate the extrinsic transform")

@@ -8,9 +8,13 @@ and the remaining poses are refined by point-to-plane Levenberg-Marquardt
 non-reference frame is matched to a local plane fit over its k nearest
 neighbors from the frames before it (`ptplane.fit_planes`, the closed-form
 kernel calibration's local normals use too; collinear sets get no match),
-planes are frozen during the inner LM solve, and association is repeated
-for a few rounds. A window's initial and final costs are both taken under
-the last round's association, with that round's annealed Cauchy factor.
+and planes are frozen during the inner LM solve. Association runs for a few
+rounds. Neighbors are searched (a kd-tree build and query) in round 0, and
+in round 1 again for the frames no earlier window refined; every other
+round re-fits the planes to the neighbors a frame holds, read at the
+current poses, so the planes still move with the poses. A window's initial
+and final costs are both taken under the last round's association, with
+that round's annealed Cauchy factor.
 Windows are stitched by seeding the shared frames from the previous
 window's result: the first o of them are tied to those seeds with a
 quadratic prior on log(seed^-1 * current).
@@ -131,35 +135,44 @@ class LbaResult:
     window_results: list[WindowResult]
 
 
-def _match_frame_to_pool(points_local: np.ndarray, pose: Pose,
-                         pool_pts: np.ndarray, params: LbaParams,
-                         cauchy_factor: float = CAUCHY_FACTOR):
-    """Local plane fits over the k nearest pool neighbors of each point.
+def _search_pool(world: np.ndarray, pool_pts: np.ndarray,
+                 params: LbaParams) -> tuple[np.ndarray, np.ndarray]:
+    """The k nearest pool neighbors of each world point.
 
-    Each point's neighbor set is exactly its k_neighbors nearest pool
-    points, nearest first; a point with fewer than k_neighbors pool points
-    within max_corr_dist (or a pool smaller than k_neighbors) gets no match.
-    Returns (pt_local, normal, centroid, weight) for the accepted matches.
-    Pool points are world frame and frozen. Acceptance is
-    `ptplane.plane_gate`, the test voxel cells pass too. Cauchy weights are
-    computed from the point's own residual against the robust per-frame
-    scale.
+    Returns the rows of `world` with k_neighbors pool points within
+    max_corr_dist (M,), and those neighbors' pool indices (M, k), nearest
+    first; a pool smaller than k_neighbors gives no rows.
     """
     kn = params.k_neighbors
-    empty = (np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
-    if len(pool_pts) < kn or len(points_local) == 0:
-        return empty
-    world = geo.apply(pose, points_local)
+    if len(pool_pts) < kn or len(world) == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros((0, kn), dtype=np.intp)
     # sliding-midpoint splits: much faster queries on plane-sampled maps
     tree = cKDTree(pool_pts, balanced_tree=False, compact_nodes=False)
     dist, idx = tree.query(world, k=kn, distance_upper_bound=params.max_corr_dist)
     # distances come sorted, so the k-th is finite only if all k are
     enough = np.isfinite(dist.reshape(len(world), kn)[:, -1])
-    if not enough.any():
+    return np.flatnonzero(enough), idx.reshape(len(world), kn)[enough]
+
+
+def _fit_to_pool(points_local: np.ndarray, world: np.ndarray,
+                 pool_pts: np.ndarray, rows: np.ndarray, nbr_idx: np.ndarray,
+                 cauchy_factor: float = CAUCHY_FACTOR):
+    """Local plane fits over given pool neighbors of a frame's points.
+
+    `world` is the frame at its current pose, and point rows[i] gets a plane
+    fit over pool_pts[nbr_idx[i]] (`ptplane.fit_planes`, the closed-form
+    kernel calibration's local normals use too). Returns (pt_local, normal,
+    centroid, weight) for the accepted matches. Acceptance is
+    `ptplane.plane_gate`, the test voxel cells pass too. Cauchy weights are
+    computed from the point's own residual against the robust per-frame
+    scale.
+    """
+    empty = (np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
+    if len(rows) == 0:
         return empty
-    nbr_pts = pool_pts[idx.reshape(len(world), kn)[enough]]   # (M, kn, 3)
-    pts = points_local[enough]
-    world_pts = world[enough]
+    nbr_pts = pool_pts[nbr_idx]   # (M, kn, 3)
+    pts = points_local[rows]
+    world_pts = world[rows]
     centroid, evals, normal = fit_planes(nbr_pts)
     centered = nbr_pts - centroid[:, None, :]
     dev = np.max(np.abs(np.einsum("mki,mi->mk", centered, normal)), axis=1)
@@ -212,7 +225,8 @@ def _check_frame_constraints(j: int, batch: PlaneBatch, pose: Pose):
 
 
 def optimize_window(frames: list[Frame], init_poses: list[Pose],
-                    n_overlap: int, params: LbaParams) -> WindowResult:
+                    n_overlap: int, params: LbaParams,
+                    n_refined: int = 0) -> WindowResult:
     """Refine one window's poses; the first pose is held fixed throughout.
 
     Each association round sweeps the frames in order: frame j is matched
@@ -226,6 +240,13 @@ def optimize_window(frames: list[Frame], init_poses: list[Pose],
     the stitching overlap) are tied to their init poses by the quadratic
     overlap prior.
 
+    Neighbors are searched (a kd-tree over the prefix pool) in round 0 for
+    every frame, and in round 1 again for the frames past the first
+    n_refined, which no earlier window has refined, so their round-0 poses
+    may be far off. Every other round re-fits a frame's planes to the pool
+    indices of its last search, read at the current poses: the pool keeps
+    its frame order and sizes, so the planes move with the poses.
+
     initial_cost (start poses) and final_cost (returned poses) are both
     evaluated under the last round's association, with its annealed Cauchy
     factor: costs under different associations are not comparable. The same
@@ -238,18 +259,29 @@ def optimize_window(frames: list[Frame], init_poses: list[Pose],
         raise InvalidParams("frames and init_poses must have equal length")
     if not 0 <= n_overlap <= w:
         raise InvalidParams("n_overlap must lie in 0..len(frames)")
+    if not 0 <= n_refined <= w:
+        raise InvalidParams("n_refined must lie in 0..len(frames)")
     poses = list(init_poses)
     start_poses = list(poses)
+    # frame j's world points at its current pose sit in rows
+    # offsets[j]:offsets[j + 1], so pool[:offsets[j]] is frame j's prefix
+    offsets = np.cumsum([0] + [len(f) for f in frames])
+    pool = np.empty((offsets[-1], 3))
+    pool[:offsets[1]] = geo.apply(poses[0], frames[0].positions)
+    neighbors: list[tuple[np.ndarray, np.ndarray] | None] = [None] * w
 
     trace: list[dict] = []
     for rnd in range(params.assoc_rounds):
         factor = max(CAUCHY_FACTOR_MIN, CAUCHY_FACTOR * CAUCHY_DECAY ** rnd)
-        pool = geo.apply(poses[0], frames[0].positions)
         batches: list[PlaneBatch] = []
         max_move = 0.0
         for j in range(1, w):
-            batch = PlaneBatch(*_match_frame_to_pool(
-                frames[j].positions, poses[j], pool, params, factor))
+            local = frames[j].positions
+            world = geo.apply(poses[j], local)
+            if rnd == 0 or (rnd == 1 and j >= n_refined):
+                neighbors[j] = _search_pool(world, pool[:offsets[j]], params)
+            batch = PlaneBatch(*_fit_to_pool(local, world, pool, *neighbors[j],
+                                             factor))
             if rnd == 0:
                 _check_frame_constraints(j, batch, poses[j])
             frame_prior = (start_poses[j], OVERLAP_WEIGHT) if j < n_overlap else None
@@ -262,7 +294,7 @@ def optimize_window(frames: list[Frame], init_poses: list[Pose],
             for entry in frame_trace:
                 entry.update({"round": rnd, "frame": j})
             trace.extend(frame_trace)
-            pool = np.vstack([pool, geo.apply(new_pose, frames[j].positions)])
+            pool[offsets[j]:offsets[j + 1]] = geo.apply(new_pose, local)
         if max_move < INNER_TOL:
             break
 
@@ -304,9 +336,11 @@ def run_sliding_lba(frames: list[Frame], trajectory: Trajectory,
     for m, (start, end) in enumerate(plan.windows):
         win_frames = ds_frames[start:end + 1]
         init = poses[start:end + 1]
+        # frames up to the previous window's end arrive refined
+        n_refined = plan.windows[m - 1][1] - start + 1 if m > 0 else 0
         try:
             result = optimize_window(win_frames, init, plan.o if m > 0 else 0,
-                                     params)
+                                     params, n_refined=n_refined)
         except DegenerateGeometry as exc:
             raise DegenerateGeometry(str(exc), window=m) from exc
         poses[start:end + 1] = result.refined_poses

@@ -72,10 +72,13 @@ def exact_map_trial(cfg: RunConfig, trial: int, base_seed: int = 100,
 # LBA drifts in the yard and the corridor, so calibration may fail there; it
 # must not claim convergence when it does. Against the exact map of yard
 # trial 0, a consensus of 3x the median residual left frames 35-39 out for
-# good and converged 13 mm off.
+# good and converged 13 mm off. An LBA that searched neighbors once per
+# window drifted further, and yard trial 0 then converged 236 mm off.
 @pytest.mark.parametrize("scene,traj_kind,trial,exact_map", [
-    ("yard", "arc", 1, False), ("corridor", "line", 0, False),
-    ("yard", "arc", 0, True)], ids=["yard-1", "corridor-0", "yard-exact-0"])
+    ("yard", "arc", 0, False), ("yard", "arc", 1, False),
+    ("corridor", "line", 0, False), ("corridor", "line", 1, False),
+    ("yard", "arc", 0, True)],
+    ids=["yard-0", "yard-1", "corridor-0", "corridor-1", "yard-exact-0"])
 def test_no_false_convergence(scene, traj_kind, trial, exact_map):
     cfg = RunConfig()
     cfg.sim.scene = scene

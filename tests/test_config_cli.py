@@ -134,6 +134,7 @@ def cli_lba_dir(cli_dataset):
     root, cfg_path, out = cli_dataset
     lba_out = root / "lba"
     rc = cli.main(["lba", str(out), "--config", str(cfg_path),
+                   "--traj", str(out / "trajectory_gt.txt"),
                    "--out", str(lba_out)])
     assert rc == 0
     return lba_out
@@ -170,6 +171,7 @@ class TestLbaCommand:
         root, cfg_path, out = cli_dataset
         lba_out = root / "lba"
         rc = cli.main(["lba", str(out), "--config", str(cfg_path),
+                       "--traj", str(out / "trajectory_gt.txt"),
                        "--out", str(lba_out)])
         assert rc == 0
         refined = pc.load_trajectory(lba_out / "trajectory_refined.txt")
@@ -185,6 +187,15 @@ class TestLbaCommand:
                        "--out", str(tmp_path / "lba")])
         assert rc == 3
         assert "nope.txt" in capsys.readouterr().err
+
+    def test_no_traj_exits_2(self, cli_dataset, tmp_path, capsys):
+        # ground truth is never a silent default trajectory
+        _, cfg_path, out = cli_dataset
+        rc = cli.main(["lba", str(out), "--config", str(cfg_path),
+                       "--out", str(tmp_path / "lba")])
+        assert rc == cli.EXIT_CONFIG
+        assert "--traj" in capsys.readouterr().err
+        assert not (tmp_path / "lba").exists()
 
 
 class TestCalibrateCommand:
@@ -280,6 +291,7 @@ class TestReadDataset:
         shutil.copytree(out, ds)
         sorted((ds / "B").glob("*.pcd"))[-1].unlink()
         rc = cli.main(["lba", str(ds), "--config", str(cfg_path),
+                       "--traj", str(ds / "trajectory_gt.txt"),
                        "--out", str(tmp_path / "lba")])
         assert rc == cli.EXIT_CONFIG
         assert "sensor B frames" in capsys.readouterr().err
@@ -292,6 +304,7 @@ class TestReadDataset:
         lines = traj.read_text().splitlines()
         traj.write_text("\n".join(lines[:-1]) + "\n")
         rc = cli.main(["lba", str(ds), "--config", str(cfg_path),
+                       "--traj", str(ds / "trajectory_gt.txt"),
                        "--out", str(tmp_path / "lba")])
         assert rc == cli.EXIT_CONFIG
         assert "trajectory poses" in capsys.readouterr().err
@@ -306,6 +319,7 @@ class TestReadDataset:
         assert "beams=sixteen" in lines
         meta.write_text("\n".join(lines) + "\n")
         rc = cli.main(["lba", str(ds), "--config", str(cfg_path),
+                       "--traj", str(ds / "trajectory_gt.txt"),
                        "--out", str(tmp_path / "lba")])
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err
@@ -328,6 +342,7 @@ class TestReadDataset:
         assert f"{key}={value}" in lines
         meta.write_text("\n".join(lines) + "\n")
         rc = cli.main(["lba", str(ds), "--config", str(cfg_path),
+                       "--traj", str(ds / "trajectory_gt.txt"),
                        "--out", str(tmp_path / "lba")])
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err
@@ -351,6 +366,7 @@ class TestReadDataset:
         lines[-1] = " ".join(row)
         cloud.write_text("\n".join(lines) + "\n")
         rc = cli.main(["lba", str(ds), "--config", str(cfg_path),
+                       "--traj", str(ds / "trajectory_gt.txt"),
                        "--out", str(tmp_path / "lba")])
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err

@@ -59,6 +59,10 @@ class TestPlanWindows:
         for n_overlap in (-1, 1):  # outside 0..len(frames)
             with pytest.raises(InvalidParams):
                 lba.optimize_window([], [], n_overlap, lba.LbaParams())
+        for n_refined in (-1, 1):
+            with pytest.raises(InvalidParams):
+                lba.optimize_window([], [], 0, lba.LbaParams(),
+                                    n_refined=n_refined)
 
     def test_coverage_and_starts(self):
         for n, w, d in [(37, 12, 6), (53, 20, 10), (11, 4, 2), (200, 40, 20)]:
@@ -94,6 +98,13 @@ class TestMatchFrameToPool:
     PARAMS = lba.LbaParams(k_neighbors=5, max_corr_dist=0.5)
 
     @staticmethod
+    def match(local, pose, pool, params):
+        """A search round: the pool search, then the fit to its neighbors."""
+        world = geo.apply(pose, local)
+        rows, nbr_idx = lba._search_pool(world, pool, params)
+        return lba._fit_to_pool(local, world, pool, rows, nbr_idx)
+
+    @staticmethod
     def brute_force(world, pool, k, radius):
         """(has k neighbors within radius, centroid of the k nearest)."""
         dist = np.linalg.norm(world[:, None, :] - pool[None, :, :], axis=2)
@@ -120,8 +131,7 @@ class TestMatchFrameToPool:
         pool, world = self.pool_and_points()
         pose = Pose(geo.rot_z(0.3), [0.5, -1.0, 0.2])
         local = geo.apply(geo.inverse(pose), world)
-        pts, normal, centroid, weight = lba._match_frame_to_pool(
-            local, pose, pool, self.PARAMS)
+        pts, normal, centroid, weight = self.match(local, pose, pool, self.PARAMS)
         world = geo.apply(pose, local)
         enough, ref_centroid = self.brute_force(world, pool, 5, 0.5)
         # the cluster of exactly k is kept, the k - 2 cluster and the far
@@ -136,8 +146,7 @@ class TestMatchFrameToPool:
     def test_unbounded_radius_takes_k_nearest(self):
         pool, world = self.pool_and_points()
         params = lba.LbaParams(k_neighbors=5, max_corr_dist=1e9)
-        pts, _, centroid, _ = lba._match_frame_to_pool(
-            world, Pose.identity(), pool, params)
+        pts, _, centroid, _ = self.match(world, Pose.identity(), pool, params)
         _, ref_centroid = self.brute_force(world, pool, 5, 1e9)
         # every neighbor set lies in the plane z = 0, so every point matches
         np.testing.assert_array_equal(pts, world)
@@ -146,16 +155,14 @@ class TestMatchFrameToPool:
     def test_pool_smaller_than_k(self):
         pool, world = self.pool_and_points()
         for size in (0, 1, 4):
-            out = lba._match_frame_to_pool(world, Pose.identity(), pool[:size],
-                                           self.PARAMS)
+            out = self.match(world, Pose.identity(), pool[:size], self.PARAMS)
             assert all(len(a) == 0 for a in out)
 
     def test_pool_of_exactly_k(self):
         pool, _ = self.pool_and_points()
         five = pool[300:305]
         query = np.array([[10.1, 10.1, 0.01]])
-        pts, _, centroid, _ = lba._match_frame_to_pool(
-            query, Pose.identity(), five, self.PARAMS)
+        pts, _, centroid, _ = self.match(query, Pose.identity(), five, self.PARAMS)
         np.testing.assert_array_equal(pts, query)
         np.testing.assert_allclose(centroid[0], five.mean(axis=0), atol=1e-12)
 
@@ -350,8 +357,10 @@ class TestOptimizeWindow:
         assert result.final_cost == pytest.approx(data + math.fsum(ties),
                                                   rel=1e-12)
 
-    def test_each_round_matches_each_frame_once(self, monkeypatch):
-        # the window costs are taken from the last round's matches, so no
+    @pytest.mark.parametrize("refined", [False, True])
+    def test_searches_each_frame_at_most_twice(self, monkeypatch, refined):
+        # round 0 searches every frame, round 1 only the frames that arrive
+        # unrefined, and later rounds re-fit to the neighbors they hold; no
         # kd-tree is built after the round loop
         built = []
 
@@ -367,9 +376,40 @@ class TestOptimizeWindow:
         init = [ds.trajectory.poses[0]] + [
             sim.perturb(p, 0.03, 1.5, rng.integers(1 << 31))
             for p in ds.trajectory.poses[1:]]
-        result = lba.optimize_window(frames, init, 0, FAST)
+        n_refined = len(frames) if refined else 0
+        result = lba.optimize_window(frames, init, 0, FAST, n_refined=n_refined)
         rounds = max(entry["round"] for entry in result.trace) + 1
-        assert len(built) == rounds * (len(frames) - 1)
+        assert rounds >= 3
+        searches = 1 if refined else 2
+        assert len(built) == searches * (len(frames) - 1)
+
+    def test_refit_at_unchanged_poses_equals_search(self, monkeypatch):
+        # with the poses held (no LM step, no early stop) and the Cauchy
+        # factor not annealed, every round sees the same pool: the re-fit
+        # rounds 2.. must give round 0's searched batches bit for bit
+        solves = []
+
+        def holding(batch, pose, prior=None):
+            solves.append(batch)
+            return pose, []
+
+        monkeypatch.setattr(lba, "lm_refine", holding)
+        monkeypatch.setattr(lba, "CAUCHY_DECAY", 1.0)
+        monkeypatch.setattr(lba, "INNER_TOL", -1.0)
+        ds = room_dataset(5)
+        frames = [pc.voxel_downsample(f, 0.3) for f in deskewed_frames(ds)]
+        rng = np.random.default_rng(7)
+        init = [ds.trajectory.poses[0]] + [
+            sim.perturb(p, 0.03, 1.5, rng.integers(1 << 31))
+            for p in ds.trajectory.poses[1:]]
+        lba.optimize_window(frames, init, 0, lba.LbaParams(assoc_rounds=3))
+        per_round = len(frames) - 1
+        searched, refit = solves[:per_round], solves[2 * per_round:]
+        assert len(refit) == per_round
+        for a, b in zip(searched, refit):
+            assert len(a) > 0
+            for name in ("points", "normals", "centroids", "weights"):
+                np.testing.assert_array_equal(getattr(b, name), getattr(a, name))
 
     def test_final_cost_not_above_initial(self):
         # noisy frames started 0.2 mm / 0.002 deg off their true poses: the
