@@ -98,6 +98,11 @@ class CalibConfig:
             raise InvalidParams("frame stride must be >= 1")
         if not (self.reject_start > 0.0 and self.reject_end > 0.0):
             raise InvalidParams("reject_start and reject_end must be positive")
+        if self.reject_iters < 1:
+            raise InvalidParams(f"reject_iters = {self.reject_iters}: must be >= 1")
+        if self.rot_seed_candidates < 0:
+            raise InvalidParams(f"rot_seed_candidates = {self.rot_seed_candidates}: "
+                                "must be >= 0 (0 disables seeding)")
         if not self.downsample_leaf >= 0.0:
             raise InvalidParams("downsample_leaf must be >= 0 (0 is off)")
 
@@ -234,7 +239,8 @@ def _seed_score(map_index: VoxelMapIndex, nearest: "_NearestPlaneLookup",
     bucket_cnt = np.bincount(buckets, minlength=3)
     dist, ids = nearest.query(world, radius)
     hit = ids >= 0
-    agree = np.abs(np.einsum("ij,ij->i", map_index.normals[ids[hit]], n_world[hit]))
+    agree = np.abs(np.einsum("ij,ij->i", map_index.planes.normals[ids[hit]],
+                             n_world[hit]))
     prox = 1.0 / (1.0 + (dist[hit] / ROT_SEED_KERNEL) ** 2)
     bucket_sum = np.bincount(buckets[hit], prox * (agree >= NORMAL_GATE),
                              minlength=3)
@@ -329,18 +335,19 @@ def _associate_frame(index: VoxelMapIndex, points: np.ndarray,
     """The frame's matches: sensor-frame points with their world positions
     under the anchor and the estimate, and their sensor-frame local
     normals. None with fewer than MIN_FRAME_CORR matches."""
+    planes = index.planes
     if nearest is not None:
         _, ids = nearest.query(world, reject_dist)
         if (ids >= 0).any():
             resid = np.abs(np.einsum(
-                "ij,ij->i", index.normals[np.maximum(ids, 0)],
-                world - index.centroids[np.maximum(ids, 0)]))
+                "ij,ij->i", planes.normals[np.maximum(ids, 0)],
+                world - planes.centroids[np.maximum(ids, 0)]))
             ids = np.where(resid <= reject_dist, ids, -1)
     else:
         ids = vm.associate_batch(world, index, reject_dist)
     if (ids >= 0).any():
         rot_w = anchor.rotation @ estimate.rotation
-        agree = np.abs(np.einsum("ij,ij->i", index.normals[np.maximum(ids, 0)],
+        agree = np.abs(np.einsum("ij,ij->i", planes.normals[np.maximum(ids, 0)],
                                  local_normals @ rot_w.T))
         ids = np.where(agree >= NORMAL_GATE, ids, -1)
     matched = ids >= 0
@@ -349,8 +356,8 @@ def _associate_frame(index: VoxelMapIndex, points: np.ndarray,
     world = world[matched]
     ids = ids[matched]
     pts = points[matched]
-    normals = index.normals[ids]
-    centroids = index.centroids[ids]
+    normals = planes.normals[ids]
+    centroids = planes.centroids[ids]
     resid = np.abs(np.einsum("ij,ij->i", normals, world - centroids))
     # robust scale per dominant normal axis: residual magnitudes are highly
     # anisotropic while converging, and a single global scale would crush
@@ -363,7 +370,7 @@ def _associate_frame(index: VoxelMapIndex, points: np.ndarray,
             continue
         scale = max(CAUCHY_SCALE_FLOOR, float(np.median(resid[sel])))
         robust[sel] = cauchy_weights(resid[sel], CAUCHY_FACTOR, scale)
-    return PlaneBatch(pts, normals, centroids, index.weights[ids] * robust,
+    return PlaneBatch(pts, normals, centroids, planes.weights[ids] * robust,
                       anchor)
 
 

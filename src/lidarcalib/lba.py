@@ -76,11 +76,12 @@ class LbaParams:
 def _check_window(w: int, d: int) -> None:
     """Window size w and step d preconditions of the window plan."""
     if w < 2:
-        raise InvalidParams("window size must be >= 2")
-    if d % 2 != 0:
-        raise InvalidParams("step size d must be even (overlap o = d/2)")
+        raise InvalidParams(f"window = {w}: must be >= 2")
+    if d < 2 or d % 2 != 0:
+        raise InvalidParams(f"step = {d}: must be a positive even number "
+                            "(overlap o = step/2)")
     if d > w:
-        raise InvalidParams("step size d must not exceed window size w")
+        raise InvalidParams(f"step = {d}: must not exceed window = {w}")
 
 
 @dataclass

@@ -14,7 +14,7 @@ depend on scheduling or frame count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -372,16 +372,10 @@ def write_dataset(ds: SimDataset, out_dir) -> None:
     pc.save_trajectory(ds.trajectory, out / "trajectory_gt.txt")
     with open(out / "extrinsic_gt.txt", "w") as fh:
         fh.write(pc.format_pose_line(ds.extrinsic, 0.0) + "\n")
-    m = ds.model
     meta = {
         "scene": ds.scene.name,
         "rig": ds.rig_name or "custom",
-        "beams": m.beams,
-        "vertical_fov_deg": m.vertical_fov_deg,
-        "horizontal_res_deg": m.horizontal_res_deg,
-        "max_range": m.max_range,
-        "range_sigma": m.range_sigma,
-        "scan_period": m.scan_period,
+        **{f.name: getattr(ds.model, f.name) for f in fields(LidarModel)},
         "seed": ds.seed,
         "frame_count": len(ds.frames_a),
     }
@@ -422,14 +416,9 @@ def read_dataset(dataset_dir) -> SimDataset:
                              f"a valid {kind.__name__}") from None
 
     try:
-        model = LidarModel(
-            beams=value("beams", int, 16),
-            vertical_fov_deg=value("vertical_fov_deg", float, 30.0),
-            horizontal_res_deg=value("horizontal_res_deg", float, 0.4),
-            max_range=value("max_range", float, 50.0),
-            range_sigma=value("range_sigma", float, 0.01),
-            scan_period=value("scan_period", float, 0.1),
-        )
+        # a key missing from meta.txt takes the model's default
+        model = LidarModel(**{f.name: value(f.name, type(f.default), f.default)
+                              for f in fields(LidarModel)})
     except InvalidParams as exc:
         raise ParseError(f"{meta_path}: {exc}") from None
     trajectory = pc.load_trajectory(root / "trajectory_gt.txt")

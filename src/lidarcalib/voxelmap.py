@@ -6,21 +6,24 @@ higher-index cell). The octree is built one depth at a time: every cell of
 a depth is fitted in one `ptplane.fit_groups` call and judged by
 `ptplane.plane_gate`, the plane test LBA's neighbour sets pass too. Cells
 that pass become planes; complex cells subdivide into eight children of half
-the edge length until max_depth. Each plane keeps its point cluster (count,
-centroid, centred second moments). Face-adjacent coplanar leaves can be
-merged, fitted from the sum of their clusters without reading a map
-point, and every plane carries a confidence weight
+the edge length until max_depth. Planes are held as `Planes`, one row
+array per field; each plane keeps its point cluster (count, centroid,
+centred second moments). Face-adjacent coplanar leaves can be merged,
+fitted from the sum of their clusters without reading a map point, and
+every plane carries a confidence weight
 
     weight = point_count / (1 + sigma_lambda) * exp(-GAMMA * eta)
 
 where eta = lambda1 / (lambda2 + lambda3) is the planarity index and
 sigma_lambda the standard deviation of the three eigenvalues.
 
-Containment association walks the octree depth by depth through one sorted
-key table per depth, built when the index is finished: every node's cell
-key with its plane id, or whether to descend or stop. A depth's lookup is
-one `np.searchsorted`, with no loop over cells. The finished index is
-immutable and safe for concurrent association queries.
+Cells are looked up through one sorted key table per depth, built with the
+octree: every node's cell key with its leaf id, or whether to descend or
+stop. A depth's lookup is one `np.searchsorted`, with no loop over cells.
+Containment association walks the tables down from a point's root cell,
+and merging finds face neighbours by walking down from the cell across each
+leaf face. The finished index is immutable and safe for concurrent
+association queries.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ PLANAR = "planar"
 SUBDIVIDED = "subdivided"
 DISCARDED = "discarded"
 
-# cell targets in the association key tables: a PLANAR cell's target is its
-# plane id, a SUBDIVIDED cell's _DESCEND, a DISCARDED or absent cell's _STOP
+# cell targets in the key tables: a PLANAR cell's target is its leaf id, a
+# SUBDIVIDED cell's _DESCEND, a DISCARDED or absent cell's _STOP
 _STOP = -1
 _DESCEND = -2
 # the confidence weight's decay with planarity (see the module docstring)
@@ -69,28 +72,43 @@ class VoxelParams:
             raise InvalidParams("min_points must be >= 3")
 
 
-@dataclass(frozen=True)
-class PlaneFeature:
-    """Fitted voxel plane: unit normal (of arbitrary sign), centroid,
-    ascending eigenvalues. The count, centroid and moments (see
-    `ptplane.fit_groups`) are the plane's point cluster."""
+def confidence_weight(point_count, sigma_lambda, eta, gamma):
+    """point_count / (1 + sigma_lambda) * exp(-gamma * eta), elementwise."""
+    return point_count / (1.0 + sigma_lambda) * np.exp(-gamma * eta)
 
-    normal: np.ndarray
-    centroid: np.ndarray
-    eigenvalues: np.ndarray
-    point_count: int
-    eta: float
-    sigma_lambda: float
-    weight: float
-    voxel_keys: tuple
+
+@dataclass(frozen=True, eq=False)
+class Planes:
+    """Fitted planes, one row each: point count, centroid, centred second
+    moments (see `ptplane.fit_clusters`), ascending eigenvalues, unit normal
+    (of arbitrary sign) and confidence weight. The count, centroid and
+    moments are the plane's point cluster."""
+
+    counts: np.ndarray
+    centroids: np.ndarray
     moments: np.ndarray
+    eigenvalues: np.ndarray
+    normals: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def fitted(cls, counts: np.ndarray, fit) -> "Planes":
+        """The planes of clusters fitted by `ptplane.fit_clusters`, fit =
+        (centroids, eigenvalues, normals, moments), weighted here."""
+        centroids, evals, normals, moments = fit
+        weights = confidence_weight(counts, np.std(evals, axis=1),
+                                    planarity(evals), GAMMA)
+        return cls(counts, centroids, moments, evals, normals, weights)
+
+    def __len__(self) -> int:
+        return len(self.counts)
 
 
 class _CellTable(NamedTuple):
-    """One depth's nodes for containment lookups. Cells are (3, M) arrays,
-    one row per axis. The key of a cell is its C-order index in the box
-    lo..hi, the nodes' cell box padded by a rim of one empty cell; `keys`
-    holds the nodes' keys in ascending order, `targets` their targets."""
+    """One depth's nodes for cell lookups. Cells are (3, M) arrays, one row
+    per axis. The key of a cell is its C-order index in the box lo..hi, the
+    nodes' cell box padded by a rim of one empty cell; `keys` holds the
+    nodes' keys in ascending order, `targets` their targets."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -117,67 +135,26 @@ class _CellTable(NamedTuple):
         return np.where(self.keys[pos] == keys, self.targets[pos], _STOP)
 
 
-def _cell_tables(nodes: dict, leaf_to_plane: np.ndarray) -> list[_CellTable]:
-    """One `_CellTable` per depth, from the root down to the deepest node."""
-    if not nodes:
-        return []
-    keys = np.array(list(nodes), dtype=np.int64)
-    depth, cells = keys[:, 0], keys[:, 1:].T
-    status = np.array([st for st, _ in nodes.values()])
-    targets = np.full(len(status), _STOP)
-    targets[status == SUBDIVIDED] = _DESCEND
-    targets[status == PLANAR] = leaf_to_plane[
-        [leaf for st, leaf in nodes.values() if st == PLANAR]]
-    return [_CellTable.build(cells[:, depth == d], targets[depth == d])
-            for d in range(int(depth.max()) + 1)]
-
-
-def confidence_weight(point_count, sigma_lambda, eta, gamma):
-    """point_count / (1 + sigma_lambda) * exp(-gamma * eta), elementwise."""
-    return point_count / (1.0 + sigma_lambda) * np.exp(-gamma * eta)
-
-
-def _features(fit, counts: np.ndarray, keys: list) -> list[PlaneFeature]:
-    """PlaneFeatures of fitted point sets, one per row of fit = (centroids,
-    eigenvalues, normals, moments) as `ptplane.fit_groups` returns it."""
-    centroids, evals, normals, moments = fit
-    eta = planarity(evals)
-    sigma = np.std(evals, axis=1)
-    weight = confidence_weight(counts, sigma, eta, GAMMA)
-    return [PlaneFeature(*row) for row in zip(
-        normals, centroids, evals, counts.tolist(), eta.tolist(),
-        sigma.tolist(), weight.tolist(), keys, moments)]
-
-
 class VoxelMapIndex:
     """Octree classification over map points plus the extracted planes.
 
     nodes maps (depth, ix, iy, iz) to PLANAR/SUBDIVIDED/DISCARDED; planar
-    nodes also record their index into leaf_planes, which lists the leaves
-    by depth, and by cell within a depth. `point_leaf` holds each map
-    point's leaf, -1 outside every leaf. After merge_neighbors, `planes`
-    holds merged features and leaf_to_plane redirects leaves. `normals`
-    (P, 3), `centroids` (P, 3) and `weights` (P,) stack the fields of
-    `planes` in order, for vectorized association. `associate_batch` reads
-    `nodes` through per-depth key tables (see the module docstring), built
-    when the planes are set.
+    nodes also record their leaf id, their row in `leaf_planes`, which lists
+    the leaves by depth, and by cell within a depth. `leaf_keys` (L, 4)
+    holds each leaf's (depth, ix, iy, iz) and `point_leaf` each map point's
+    leaf, -1 outside every leaf. `planes` holds the planes association
+    returns and `leaf_to_plane` each leaf's row in it: the leaves
+    themselves until merge_neighbors, whose merged planes' cells are the
+    leaves that map to them. `_tables` are the per-depth key tables (see the
+    module docstring), which hold leaf ids and so serve every plane set.
     """
 
     def __init__(self, points: np.ndarray, params: VoxelParams):
         self.points = np.asarray(points, dtype=float).reshape(-1, 3)
         self.params = params
         self.nodes: dict[tuple, tuple[str, int | None]] = {}
-        self.leaf_planes: list[PlaneFeature] = []
         self.point_leaf = np.full(len(self.points), -1)
-        self._finalize([], np.zeros(0, dtype=int))
-
-    def _finalize(self, planes: list[PlaneFeature], leaf_to_plane: np.ndarray):
-        self.planes = planes
-        self.leaf_to_plane = leaf_to_plane
-        self.normals = np.array([p.normal for p in planes]).reshape(-1, 3)
-        self.centroids = np.array([p.centroid for p in planes]).reshape(-1, 3)
-        self.weights = np.array([p.weight for p in planes], dtype=float)
-        self._tables = _cell_tables(self.nodes, leaf_to_plane)
+        self._tables: list[_CellTable] = []
 
     def edge_length(self, depth: int) -> float:
         return self.params.l_parent / (2 ** depth)
@@ -195,6 +172,11 @@ def build_adaptive(source, params: VoxelParams | None = None) -> VoxelMapIndex:
     params = params or VoxelParams()
     params.validate()
     index = VoxelMapIndex(getattr(source, "points", source), params)
+    # per depth: the leaves' keys, counts and fit rows, after a row-less
+    # entry that gives a map without points its empty arrays
+    leaves = [(np.zeros((0, 4), dtype=np.int64), np.zeros(0, dtype=np.int64),
+               *fit_groups(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 0))]
+    n_leaves = 0
     active = np.arange(len(index.points))
     for depth in range(params.max_depth + 1):
         if len(active) == 0:
@@ -218,108 +200,101 @@ def build_adaptive(source, params: VoxelParams | None = None) -> VoxelMapIndex:
                                      MAX_DEV_FLOOR)
         split = (enough & ~planar & (evals[:, 1] >= COLLINEAR_EPS)
                  & (depth < params.max_depth))
-        node_keys = [(depth, *c) for c in cells[order[starts]].tolist()]
+        node_cells = cells[order[starts]]
         status = np.where(planar, PLANAR, np.where(split, SUBDIVIDED, DISCARDED))
-        leaf_ids = np.cumsum(planar) - 1 + len(index.leaf_planes)
+        leaf_ids = np.cumsum(planar) - 1 + n_leaves
         index.nodes.update(
-            (key, (st, leaf if st == PLANAR else None))
-            for key, st, leaf in zip(node_keys, status.tolist(), leaf_ids.tolist()))
+            ((depth, *c), (st, leaf if st == PLANAR else None)) for c, st, leaf
+            in zip(node_cells.tolist(), status.tolist(), leaf_ids.tolist()))
+        index._tables.append(_CellTable.build(node_cells.T, np.where(
+            planar, leaf_ids, np.where(split, _DESCEND, _STOP))))
         on_leaf = np.repeat(planar, counts)
         index.point_leaf[active[on_leaf]] = leaf_ids[labels[on_leaf]]
         sel = np.flatnonzero(planar)
-        index.leaf_planes += _features([a[sel] for a in fit], counts[sel],
-                                       [(node_keys[c],) for c in sel])
+        leaves.append((np.column_stack([np.full(len(sel), depth), node_cells[sel]]),
+                       counts[sel], *(a[sel] for a in fit)))
+        n_leaves += len(sel)
         active = active[np.repeat(split, counts)]
-    index._finalize(list(index.leaf_planes), np.arange(len(index.leaf_planes)))
+    index.leaf_keys, counts, *fit = (np.concatenate(a) for a in zip(*leaves))
+    index.leaf_planes = index.planes = Planes.fitted(counts, fit)
+    index.leaf_to_plane = np.arange(n_leaves)
     return index
 
 
-def _refit_unions(index: VoxelMapIndex, labels: np.ndarray,
-                  n_groups: int) -> dict[int, PlaneFeature]:
-    """The plane of each group of two or more leaves (labels ==
-    0..n_groups-1), fitted in one kernel call from the sum of the leaves'
-    clusters, where every member's mean squared distance to it, n^T (C +
-    (mu - c)(mu - c)^T) n from the leaf's moments C and centroid mu, is at
-    most 4 * lambda1(leaf) + 1e-12. No map point is read."""
-    leaves = index.leaf_planes
-    sizes = np.array([leaf.point_count for leaf in leaves])
-    mu = np.array([leaf.centroid for leaf in leaves]).reshape(-1, 3)
-    cov = np.array([leaf.moments for leaf in leaves]).reshape(-1, 6)
-    fit = centroids, _, normals, _ = fit_clusters(sizes, mu, cov, labels, n_groups)
-    mean_sq = cluster_sq_distance(mu, cov, normals[labels], centroids[labels])
-    own = np.array([leaf.eigenvalues[0] for leaf in leaves])
-    fits = np.bincount(labels, mean_sq > 4.0 * own + 1e-12, n_groups) == 0
-    kept = np.flatnonzero(fits & (np.bincount(labels, minlength=n_groups) > 1))
-    keys = [tuple(k for m in np.flatnonzero(labels == g)
-                  for k in leaves[m].voxel_keys) for g in kept]
-    counts = np.bincount(labels, sizes, n_groups).astype(int)
-    planes = _features([a[kept] for a in fit], counts[kept], keys)
-    return dict(zip(kept.tolist(), planes))
-
-
-_FACES = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+_FACES = np.vstack([np.eye(3, dtype=np.int64), -np.eye(3, dtype=np.int64)])
 
 
 def _face_neighbor_pairs(index: VoxelMapIndex) -> np.ndarray:
-    """(i, j) pairs of leaves, i < j, that share part of a face.
+    """(i, j) pairs of leaves, i < j, that share part of a face, in
+    ascending order.
 
-    For each face of a leaf, the cell across it at the leaf's depth is
-    looked up in `index.nodes`, then that cell's ancestors; the first node
-    found decides, and a PLANAR one is a neighbour. A neighbour smaller than
-    the leaf is found from its own side.
+    The cell across each face of a leaf, at the leaf's depth, is walked down
+    the key tables from its root cell, one lookup per depth for all faces:
+    the first node on the way that is not SUBDIVIDED, at most at the leaf's
+    depth, decides, and a PLANAR one is a neighbour. A neighbour smaller
+    than the leaf is found from its own side.
     """
-    pairs = set()
-    for i, leaf in enumerate(index.leaf_planes):
-        depth, *cell = leaf.voxel_keys[0]
-        for face in _FACES:
-            nbr = [c + f for c, f in zip(cell, face)]
-            for d in range(depth, -1, -1):
-                node = index.nodes.get((d, *nbr))
-                if node is not None:
-                    status, j = node
-                    if status == PLANAR:
-                        pairs.add((min(i, j), max(i, j)))
-                    break
-                nbr = [c >> 1 for c in nbr]
-    return np.array(sorted(pairs), dtype=int).reshape(-1, 2)
+    leaf = np.repeat(np.arange(len(index.leaf_keys)), len(_FACES))
+    depth = index.leaf_keys[leaf, 0]
+    cells = (index.leaf_keys[:, None, 1:] + _FACES).reshape(-1, 3)
+    found = [np.zeros((0, 2), dtype=np.int64)]
+    active = np.arange(len(leaf))
+    for d, table in enumerate(index._tables):
+        targets = table.lookup((cells[active] >> (depth[active] - d)[:, None]).T)
+        hit = targets >= 0
+        found.append(np.column_stack([leaf[active[hit]], targets[hit]]))
+        active = active[(targets == _DESCEND) & (depth[active] > d)]
+    return np.unique(np.sort(np.vstack(found), axis=1), axis=0)
 
 
 def merge_neighbors(index: VoxelMapIndex, tau_theta: float, tau_d: float) -> VoxelMapIndex:
     """Merge face-adjacent coplanar leaves, transitively.
 
     Candidate pairs need normals within tau_theta and centroids within
-    tau_d. A candidate group is then refit from the sum of its member
-    leaves' point clusters, reading no map point, and kept only if every
-    member leaf fits the union plane about as well as its own plane (see
-    _refit_unions); otherwise the group's leaves stay unmerged. The angle
-    and distance gates are pairwise, so a chain of leaves that each hold a
-    strip of an adjacent surface can pass them and still blend two surfaces
-    into one tilted plane; the member check rejects such unions.
+    tau_d. Every candidate group is then fitted from the sum of its member
+    leaves' point clusters, reading no map point, and a group of two or
+    more leaves is kept only if each member's mean squared distance to the
+    union plane, n^T (C + (mu - c)(mu - c)^T) n from the leaf's moments C
+    and centroid mu, is at most 4 * lambda1(leaf) + 1e-12: every member
+    fits the union about as well as its own plane. Otherwise the group's
+    leaves stay unmerged. The angle and distance gates are pairwise, so a
+    chain of leaves that each hold a strip of an adjacent surface can pass
+    them and still blend two surfaces into one tilted plane; the member
+    check rejects such unions.
 
     Merging always starts over from the unmerged leaves, so applying this
     twice equals applying it once. The plane count never increases.
     """
-    n = len(index.leaf_planes)
+    leaves = index.leaf_planes
+    n = len(leaves)
     pairs = _face_neighbor_pairs(index)
-    normals = np.array([p.normal for p in index.leaf_planes]).reshape(n, 3)
-    centroids = np.array([p.centroid for p in index.leaf_planes]).reshape(n, 3)
     i, j = pairs.T
-    cos_t = np.clip(np.abs(np.einsum("ij,ij->i", normals[j], normals[i])), 0.0, 1.0)
-    dist = np.linalg.norm(centroids[j] - centroids[i], axis=1)
+    cos_t = np.clip(np.abs(np.einsum("ij,ij->i", leaves.normals[j],
+                                     leaves.normals[i])), 0.0, 1.0)
+    dist = np.linalg.norm(leaves.centroids[j] - leaves.centroids[i], axis=1)
     pairs = pairs[(np.arccos(cos_t) < tau_theta) & (dist < tau_d)]
     graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
     n_groups, labels = connected_components(graph, directed=False)
-    unions = _refit_unions(index, labels, n_groups)
+    fit = fit_clusters(leaves.counts, leaves.centroids, leaves.moments,
+                       labels, n_groups)
+    unions = Planes.fitted(np.bincount(labels, leaves.counts, n_groups).astype(int),
+                           fit)
+    mean_sq = cluster_sq_distance(leaves.centroids, leaves.moments,
+                                  unions.normals[labels], unions.centroids[labels])
+    misfits = np.bincount(labels, mean_sq > 4.0 * leaves.eigenvalues[:, 0] + 1e-12,
+                          n_groups)
+    kept = (misfits == 0) & (np.bincount(labels, minlength=n_groups) > 1)
     # components are labelled in the order of their smallest leaf; a kept
     # union becomes one plane, and each leaf of any other group its own
     order = np.argsort(labels, kind="stable")
     group = labels[order]
-    starts = np.r_[True, group[1:] != group[:-1]] | ~np.isin(group, list(unions))
-    leaf_to_plane = (np.cumsum(starts) - 1)[np.argsort(order)]
-    merged = [unions.get(g, index.leaf_planes[m])
-              for m, g in zip(order[starts].tolist(), group[starts].tolist())]
+    starts = np.r_[True, group[1:] != group[:-1]] | ~kept[group]
+    # each plane's row in the unions' rows followed by the leaves'
+    rows = np.where(kept[group[starts]], group[starts], n_groups + order[starts])
     out = copy.copy(index)
-    out._finalize(merged, leaf_to_plane)
+    out.leaf_to_plane = (np.cumsum(starts) - 1)[np.argsort(order)]
+    out.planes = Planes(*(np.concatenate(pair)[rows] for pair in zip(
+        vars(unions).values(), vars(leaves).values())))
     return out
 
 
@@ -330,7 +305,8 @@ def associate_batch(points: np.ndarray, index: VoxelMapIndex,
     Returns per-point indices into index.planes, -1 where the containing
     cell chain ends in a discarded/empty cell or the distance gate fails.
     Depth by depth, the points still descending look their cells up in the
-    index's key table for that depth (see `VoxelMapIndex`).
+    index's key table for that depth (see `VoxelMapIndex`); a leaf found
+    maps to its plane through `leaf_to_plane`.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     n = len(points)
@@ -346,13 +322,14 @@ def associate_batch(points: np.ndarray, index: VoxelMapIndex,
         cells = np.floor(coords[:, active] / index.edge_length(depth)).astype(np.int64)
         targets = table.lookup(cells)
         planar = targets >= 0
-        out[active[planar]] = targets[planar]
+        out[active[planar]] = index.leaf_to_plane[targets[planar]]
         active = active[targets == _DESCEND]
     matched = out >= 0
     if matched.any():
         ids = out[matched]
+        planes = index.planes
         dist = np.abs(np.einsum(
-            "ij,ij->i", index.normals[ids], points[matched] - index.centroids[ids]))
+            "ij,ij->i", planes.normals[ids], points[matched] - planes.centroids[ids]))
         bad = dist > reject_dist
         sel = np.nonzero(matched)[0][bad]
         out[sel] = -1

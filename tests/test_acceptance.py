@@ -22,7 +22,7 @@ from lidarcalib import simulator as sim
 from lidarcalib import voxelmap as vm
 from lidarcalib.config import RunConfig
 from lidarcalib.geometry import Pose
-from lidarcalib.ptplane import PlaneBatch
+from lidarcalib.ptplane import PlaneBatch, planarity
 
 from test_geometry import random_pose
 from test_voxelmap import plane_patch
@@ -225,9 +225,10 @@ class TestCriterion7:
         pts = np.column_stack([xx.ravel(), yy.ravel(), np.zeros(xx.size)])
         index = vm.build_adaptive(pts, vm.VoxelParams())
         assert index.nodes and all(s == vm.PLANAR for s, _ in index.nodes.values())
-        assert all(p.eta < 0.01 for p in index.planes)
+        eta = planarity(index.planes.eigenvalues)
+        assert np.all(eta < 0.01)
         report(7, f"single-plane map: {len(index.planes)} planar roots, "
-                  f"max eta {max(p.eta for p in index.planes):.2e}")
+                  f"max eta {eta.max():.2e}")
 
     def test_corner_voxel_subdivides(self):
         rng = np.random.default_rng(2)
@@ -251,9 +252,10 @@ class TestCriterion7:
             once = vm.merge_neighbors(index, math.radians(8.0), 1.5)
             twice = vm.merge_neighbors(once, math.radians(8.0), 1.5)
             assert len(once.planes) == len(twice.planes)
-            for p, q in zip(once.planes, twice.planes):
-                np.testing.assert_allclose(p.normal, q.normal, atol=1e-12)
-                np.testing.assert_allclose(p.centroid, q.centroid, atol=1e-12)
+            np.testing.assert_allclose(once.planes.normals, twice.planes.normals,
+                                       atol=1e-12)
+            np.testing.assert_allclose(once.planes.centroids,
+                                       twice.planes.centroids, atol=1e-12)
         report(7, "merge_neighbors idempotent on 100 random layouts")
 
 

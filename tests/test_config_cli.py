@@ -65,6 +65,12 @@ class TestConfig:
                      "lba.max_corr_dist = nan", "voxel.l_parent = nan"):
             with pytest.raises(ConfigError):
                 cfgmod.parse_config_lines([line])
+        # each rule's message names its key
+        for line in ("lba.step = 0", "lba.step = -2", "lba.window = 1",
+                     "calib.reject_iters = 0", "calib.rot_seed_candidates = -1"):
+            section, key = line.split(" =")[0].split(".")
+            with pytest.raises(ConfigError, match=f"{section}: {key} = "):
+                cfgmod.parse_config_lines([line])
         # the sensor model's rules, reported under their sim. key
         for line in ("sim.beams = 0", "sim.horizontal_res_deg = 0",
                      "sim.horizontal_res_deg = -2", "sim.horizontal_res_deg = 361",

@@ -231,7 +231,7 @@ def loop_chamfer(index, nearest, probes, cand, radius):
             continue
         plane_ids = ids[hit]
         agree = np.abs(np.einsum(
-            "ij,ij->i", index.normals[plane_ids], n_world[hit]))
+            "ij,ij->i", index.planes.normals[plane_ids], n_world[hit]))
         prox = 1.0 / (1.0 + (dist[hit] / ext.ROT_SEED_KERNEL) ** 2)
         np.add.at(bucket_sum, buckets[hit], prox * (agree >= ext.NORMAL_GATE))
     occupied = bucket_cnt > 0
@@ -264,11 +264,11 @@ def test_nearest_lookup_owners(room_calib_setup):
     with its leaf's plane id, and no other point."""
     _, index, _ = room_calib_setup
     owner = np.full(len(index.points), -1)
-    for leaf, plane_id in zip(index.leaf_planes, index.leaf_to_plane):
-        depth, *cell = leaf.voxel_keys[0]
+    for (depth, *cell), count, plane_id in zip(
+            index.leaf_keys.tolist(), index.leaf_planes.counts, index.leaf_to_plane):
         inside = np.all(np.floor(index.points / index.edge_length(depth)) == cell,
                         axis=1)
-        assert np.all(owner[inside] == -1) and inside.sum() == leaf.point_count
+        assert np.all(owner[inside] == -1) and inside.sum() == count
         owner[inside] = plane_id
     lookup = ext._NearestPlaneLookup(index)
     owned = owner >= 0
@@ -368,8 +368,9 @@ class TestCalibrate:
             world = geo.apply(anchor, geo.apply(result.extrinsic, frame.positions))
             ids = vm.associate_batch(world, index, 0.3)
             hit = ids >= 0
-            batch = PlaneBatch(frame.positions[hit], index.normals[ids[hit]],
-                               index.centroids[ids[hit]], index.weights[ids[hit]],
+            planes = index.planes
+            batch = PlaneBatch(frame.positions[hit], planes.normals[ids[hit]],
+                               planes.centroids[ids[hit]], planes.weights[ids[hit]],
                                anchor)
             matches += len(batch)
             objective += batch.objective(result.extrinsic)

@@ -64,6 +64,13 @@ class TestPlanWindows:
                 lba.optimize_window([], [], 0, lba.LbaParams(),
                                     n_refined=n_refined)
 
+    def test_step_must_be_positive_and_even(self):
+        # a zero step divided by zero, a negative one planned no window
+        for d in (0, -2, -1, 1):
+            with pytest.raises(InvalidParams, match="step"):
+                lba.plan_windows(50, 10, d)
+        assert lba.plan_windows(50, 10, 2).windows[:2] == [(0, 9), (1, 10)]
+
     def test_coverage_and_starts(self):
         for n, w, d in [(37, 12, 6), (53, 20, 10), (11, 4, 2), (200, 40, 20)]:
             plan = lba.plan_windows(n, w, d)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -276,6 +277,22 @@ class TestGenerateDataset:
         assert back.rig_name == "config1"
         np.testing.assert_allclose(back.frames_a[0].positions,
                                    ds.frames_a[0].positions, atol=1e-6)
+
+    def test_sensor_model_round_trip(self, tmp_path):
+        scene = sim.builtin_scene("room")
+        traj = sim.make_trajectory("line", 1.0, 2)
+        ds = sim.generate_dataset(scene, traj, sim.RIG_PRESETS["config1"], COARSE, 3)
+        sim.write_dataset(ds, tmp_path)
+        assert COARSE != sim.LidarModel()
+        assert sim.read_dataset(tmp_path).model == COARSE
+        # a meta.txt without the model's keys reads as the default model
+        meta = tmp_path / "meta.txt"
+        names = {f.name for f in dataclasses.fields(sim.LidarModel)}
+        lines = meta.read_text().splitlines()
+        kept = [ln for ln in lines if ln.split("=")[0] not in names]
+        assert len(lines) - len(kept) == len(names)
+        meta.write_text("\n".join(kept) + "\n")
+        assert sim.read_dataset(tmp_path).model == sim.LidarModel()
 
 
 class TestPerturb:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lidarcalib import voxelmap as vm
 from lidarcalib.ptplane import (COLLINEAR_EPS, ETA_MAX, MAX_DEV_FLOOR,
-                                MAX_DEV_RATIO, fit_groups)
+                                MAX_DEV_RATIO, fit_groups, planarity)
 
 
 def plane_patch(rng, normal, centroid, extent, n, noise=0.0):
@@ -139,9 +139,10 @@ class TestBuildAdaptive:
         planar = [k for k, (s, _) in index.nodes.items() if s == vm.PLANAR]
         assert planar and all(k[0] == 0 for k in planar)
         assert all(s == vm.PLANAR for s, _ in index.nodes.values())
-        for plane in index.planes:
-            np.testing.assert_allclose(np.abs(plane.normal), [0, 0, 1], atol=1e-9)
-            assert plane.eta < 0.01
+        assert len(index.planes) == len(planar)
+        np.testing.assert_allclose(np.abs(index.planes.normals),
+                                   np.tile([0, 0, 1], (len(planar), 1)), atol=1e-9)
+        assert np.all(planarity(index.planes.eigenvalues) < 0.01)
 
     def test_perpendicular_walls_subdivide_corner(self):
         rng = np.random.default_rng(4)
@@ -168,7 +169,8 @@ class TestBuildAdaptive:
 
     def test_empty_map(self):
         index = vm.build_adaptive(np.zeros((0, 3)), vm.VoxelParams())
-        assert index.planes == []
+        assert len(index.planes) == 0
+        assert index.planes.normals.shape == (0, 3)
 
     def test_boundary_points_go_to_higher_cell(self):
         rng = np.random.default_rng(6)
@@ -192,11 +194,14 @@ class TestBuildAdaptive:
         moved = pts @ rot.T + shift
         index2 = vm.build_adaptive(moved, params)
         assert len(index2.planes) == len(index.planes)
-        orig = sorted(index.planes, key=lambda p: tuple((rot @ p.centroid + shift)))
-        new = sorted(index2.planes, key=lambda p: tuple(p.centroid))
-        for p, q in zip(orig, new):
-            np.testing.assert_allclose(rot @ p.centroid + shift, q.centroid, atol=1e-6)
-            assert abs(abs(np.dot(rot @ p.normal, q.normal)) - 1.0) < 1e-6
+        moved_c = index.planes.centroids @ rot.T + shift
+        orig = np.lexsort(moved_c.T[::-1])
+        new = np.lexsort(index2.planes.centroids.T[::-1])
+        np.testing.assert_allclose(moved_c[orig], index2.planes.centroids[new],
+                                   atol=1e-6)
+        dots = np.einsum("ij,ij->i", index.planes.normals[orig] @ rot.T,
+                         index2.planes.normals[new])
+        assert np.all(np.abs(np.abs(dots) - 1.0) < 1e-6)
 
 
 class TestMergeNeighbors:
@@ -212,9 +217,9 @@ class TestMergeNeighbors:
         assert len(index.planes) == 2
         merged = vm.merge_neighbors(index, math.radians(5.0), 1.5)
         assert len(merged.planes) == 1
-        plane = merged.planes[0]
-        np.testing.assert_allclose(np.abs(plane.normal), [0, 0, 1], atol=1e-9)
-        assert plane.point_count == 400
+        np.testing.assert_allclose(np.abs(merged.planes.normals[0]), [0, 0, 1],
+                                   atol=1e-9)
+        assert merged.planes.counts[0] == 400
 
     def test_perpendicular_not_merged(self):
         rng = np.random.default_rng(9)
@@ -233,9 +238,9 @@ class TestMergeNeighbors:
         merged = vm.merge_neighbors(index, math.radians(5.0), 1.5)
         assert len(merged.planes) == 1
         n_ref, c_ref, _ = eigh_plane(pts)
-        n = merged.planes[0].normal
+        n = merged.planes.normals[0]
         np.testing.assert_allclose(n * np.sign(n @ n_ref), n_ref, atol=1e-9)
-        np.testing.assert_allclose(merged.planes[0].centroid, c_ref, atol=1e-9)
+        np.testing.assert_allclose(merged.planes.centroids[0], c_ref, atol=1e-9)
 
     def test_distance_gate(self):
         rng = np.random.default_rng(11)
@@ -257,9 +262,10 @@ class TestMergeNeighbors:
         assert len(index.planes) == 2
         merged = vm.merge_neighbors(index, math.radians(5.0), 1.5)
         leaf = index.nodes[(0, 0, 0, 0)][1]
-        plane = merged.planes[merged.leaf_to_plane[leaf]]
-        np.testing.assert_allclose(np.abs(plane.normal), [0, 0, 1], atol=1e-9)
-        assert abs(plane.centroid[2] - 0.97) < 1e-9
+        plane = merged.leaf_to_plane[leaf]
+        np.testing.assert_allclose(np.abs(merged.planes.normals[plane]), [0, 0, 1],
+                                   atol=1e-9)
+        assert abs(merged.planes.centroids[plane, 2] - 0.97) < 1e-9
 
     def test_merging_reads_no_point(self, room_calib_setup):
         """Merging works from the leaves' clusters alone: with every map
@@ -273,10 +279,10 @@ class TestMergeNeighbors:
         blind_merged = vm.merge_neighbors(blind, tau_theta, tau_d)
         np.testing.assert_array_equal(blind_merged.leaf_to_plane, merged.leaf_to_plane)
         assert len(blind_merged.planes) == len(merged.planes)
-        for p, q in zip(blind_merged.planes, merged.planes):
-            assert p.voxel_keys == q.voxel_keys and p.point_count == q.point_count
-            for field in ("normal", "centroid", "eigenvalues", "moments"):
-                np.testing.assert_array_equal(getattr(p, field), getattr(q, field))
+        for field in ("counts", "normals", "centroids", "eigenvalues", "moments",
+                      "weights"):
+            np.testing.assert_array_equal(getattr(blind_merged.planes, field),
+                                          getattr(merged.planes, field))
 
     def test_idempotent_random_layouts(self):
         rng = np.random.default_rng(12)
@@ -293,16 +299,17 @@ class TestMergeNeighbors:
             once = vm.merge_neighbors(index, math.radians(8.0), 1.5)
             twice = vm.merge_neighbors(once, math.radians(8.0), 1.5)
             assert len(once.planes) == len(twice.planes)
-            for p, q in zip(once.planes, twice.planes):
-                np.testing.assert_allclose(p.normal, q.normal, atol=1e-12)
-                np.testing.assert_allclose(p.centroid, q.centroid, atol=1e-12)
-                assert p.point_count == q.point_count
+            np.testing.assert_allclose(once.planes.normals, twice.planes.normals,
+                                       atol=1e-12)
+            np.testing.assert_allclose(once.planes.centroids,
+                                       twice.planes.centroids, atol=1e-12)
+            np.testing.assert_array_equal(once.planes.counts, twice.planes.counts)
 
 
 def associate_one(point, index, reject_dist=0.3):
-    """The plane associate_batch gives a single point, or None."""
+    """The plane id associate_batch gives a single point, or None."""
     ids = vm.associate_batch(np.reshape(point, (1, 3)), index, reject_dist)
-    return index.planes[ids[0]] if ids[0] >= 0 else None
+    return int(ids[0]) if ids[0] >= 0 else None
 
 
 class TestAssociate:
@@ -317,7 +324,8 @@ class TestAssociate:
         pts, index = self._walls_index(rng)
         plane = associate_one([2.2, 2.2, 0.52], index, reject_dist=0.3)
         assert plane is not None
-        np.testing.assert_allclose(np.abs(plane.normal), [0, 0, 1], atol=1e-6)
+        np.testing.assert_allclose(np.abs(index.planes.normals[plane]), [0, 0, 1],
+                                   atol=1e-6)
 
     def test_point_in_empty_space(self):
         rng = np.random.default_rng(14)
@@ -347,8 +355,8 @@ class TestAssociate:
                 key = (depth,) + tuple(np.floor(query / edge).astype(int))
                 node = index.nodes.get(key)
                 if node and node[0] == vm.PLANAR:
-                    candidates.append(index.planes[index.leaf_to_plane[node[1]]])
-            assert candidates and plane is candidates[0]
+                    candidates.append(index.leaf_to_plane[node[1]])
+            assert candidates and plane == candidates[0]
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(17)
@@ -360,7 +368,7 @@ class TestAssociate:
             if i < 0:
                 assert single is None
             else:
-                assert single is index.planes[i]
+                assert single == i
 
 
     def test_batch_matches_node_walk(self):
@@ -401,8 +409,9 @@ class TestAssociate:
                     break
                 if node[0] == vm.PLANAR:
                     plane_id = index.leaf_to_plane[node[1]]
-                    plane = index.planes[plane_id]
-                    if abs(np.dot(plane.normal, q - plane.centroid)) <= reject:
+                    resid = np.dot(index.planes.normals[plane_id],
+                                   q - index.planes.centroids[plane_id])
+                    if abs(resid) <= reject:
                         expected[i] = plane_id
                     break
         assert np.count_nonzero(expected >= 0) > 300
@@ -493,28 +502,41 @@ def reference_merge(points, params, leaves, tau_theta, tau_d):
     return planes
 
 
-def assert_same_planes(planes, reference):
-    """Same voxel-key sets; normals and eigenvalues as the eigh reference's."""
-    got = {frozenset(p.voxel_keys): p for p in planes}
-    assert set(got) == set(reference)
+def plane_cells(index):
+    """Each row of index.planes as the frozenset of its leaves' (depth, ix,
+    iy, iz) keys."""
+    cells = [set() for _ in range(len(index.planes))]
+    for key, plane in zip(index.leaf_keys.tolist(), index.leaf_to_plane):
+        cells[plane].add(tuple(key))
+    return [frozenset(c) for c in cells]
+
+
+def assert_same_planes(index, reference):
+    """index.planes has the reference's voxel-key sets, and its normals and
+    eigenvalues are the eigh reference's; every plane's count is its
+    leaves'."""
+    planes = index.planes
+    got = {keys: p for p, keys in enumerate(plane_cells(index))}
+    assert len(got) == len(planes) and set(got) == set(reference)
     for keys, (normal, evals) in reference.items():
-        plane = got[keys]
-        assert abs(float(plane.normal @ normal)) >= 1.0 - 1e-12
-        np.testing.assert_allclose(plane.eigenvalues, evals, rtol=0,
+        p = got[keys]
+        assert abs(float(planes.normals[p] @ normal)) >= 1.0 - 1e-12
+        np.testing.assert_allclose(planes.eigenvalues[p], evals, rtol=0,
                                    atol=1e-12 * evals[2])
+    np.testing.assert_array_equal(
+        np.bincount(index.leaf_to_plane, index.leaf_planes.counts, len(planes)),
+        planes.counts)
 
 
 def assert_matches_reference(points, params, tau_theta, tau_d):
     nodes, leaves = reference_classify(points, params)
     index = vm.build_adaptive(points, params)
     assert {k: s for k, (s, _) in index.nodes.items()} == nodes
-    assert_same_planes(index.leaf_planes, {
+    assert_same_planes(index, {
         frozenset([key]): (normal, evals) for key, normal, _, evals, _ in leaves})
     merged = vm.merge_neighbors(index, tau_theta, tau_d)
-    assert_same_planes(merged.planes,
+    assert_same_planes(merged,
                        reference_merge(points, params, leaves, tau_theta, tau_d))
-    for leaf, plane_id in zip(merged.leaf_planes, merged.leaf_to_plane):
-        assert leaf.voxel_keys[0] in merged.planes[plane_id].voxel_keys
 
 
 class TestRecursiveReference:
@@ -539,3 +561,57 @@ class TestRecursiveReference:
         noisy = index.points + rng.normal(0.0, 0.01, index.points.shape)
         for pts in (index.points, noisy):
             assert_matches_reference(pts, vm.VoxelParams(), math.radians(5.0), 0.5)
+
+
+FACES = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+
+
+def reference_face_pairs(index):
+    """The per-leaf walk up index.nodes that the key-table walk of
+    `_face_neighbor_pairs` replaced: for each face of a leaf, the cell
+    across it at the leaf's depth, then that cell's ancestors, are looked up
+    in index.nodes; the first node found decides, and a PLANAR one is a
+    neighbour."""
+    pairs = set()
+    for i, (depth, *cell) in enumerate(index.leaf_keys.tolist()):
+        for face in FACES:
+            nbr = [c + f for c, f in zip(cell, face)]
+            for d in range(depth, -1, -1):
+                node = index.nodes.get((d, *nbr))
+                if node is not None:
+                    status, j = node
+                    if status == vm.PLANAR:
+                        pairs.add((min(i, j), max(i, j)))
+                    break
+                nbr = [c >> 1 for c in nbr]
+    return np.array(sorted(pairs), dtype=int).reshape(-1, 2)
+
+
+class TestFaceNeighborPairs:
+    """The key-table walk against the per-leaf node walk."""
+
+    def test_room_map(self, room_calib_setup):
+        _, index, _ = room_calib_setup
+        expected = reference_face_pairs(index)
+        assert len(expected) > 500
+        assert len(set(index.leaf_keys[:, 0].tolist())) > 1
+        np.testing.assert_array_equal(vm._face_neighbor_pairs(index), expected)
+
+    def test_random_mixed_depth_layouts(self):
+        rng = np.random.default_rng(21)
+        depths, n_pairs = set(), 0
+        for _ in range(60):
+            pts = np.vstack([plane_patch(rng, rng.normal(size=3),
+                                         rng.uniform(-2.0, 2.0, size=3),
+                                         rng.uniform(0.2, 1.5), 400, noise=0.002)
+                             for _ in range(rng.integers(1, 6))])
+            index = vm.build_adaptive(pts, vm.VoxelParams(min_points=5))
+            expected = reference_face_pairs(index)
+            np.testing.assert_array_equal(vm._face_neighbor_pairs(index), expected)
+            depths.update(index.leaf_keys[:, 0].tolist())
+            n_pairs += len(expected)
+        assert depths == {0, 1, 2, 3} and n_pairs > 100
+
+    def test_empty_map(self):
+        index = vm.build_adaptive(np.zeros((0, 3)))
+        assert vm._face_neighbor_pairs(index).shape == (0, 2)
