@@ -105,6 +105,9 @@ def cmd_lba(args) -> int:
     cfg = _load_effective_config(args)
     ds = sim.read_dataset(args.dataset)
     traj = pc.load_trajectory(args.traj)
+    if len(traj) != len(ds.frames_a):
+        raise StampMismatch(f"--traj {args.traj} has {len(traj)} poses but the "
+                            f"dataset has {len(ds.frames_a)} frames")
     frames = _deskew_all(ds.frames_a, traj, ds.model.scan_period)
     result = lba.run_sliding_lba(frames, traj, cfg.lba)
     out = Path(args.out)
@@ -238,9 +241,7 @@ _MEAN_COLUMNS = [c for c in _CSV_COLUMNS[2:] if c != "error"]
 
 
 def _trial_task(payload):
-    cfg_lines, trial, base_seed, perturb_spec = payload
-    from .config import parse_config_lines
-    cfg = parse_config_lines(cfg_lines.splitlines())
+    cfg, trial, base_seed, perturb_spec = payload
     try:
         row = run_trial(cfg, trial, base_seed, perturb_spec)
         row.pop("result", None)
@@ -261,7 +262,7 @@ def cmd_sweep(args) -> int:
     perturb_spec = tuple(args.perturb) if args.perturb else (0.4, 30.0)
     sim.check_perturb_bounds(*perturb_spec)
     base_seed = cfg.sim.seed
-    payloads = [(dump_config(cfg), i, base_seed, perturb_spec)
+    payloads = [(cfg, i, base_seed, perturb_spec)
                 for i in range(args.trials)]
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:

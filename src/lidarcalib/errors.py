@@ -37,7 +37,8 @@ class InvalidParams(LidarCalibError):
 
 class DegenerateGeometry(LidarCalibError):
     """Too few independent point-to-plane constraints to optimize an LBA
-    window. (A voxel cell that cannot hold a plane is DISCARDED instead.)"""
+    window. (A voxel cell that cannot hold a plane is discarded instead,
+    without an error.)"""
 
     def __init__(self, message: str, window: int | None = None):
         self.window = window

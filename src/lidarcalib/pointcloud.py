@@ -91,6 +91,9 @@ class Trajectory:
         return len(self.poses)
 
     def index_for_stamp(self, stamp: float, tol: float = STAMP_TOL) -> int:
+        if len(self.stamps) == 0:
+            raise StampMismatch(f"no trajectory sample for stamp {stamp:.6f}: "
+                                "the trajectory is empty")
         i = int(np.argmin(np.abs(self.stamps - stamp)))
         if abs(self.stamps[i] - stamp) > tol:
             raise StampMismatch(

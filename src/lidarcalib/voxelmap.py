@@ -17,19 +17,19 @@ every plane carries a confidence weight
 where eta = lambda1 / (lambda2 + lambda3) is the planarity index and
 sigma_lambda the standard deviation of the three eigenvalues.
 
-Cells are looked up through one sorted key table per depth, built with the
-octree: every node's cell key with its leaf id, or whether to descend or
-stop. A depth's lookup is one `np.searchsorted`, with no loop over cells.
-Containment association walks the tables down from a point's root cell,
-and merging finds face neighbours by walking down from the cell across each
-leaf face. The finished index is immutable and safe for concurrent
-association queries.
+The octree is recorded only as one sorted key table per depth: every
+classified cell's key with its target, a leaf id for a planar cell, or
+whether to descend (a subdivided cell) or stop (a discarded one). A depth's
+lookup is one `np.searchsorted`, with no loop over cells. Containment
+association walks the tables down from a point's root cell, and merging
+finds face neighbours by walking down from the cell across each leaf face.
+The finished index is a frozen record, safe for concurrent association
+queries.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -41,12 +41,8 @@ from .grid import cell_box, pack_cells
 from .ptplane import (COLLINEAR_EPS, MAX_DEV_FLOOR, cluster_sq_distance,
                       fit_clusters, fit_groups, plane_gate, planarity)
 
-PLANAR = "planar"
-SUBDIVIDED = "subdivided"
-DISCARDED = "discarded"
-
-# cell targets in the key tables: a PLANAR cell's target is its leaf id, a
-# SUBDIVIDED cell's _DESCEND, a DISCARDED or absent cell's _STOP
+# cell targets in the key tables: a planar cell's target is its leaf id, a
+# subdivided cell's _DESCEND, a discarded or absent cell's _STOP
 _STOP = -1
 _DESCEND = -2
 # the confidence weight's decay with planarity (see the module docstring)
@@ -105,10 +101,10 @@ class Planes:
 
 
 class _CellTable(NamedTuple):
-    """One depth's nodes for cell lookups. Cells are (3, M) arrays, one row
-    per axis. The key of a cell is its C-order index in the box lo..hi, the
-    nodes' cell box padded by a rim of one empty cell; `keys` holds the
-    nodes' keys in ascending order, `targets` their targets."""
+    """One depth's classified cells, for lookups. Cells are (3, M) arrays,
+    one row per axis. The key of a cell is its C-order index in the box
+    lo..hi, the classified cells' box padded by a rim of one empty cell;
+    `keys` holds their keys in ascending order, `targets` their targets."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -127,34 +123,37 @@ class _CellTable(NamedTuple):
         return cls(lo, hi, strides, keys[order], targets[order])
 
     def lookup(self, cells: np.ndarray) -> np.ndarray:
-        """Each cell's target, by one `np.searchsorted`; _STOP where no
-        node holds the cell. A cell outside the box is clipped onto its
+        """Each cell's target, by one `np.searchsorted`; _STOP where the
+        cell was not classified. A cell outside the box is clipped onto its
         empty rim."""
         keys = self.strides @ (np.clip(cells, self.lo, self.hi) - self.lo)
         pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
         return np.where(self.keys[pos] == keys, self.targets[pos], _STOP)
 
 
+@dataclass(frozen=True, eq=False)
 class VoxelMapIndex:
     """Octree classification over map points plus the extracted planes.
 
-    nodes maps (depth, ix, iy, iz) to PLANAR/SUBDIVIDED/DISCARDED; planar
-    nodes also record their leaf id, their row in `leaf_planes`, which lists
-    the leaves by depth, and by cell within a depth. `leaf_keys` (L, 4)
-    holds each leaf's (depth, ix, iy, iz) and `point_leaf` each map point's
-    leaf, -1 outside every leaf. `planes` holds the planes association
-    returns and `leaf_to_plane` each leaf's row in it: the leaves
-    themselves until merge_neighbors, whose merged planes' cells are the
-    leaves that map to them. `_tables` are the per-depth key tables (see the
-    module docstring), which hold leaf ids and so serve every plane set.
+    `points` (N, 3) are the map points and `params` the octree's. Leaves are
+    the planar cells, listed by depth, and by cell within a depth:
+    `leaf_keys` (L, 4) holds each leaf's (depth, ix, iy, iz), `leaf_planes`
+    its plane, and `point_leaf` each map point's leaf, -1 outside every
+    leaf. `planes` holds the planes association returns and `leaf_to_plane`
+    each leaf's row in it: the leaves themselves until merge_neighbors,
+    whose merged planes' cells are the leaves that map to them. `_tables`
+    are the per-depth key tables (see the module docstring), the octree's
+    only record; they hold leaf ids and so serve every plane set.
     """
 
-    def __init__(self, points: np.ndarray, params: VoxelParams):
-        self.points = np.asarray(points, dtype=float).reshape(-1, 3)
-        self.params = params
-        self.nodes: dict[tuple, tuple[str, int | None]] = {}
-        self.point_leaf = np.full(len(self.points), -1)
-        self._tables: list[_CellTable] = []
+    points: np.ndarray
+    params: VoxelParams
+    point_leaf: np.ndarray
+    leaf_keys: np.ndarray
+    leaf_planes: Planes
+    planes: Planes
+    leaf_to_plane: np.ndarray
+    _tables: list[_CellTable]
 
     def edge_length(self, depth: int) -> float:
         return self.params.l_parent / (2 ** depth)
@@ -164,24 +163,26 @@ def build_adaptive(source, params: VoxelParams | None = None) -> VoxelMapIndex:
     """Classify a reference map (or raw (N, 3) array) into a plane index.
 
     Depth by depth, the points not yet classified are grouped by cell, and
-    all cells are fitted in one kernel call. A cell is PLANAR when it passes
-    `ptplane.plane_gate` with floor MAX_DEV_FLOOR; DISCARDED when it holds
-    fewer than min_points points, is collinear, or is not planar at
-    max_depth; SUBDIVIDED otherwise, and its points go on to the next depth.
+    all cells are fitted in one kernel call. A cell is planar, a leaf, when
+    it passes `ptplane.plane_gate` with floor MAX_DEV_FLOOR; discarded when
+    it holds fewer than min_points points, is collinear, or is not planar at
+    max_depth; subdivided otherwise, and its points go on to the next depth.
     """
     params = params or VoxelParams()
     params.validate()
-    index = VoxelMapIndex(getattr(source, "points", source), params)
+    points = np.asarray(getattr(source, "points", source), dtype=float).reshape(-1, 3)
+    point_leaf = np.full(len(points), -1)
+    tables = []
     # per depth: the leaves' keys, counts and fit rows, after a row-less
     # entry that gives a map without points its empty arrays
     leaves = [(np.zeros((0, 4), dtype=np.int64), np.zeros(0, dtype=np.int64),
                *fit_groups(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 0))]
     n_leaves = 0
-    active = np.arange(len(index.points))
+    active = np.arange(len(points))
     for depth in range(params.max_depth + 1):
         if len(active) == 0:
             break
-        cells = np.floor(index.points[active] / index.edge_length(depth)
+        cells = np.floor(points[active] / (params.l_parent / 2 ** depth)
                          ).astype(np.int64)
         keys = pack_cells(cells)
         # members of one cell are a run of the key-sorted order, ascending
@@ -191,7 +192,7 @@ def build_adaptive(source, params: VoxelParams | None = None) -> VoxelMapIndex:
         starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
         counts = np.diff(np.r_[starts, len(keys)])
         labels = np.repeat(np.arange(len(starts)), counts)
-        pts = index.points[active]
+        pts = points[active]
         fit = centroids, evals, normals, _ = fit_groups(pts, labels, len(starts))
         dev = np.abs(np.einsum("ij,ij->i", pts - centroids[labels],
                                normals[labels]))
@@ -201,24 +202,20 @@ def build_adaptive(source, params: VoxelParams | None = None) -> VoxelMapIndex:
         split = (enough & ~planar & (evals[:, 1] >= COLLINEAR_EPS)
                  & (depth < params.max_depth))
         node_cells = cells[order[starts]]
-        status = np.where(planar, PLANAR, np.where(split, SUBDIVIDED, DISCARDED))
         leaf_ids = np.cumsum(planar) - 1 + n_leaves
-        index.nodes.update(
-            ((depth, *c), (st, leaf if st == PLANAR else None)) for c, st, leaf
-            in zip(node_cells.tolist(), status.tolist(), leaf_ids.tolist()))
-        index._tables.append(_CellTable.build(node_cells.T, np.where(
+        tables.append(_CellTable.build(node_cells.T, np.where(
             planar, leaf_ids, np.where(split, _DESCEND, _STOP))))
         on_leaf = np.repeat(planar, counts)
-        index.point_leaf[active[on_leaf]] = leaf_ids[labels[on_leaf]]
+        point_leaf[active[on_leaf]] = leaf_ids[labels[on_leaf]]
         sel = np.flatnonzero(planar)
         leaves.append((np.column_stack([np.full(len(sel), depth), node_cells[sel]]),
                        counts[sel], *(a[sel] for a in fit)))
         n_leaves += len(sel)
         active = active[np.repeat(split, counts)]
-    index.leaf_keys, counts, *fit = (np.concatenate(a) for a in zip(*leaves))
-    index.leaf_planes = index.planes = Planes.fitted(counts, fit)
-    index.leaf_to_plane = np.arange(n_leaves)
-    return index
+    leaf_keys, counts, *fit = (np.concatenate(a) for a in zip(*leaves))
+    planes = Planes.fitted(counts, fit)
+    return VoxelMapIndex(points, params, point_leaf, leaf_keys, planes, planes,
+                         np.arange(n_leaves), tables)
 
 
 _FACES = np.vstack([np.eye(3, dtype=np.int64), -np.eye(3, dtype=np.int64)])
@@ -230,8 +227,8 @@ def _face_neighbor_pairs(index: VoxelMapIndex) -> np.ndarray:
 
     The cell across each face of a leaf, at the leaf's depth, is walked down
     the key tables from its root cell, one lookup per depth for all faces:
-    the first node on the way that is not SUBDIVIDED, at most at the leaf's
-    depth, decides, and a PLANAR one is a neighbour. A neighbour smaller
+    the first cell on the way that is not subdivided, at most at the leaf's
+    depth, decides, and a planar one is a neighbour. A neighbour smaller
     than the leaf is found from its own side.
     """
     leaf = np.repeat(np.arange(len(index.leaf_keys)), len(_FACES))
@@ -291,11 +288,10 @@ def merge_neighbors(index: VoxelMapIndex, tau_theta: float, tau_d: float) -> Vox
     starts = np.r_[True, group[1:] != group[:-1]] | ~kept[group]
     # each plane's row in the unions' rows followed by the leaves'
     rows = np.where(kept[group[starts]], group[starts], n_groups + order[starts])
-    out = copy.copy(index)
-    out.leaf_to_plane = (np.cumsum(starts) - 1)[np.argsort(order)]
-    out.planes = Planes(*(np.concatenate(pair)[rows] for pair in zip(
+    planes = Planes(*(np.concatenate(pair)[rows] for pair in zip(
         vars(unions).values(), vars(leaves).values())))
-    return out
+    return replace(index, planes=planes,
+                   leaf_to_plane=(np.cumsum(starts) - 1)[np.argsort(order)])
 
 
 def associate_batch(points: np.ndarray, index: VoxelMapIndex,

@@ -25,7 +25,7 @@ from lidarcalib.geometry import Pose
 from lidarcalib.ptplane import PlaneBatch, planarity
 
 from test_geometry import random_pose
-from test_voxelmap import plane_patch
+from test_voxelmap import PLANAR, SUBDIVIDED, octree_nodes, plane_patch
 
 
 def report(criterion, text):
@@ -224,7 +224,8 @@ class TestCriterion7:
         xx, yy = np.meshgrid(xs, xs)
         pts = np.column_stack([xx.ravel(), yy.ravel(), np.zeros(xx.size)])
         index = vm.build_adaptive(pts, vm.VoxelParams())
-        assert index.nodes and all(s == vm.PLANAR for s, _ in index.nodes.values())
+        nodes = octree_nodes(index)
+        assert nodes and all(s == PLANAR for s, _ in nodes.values())
         eta = planarity(index.planes.eigenvalues)
         assert np.all(eta < 0.01)
         report(7, f"single-plane map: {len(index.planes)} planar roots, "
@@ -236,7 +237,7 @@ class TestCriterion7:
         b = plane_patch(rng, [1, 0, 0], [0.5, 0.5, 0.5], 0.49, 500)
         pts = np.clip(np.vstack([a, b]), 0.001, 0.999)
         index = vm.build_adaptive(pts, vm.VoxelParams(max_depth=2))
-        assert index.nodes[(0, 0, 0, 0)][0] == vm.SUBDIVIDED
+        assert octree_nodes(index)[(0, 0, 0, 0)][0] == SUBDIVIDED
 
     def test_merge_idempotent_100_layouts(self):
         rng = np.random.default_rng(3)

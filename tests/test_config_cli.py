@@ -203,6 +203,19 @@ class TestLbaCommand:
         assert "--traj" in capsys.readouterr().err
         assert not (tmp_path / "lba").exists()
 
+    def test_short_traj_exits_2(self, cli_dataset, tmp_path, capsys):
+        # zipping frames with poses dropped the frames beyond the last pose
+        _, cfg_path, out = cli_dataset
+        gt = pc.load_trajectory(out / "trajectory_gt.txt")
+        traj = tmp_path / "short.txt"
+        pc.save_trajectory(pc.Trajectory(gt.stamps[:3], gt.poses[:3]), traj)
+        rc = cli.main(["lba", str(out), "--config", str(cfg_path),
+                       "--traj", str(traj), "--out", str(tmp_path / "lba")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--traj" in err and "has 3 poses" in err and "has 8 frames" in err
+        assert not (tmp_path / "lba").exists()
+
 
 class TestCalibrateCommand:
     def test_gt_guess(self, cli_dataset, cli_lba_dir, capsys):
@@ -288,6 +301,19 @@ class TestCalibrateCommand:
         # an explicit --traj is taken as given, ground truth included
         rc = cli.main(args + ["--traj", str(out / "trajectory_gt.txt")])
         assert rc == cli.EXIT_OK
+
+    def test_traj_without_poses_exits_2(self, cli_dataset, cli_lba_dir,
+                                        tmp_path, capsys):
+        _, cfg_path, out = cli_dataset
+        traj = tmp_path / "empty.txt"
+        traj.write_text("# stamp x y z qx qy qz qw\n")
+        rc = cli.main(["calibrate", str(out), "--config", str(cfg_path),
+                       "--lba-dir", str(cli_lba_dir), "--traj", str(traj),
+                       "--guess", str(out / "extrinsic_gt.txt"),
+                       "--out", str(tmp_path / "calib")])
+        assert rc == cli.EXIT_CONFIG
+        assert "trajectory is empty" in capsys.readouterr().err
+        assert not (tmp_path / "calib").exists()
 
 
 class TestReadDataset:
@@ -557,13 +583,37 @@ class TestEvaluateCommand:
         assert "nan" not in captured.out
 
 
+def sweep_columns(path):
+    """A sweep CSV's cells by column, wall_seconds left out."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return {c: [r[k] for r in rows] for k, c in enumerate(header)
+            if c != "wall_seconds"}
+
+
+@pytest.fixture(scope="module")
+def serial_two_trial_sweep(cli_dataset, tmp_path_factory):
+    """The columns of a two-trial serial sweep (--jobs 1)."""
+    _, cfg_path, _ = cli_dataset
+    csv_path = tmp_path_factory.mktemp("sweep") / "serial.csv"
+    rc = cli.main(["sweep", "--config", str(cfg_path), "--trials", "2",
+                   "--out-csv", str(csv_path), "--seed", "11",
+                   "--perturb", "0.2", "10", "--jobs", "1"])
+    assert rc == 0
+    return sweep_columns(csv_path)
+
+
 class TestSweepCommand:
-    def test_two_trials(self, cli_dataset, tmp_path, capsys):
+    # --jobs 2 runs the trials in a process pool; every column but
+    # wall_seconds must equal the serial sweep's
+    @pytest.mark.parametrize("jobs", ["1", "2"], ids=["jobs1", "jobs2"])
+    def test_two_trials(self, cli_dataset, serial_two_trial_sweep, tmp_path,
+                        capsys, jobs):
         _, cfg_path, _ = cli_dataset
         csv_path = tmp_path / "sweep.csv"
         rc = cli.main(["sweep", "--config", str(cfg_path), "--trials", "2",
                        "--out-csv", str(csv_path), "--seed", "11",
-                       "--perturb", "0.2", "10"])
+                       "--perturb", "0.2", "10", "--jobs", jobs])
         assert rc == 0
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0].startswith("trial,seed,")
@@ -574,6 +624,7 @@ class TestSweepCommand:
         for col in (2, 3, 4, 5):
             expected = np.mean([float(r[col]) for r in rows])
             assert float(mean_row[col]) == pytest.approx(expected, rel=1e-6)
+        assert sweep_columns(csv_path) == serial_two_trial_sweep
 
     def test_single_trial_summary_equals_row(self, cli_dataset, tmp_path):
         _, cfg_path, _ = cli_dataset

@@ -296,6 +296,11 @@ class TestTrajectoryIO:
         with pytest.raises(StampMismatch):
             traj.index_for_stamp(0.15)
 
+    def test_empty_trajectory_has_no_stamp(self):
+        # np.argmin over no stamps raised ValueError
+        with pytest.raises(StampMismatch, match="empty"):
+            pc.Trajectory(np.zeros(0), []).index_for_stamp(0.0)
+
 
 class TestScanEndPoses:
     def test_contiguous_scanning_uses_next_pose(self):

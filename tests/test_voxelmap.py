@@ -1,4 +1,4 @@
-import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +27,24 @@ def plane_patch(rng, normal, centroid, extent, n, noise=0.0):
     if noise > 0.0:
         pts = pts + rng.normal(0.0, noise, size=(n, 1)) * normal
     return pts
+
+
+PLANAR, SUBDIVIDED, DISCARDED = "planar", "subdivided", "discarded"
+
+
+def octree_nodes(index):
+    """The octree decoded from the index's per-depth key tables:
+    {(depth, ix, iy, iz): (status, leaf id or None)} over every classified
+    cell."""
+    nodes = {}
+    for depth, table in enumerate(index._tables):
+        shape = (table.hi - table.lo + 1).ravel()
+        cells = np.array(np.unravel_index(table.keys, shape)) + table.lo
+        for cell, target in zip(cells.T.tolist(), table.targets.tolist()):
+            status = (PLANAR if target >= 0 else
+                      SUBDIVIDED if target == vm._DESCEND else DISCARDED)
+            nodes[(depth, *cell)] = (status, target if target >= 0 else None)
+    return nodes
 
 
 def eigh_plane(points):
@@ -88,14 +106,14 @@ class TestFitPlane:
         pts = np.column_stack([np.linspace(0.05, 0.95, 20), np.full(20, 0.5),
                                np.full(20, 0.5)])
         index = vm.build_adaptive(pts, vm.VoxelParams(max_depth=2))
-        assert index.nodes == {(0, 0, 0, 0): (vm.DISCARDED, None)}
+        assert octree_nodes(index) == {(0, 0, 0, 0): (DISCARDED, None)}
         assert not index.planes
 
     def test_too_few_points(self):
         rng = np.random.default_rng(3)
         pts = plane_patch(rng, [0, 0, 1], [0.5, 0.5, 0.5], 0.4, 9)
         index = vm.build_adaptive(pts, vm.VoxelParams(min_points=10))
-        assert index.nodes == {(0, 0, 0, 0): (vm.DISCARDED, None)}
+        assert octree_nodes(index) == {(0, 0, 0, 0): (DISCARDED, None)}
         assert not index.planes
 
 
@@ -136,9 +154,10 @@ class TestBuildAdaptive:
         rng = np.random.default_rng(3)
         pts = single_plane_map(rng)
         index = vm.build_adaptive(pts, vm.VoxelParams(l_parent=1.0))
-        planar = [k for k, (s, _) in index.nodes.items() if s == vm.PLANAR]
+        nodes = octree_nodes(index)
+        planar = [k for k, (s, _) in nodes.items() if s == PLANAR]
         assert planar and all(k[0] == 0 for k in planar)
-        assert all(s == vm.PLANAR for s, _ in index.nodes.values())
+        assert all(s == PLANAR for s, _ in nodes.values())
         assert len(index.planes) == len(planar)
         np.testing.assert_allclose(np.abs(index.planes.normals),
                                    np.tile([0, 0, 1], (len(planar), 1)), atol=1e-9)
@@ -150,12 +169,13 @@ class TestBuildAdaptive:
         wall_b = plane_patch(rng, [1, 0, 0], [0.5, 0.5, 0.5], 0.49, 400)
         pts = np.clip(np.vstack([wall_a, wall_b]), 0.001, 0.999)
         index = vm.build_adaptive(pts, vm.VoxelParams(l_parent=1.0, max_depth=2))
-        status, _ = index.nodes[(0, 0, 0, 0)]
-        assert status == vm.SUBDIVIDED
+        nodes = octree_nodes(index)
+        status, _ = nodes[(0, 0, 0, 0)]
+        assert status == SUBDIVIDED
         # sample covariance oracle: corner voxel eta above threshold
         assert eta_of(eigh_plane(pts)[2]) > 0.1
-        planar_children = [k for k, (s, _) in index.nodes.items()
-                           if s == vm.PLANAR and k[0] > 0]
+        planar_children = [k for k, (s, _) in nodes.items()
+                           if s == PLANAR and k[0] > 0]
         assert planar_children
 
     def test_isotropic_blob_discarded(self):
@@ -164,7 +184,7 @@ class TestBuildAdaptive:
         pts = pts[np.all((pts > 0) & (pts < 1), axis=1)]
         assert eta_of(eigh_plane(pts)[2]) > 0.3  # eta oracle: isotropic sample
         index = vm.build_adaptive(pts, vm.VoxelParams(l_parent=1.0, max_depth=0))
-        assert index.nodes[(0, 0, 0, 0)][0] == vm.DISCARDED
+        assert octree_nodes(index)[(0, 0, 0, 0)][0] == DISCARDED
         assert not index.planes
 
     def test_empty_map(self):
@@ -172,13 +192,20 @@ class TestBuildAdaptive:
         assert len(index.planes) == 0
         assert index.planes.normals.shape == (0, 3)
 
+    def test_index_is_frozen(self):
+        index = vm.build_adaptive(single_plane_map(None), vm.VoxelParams())
+        merged = vm.merge_neighbors(index, math.radians(5.0), 0.5)
+        for built in (index, merged):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                built.planes = built.leaf_planes
+
     def test_boundary_points_go_to_higher_cell(self):
         rng = np.random.default_rng(6)
         pts = plane_patch(rng, [0, 0, 1], [1.5, 1.5, 0.25], 0.45, 100)
         pts[0] = [1.0, 1.5, 0.25]  # exactly on the x = 1 boundary
         index = vm.build_adaptive(pts, vm.VoxelParams(min_points=3))
         # cell (1, 1, 0) is [1,2)x[1,2)x[0,1): boundary point belongs here
-        assert (0, 1, 1, 0) in index.nodes
+        assert (0, 1, 1, 0) in octree_nodes(index)
 
     def test_transformed_map_transforms_planes(self):
         rng = np.random.default_rng(7)
@@ -261,7 +288,7 @@ class TestMergeNeighbors:
         index = vm.build_adaptive(np.vstack([floor, strip]), vm.VoxelParams())
         assert len(index.planes) == 2
         merged = vm.merge_neighbors(index, math.radians(5.0), 1.5)
-        leaf = index.nodes[(0, 0, 0, 0)][1]
+        leaf = octree_nodes(index)[(0, 0, 0, 0)][1]
         plane = merged.leaf_to_plane[leaf]
         np.testing.assert_allclose(np.abs(merged.planes.normals[plane]), [0, 0, 1],
                                    atol=1e-9)
@@ -271,8 +298,7 @@ class TestMergeNeighbors:
         """Merging works from the leaves' clusters alone: with every map
         point overwritten by NaN it gives the same planes."""
         _, index, _ = room_calib_setup
-        blind = copy.copy(index)
-        blind.points = np.full_like(index.points, np.nan)
+        blind = dataclasses.replace(index, points=np.full_like(index.points, np.nan))
         tau_theta, tau_d = math.radians(5.0), 0.5
         merged = vm.merge_neighbors(index, tau_theta, tau_d)
         assert len(merged.planes) < len(index.leaf_planes)
@@ -350,11 +376,12 @@ class TestAssociate:
         if plane is not None:
             # brute-force containment oracle: best plane among cells containing query
             candidates = []
+            nodes = octree_nodes(index)
             for depth in range(index.params.max_depth + 1):
                 edge = index.edge_length(depth)
                 key = (depth,) + tuple(np.floor(query / edge).astype(int))
-                node = index.nodes.get(key)
-                if node and node[0] == vm.PLANAR:
+                node = nodes.get(key)
+                if node and node[0] == PLANAR:
                     candidates.append(index.leaf_to_plane[node[1]])
             assert candidates and plane == candidates[0]
 
@@ -372,7 +399,8 @@ class TestAssociate:
 
 
     def test_batch_matches_node_walk(self):
-        """associate_batch against a per-point walk down index.nodes."""
+        """associate_batch against a per-point walk down the decoded
+        octree."""
         rng = np.random.default_rng(18)
         floor = plane_patch(rng, [0, 0, 1], [0.0, 0.0, -0.5], 1.9, 3000)
         wall = plane_patch(rng, [1, 0, 0], [-1.5, 0.0, 0.5], 1.4, 2000)
@@ -380,11 +408,12 @@ class TestAssociate:
         index = vm.build_adaptive(np.vstack([floor, wall, tilted]),
                                   vm.VoxelParams(max_depth=3, min_points=8))
         index = vm.merge_neighbors(index, math.radians(5.0), 0.5)
-        statuses = {status for status, _ in index.nodes.values()}
-        assert statuses == {vm.PLANAR, vm.SUBDIVIDED, vm.DISCARDED}
+        nodes = octree_nodes(index)
+        statuses = {status for status, _ in nodes.values()}
+        assert statuses == {PLANAR, SUBDIVIDED, DISCARDED}
         # cells at negative coordinates, and queries outside every node box:
         # beyond the map on one axis only, on all axes, and far away
-        roots = np.array([cell for depth, *cell in index.nodes if depth == 0])
+        roots = np.array([cell for depth, *cell in nodes if depth == 0])
         lo = roots.min(axis=0) * index.params.l_parent
         hi = (roots.max(axis=0) + 1) * index.params.l_parent
         beside = rng.uniform(lo, hi, size=(300, 3))
@@ -404,10 +433,10 @@ class TestAssociate:
         for i, q in enumerate(queries):
             for depth in range(index.params.max_depth + 1):
                 cell = np.floor(q / index.edge_length(depth)).astype(int)
-                node = index.nodes.get((depth, *map(int, cell)))
-                if node is None or node[0] == vm.DISCARDED:
+                node = nodes.get((depth, *map(int, cell)))
+                if node is None or node[0] == DISCARDED:
                     break
-                if node[0] == vm.PLANAR:
+                if node[0] == PLANAR:
                     plane_id = index.leaf_to_plane[node[1]]
                     resid = np.dot(index.planes.normals[plane_id],
                                    q - index.planes.centroids[plane_id])
@@ -428,22 +457,22 @@ def reference_classify(points, params):
     def classify(idx, depth, coords):
         key = (depth,) + coords
         if len(idx) < params.min_points:
-            nodes[key] = vm.DISCARDED
+            nodes[key] = DISCARDED
             return
         normal, centroid, evals = eigh_plane(points[idx])
         if evals[1] < COLLINEAR_EPS:
-            nodes[key] = vm.DISCARDED
+            nodes[key] = DISCARDED
             return
         max_dev = np.max(np.abs((points[idx] - centroid) @ normal))
         gate = max(MAX_DEV_FLOOR, MAX_DEV_RATIO * math.sqrt(evals[1] + evals[2]))
         if eta_of(evals) < ETA_MAX and max_dev <= gate:
-            nodes[key] = vm.PLANAR
+            nodes[key] = PLANAR
             leaves.append((key, normal, centroid, evals, idx))
             return
         if depth >= params.max_depth:
-            nodes[key] = vm.DISCARDED
+            nodes[key] = DISCARDED
             return
-        nodes[key] = vm.SUBDIVIDED
+        nodes[key] = SUBDIVIDED
         child = np.floor(points[idx] / (params.l_parent / 2 ** (depth + 1))
                          ).astype(np.int64)
         for c in sorted(set(map(tuple, child.tolist()))):
@@ -531,7 +560,10 @@ def assert_same_planes(index, reference):
 def assert_matches_reference(points, params, tau_theta, tau_d):
     nodes, leaves = reference_classify(points, params)
     index = vm.build_adaptive(points, params)
-    assert {k: s for k, (s, _) in index.nodes.items()} == nodes
+    decoded = octree_nodes(index)
+    assert {k: s for k, (s, _) in decoded.items()} == nodes
+    assert {leaf: k for k, (_, leaf) in decoded.items() if leaf is not None} == \
+        {leaf: tuple(k) for leaf, k in enumerate(index.leaf_keys.tolist())}
     assert_same_planes(index, {
         frozenset([key]): (normal, evals) for key, normal, _, evals, _ in leaves})
     merged = vm.merge_neighbors(index, tau_theta, tau_d)
@@ -567,20 +599,21 @@ FACES = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
 
 
 def reference_face_pairs(index):
-    """The per-leaf walk up index.nodes that the key-table walk of
+    """The per-leaf walk up the decoded octree that the key-table walk of
     `_face_neighbor_pairs` replaced: for each face of a leaf, the cell
     across it at the leaf's depth, then that cell's ancestors, are looked up
-    in index.nodes; the first node found decides, and a PLANAR one is a
-    neighbour."""
+    in the octree's nodes; the first node found decides, and a PLANAR one is
+    a neighbour."""
+    nodes = octree_nodes(index)
     pairs = set()
     for i, (depth, *cell) in enumerate(index.leaf_keys.tolist()):
         for face in FACES:
             nbr = [c + f for c, f in zip(cell, face)]
             for d in range(depth, -1, -1):
-                node = index.nodes.get((d, *nbr))
+                node = nodes.get((d, *nbr))
                 if node is not None:
                     status, j = node
-                    if status == vm.PLANAR:
+                    if status == PLANAR:
                         pairs.add((min(i, j), max(i, j)))
                     break
                 nbr = [c >> 1 for c in nbr]
