@@ -9,16 +9,12 @@ transform by weighted point-to-plane optimization.
 __version__ = "0.1.0"
 
 from .geometry import (  # noqa: F401
-    EulerZYX,
     Pose,
-    Twist,
     apply,
     compose,
-    euler_zyx_to_pose,
     exp_se3,
     inverse,
     log_se3,
-    pose_to_euler_zyx,
     rotation_error,
     skew,
     translation_error,

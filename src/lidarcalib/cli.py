@@ -113,7 +113,7 @@ def cmd_lba(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pc.save_trajectory(result.trajectory, out / "trajectory_refined.txt")
-    map_frame = pc.Frame(result.map.points, 0.0, "A", 0.0)
+    map_frame = pc.Frame(result.map.points, 0.0, 0.0)
     pc.save_cloud(map_frame, out / "map_A.pcd")
     (out / "effective_config.txt").write_text(dump_config(cfg))
     print("window  initial_cost  final_cost")

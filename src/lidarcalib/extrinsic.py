@@ -493,7 +493,7 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
         lm_traces.append(joint_trace)
         # translation norm plus half the rotation angle of the joint step
         step = geo.log_se3(geo.compose(prev_inv, t_new))
-        update = float(np.linalg.norm(step.trans) + 0.5 * np.linalg.norm(step.rot))
+        update = float(np.linalg.norm(step[3:]) + 0.5 * np.linalg.norm(step[:3]))
         outer_trace.append(OuterIteration(
             it, joint.objective(t_prev), joint.objective(t_new), update,
             len(consensus), reject, skipped))

@@ -1,5 +1,8 @@
 """Rigid-body math kernel: SO(3)/SE(3) representations, exponential and
-logarithm maps, ZYX Euler conventions, and calibration error metrics.
+logarithm maps, and calibration error metrics.
+
+A twist is a (6,) array ordered (rotation, translation), the block layout
+of the optimizers' Jacobians.
 
 All values are immutable after construction and every operation is a pure
 function, so the kernel is safe to use from concurrent workers.
@@ -79,35 +82,6 @@ class Pose:
         return m
 
 
-@dataclass(frozen=True)
-class Twist:
-    """se(3) element, ordered (rotation, translation) to match the Jacobian
-    block layout used throughout the optimizers."""
-
-    rot: np.ndarray
-    trans: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rot", np.asarray(self.rot, dtype=float).reshape(3))
-        object.__setattr__(self, "trans", np.asarray(self.trans, dtype=float).reshape(3))
-
-    @classmethod
-    def zero(cls) -> "Twist":
-        return cls(np.zeros(3), np.zeros(3))
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.rot, self.trans])
-
-
-@dataclass(frozen=True)
-class EulerZYX:
-    """Tait-Bryan angles, rotation built as Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
-
-    roll: float
-    pitch: float
-    yaw: float
-
-
 def _rot_coeffs(theta: float) -> tuple[float, float, float]:
     """Rodrigues coefficients A = sin(t)/t, B = (1-cos t)/t^2, C = (t-sin t)/t^3."""
     if theta < _SMALL_ANGLE:
@@ -162,9 +136,9 @@ def log_so3(rot: np.ndarray) -> np.ndarray:
     return w * (theta / math.sin(theta))
 
 
-def exp_se3(xi: Twist | np.ndarray) -> Pose:
+def exp_se3(xi: np.ndarray) -> Pose:
     """Matrix exponential of a twist; Rodrigues rotation, V-matrix translation."""
-    vec = xi.as_vector() if isinstance(xi, Twist) else np.asarray(xi, dtype=float).reshape(6)
+    vec = np.asarray(xi, dtype=float).reshape(6)
     omega, rho = vec[:3], vec[3:]
     theta = float(np.linalg.norm(omega))
     a, b, c = _rot_coeffs(theta)
@@ -175,8 +149,9 @@ def exp_se3(xi: Twist | np.ndarray) -> Pose:
     return Pose(rot, v @ rho)
 
 
-def log_se3(p: Pose) -> Twist:
-    """Inverse of exp_se3; raises AngleNearPi for rotations within 1e-6 of pi."""
+def log_se3(p: Pose) -> np.ndarray:
+    """Inverse of exp_se3: the (6,) twist (rotation, translation). Raises
+    AngleNearPi for rotations within 1e-6 of pi."""
     omega = log_so3(p.rotation)
     theta = float(np.linalg.norm(omega))
     k = skew(omega)
@@ -188,7 +163,7 @@ def log_se3(p: Pose) -> Twist:
         a, b, _ = _rot_coeffs(theta)
         d = (1.0 - a / (2.0 * b)) / (theta * theta)
     v_inv = np.eye(3) - 0.5 * k + d * k2
-    return Twist(omega, v_inv @ p.translation)
+    return np.concatenate([omega, v_inv @ p.translation])
 
 
 def compose(a: Pose, b: Pose) -> Pose:
@@ -231,31 +206,6 @@ def rot_y(angle: float) -> np.ndarray:
 
 def rot_z(angle: float) -> np.ndarray:
     return _elementary(2, angle)
-
-
-def euler_zyx_to_pose(e: EulerZYX, t: np.ndarray = (0.0, 0.0, 0.0)) -> Pose:
-    """Pose with rotation Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
-    rot = rot_z(e.yaw) @ rot_y(e.pitch) @ rot_x(e.roll)
-    return Pose(rot, np.asarray(t, dtype=float))
-
-
-def pose_to_euler_zyx(p: Pose) -> tuple[EulerZYX, bool]:
-    """Extract ZYX angles; second value flags gimbal lock (|pitch| ~ pi/2).
-
-    At gimbal lock only yaw+roll (or yaw-roll) is observable; roll is then
-    reported as 0 and yaw carries the combined angle.
-    """
-    r = p.rotation
-    sp = min(1.0, max(-1.0, -r[2, 0]))
-    pitch = math.asin(sp)
-    locked = abs(abs(pitch) - math.pi / 2.0) <= 1e-9
-    if locked:
-        roll = 0.0
-        yaw = math.atan2(-r[0, 1], r[1, 1])
-    else:
-        roll = math.atan2(r[2, 1], r[2, 2])
-        yaw = math.atan2(r[1, 0], r[0, 0])
-    return EulerZYX(roll, pitch, yaw), locked
 
 
 def translation_error(est: Pose, gt: Pose) -> float:
@@ -338,9 +288,9 @@ class ScaledMotion(NamedTuple):
     trans: np.ndarray
 
 
-def scaled_motion(xi: Twist | np.ndarray, scales: np.ndarray) -> ScaledMotion:
+def scaled_motion(xi: np.ndarray, scales: np.ndarray) -> ScaledMotion:
     """The coefficients of exp(s_k * xi) for an array of scale factors."""
-    vec = xi.as_vector() if isinstance(xi, Twist) else np.asarray(xi, dtype=float).reshape(6)
+    vec = np.asarray(xi, dtype=float).reshape(6)
     scales = np.asarray(scales, dtype=float).reshape(-1)
     omega, rho = vec[:3], vec[3:]
     theta1 = float(np.linalg.norm(omega))
@@ -361,7 +311,7 @@ def scaled_motion(xi: Twist | np.ndarray, scales: np.ndarray) -> ScaledMotion:
     return ScaledMotion(axis, sin_p, one_minus_cos, trans)
 
 
-def exp_se3_scaled(xi: Twist | np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def exp_se3_scaled(xi: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (R, t) of exp(s_k * xi) for an array of scale factors.
 
     Returns rotations (K, 3, 3), I + sin phi [a]x + (1 - cos phi) [a]x^2,
@@ -394,5 +344,4 @@ def apply_scaled_motion(motion: ScaledMotion, points: np.ndarray) -> np.ndarray:
 def interpolate_pose(start: Pose, end: Pose, fraction: float) -> Pose:
     """Constant-twist interpolation start * exp(fraction * log(start^-1 end))."""
     xi = log_se3(compose(inverse(start), end))
-    step = exp_se3(Twist(xi.rot * fraction, xi.trans * fraction))
-    return compose(start, step)
+    return compose(start, exp_se3(xi * fraction))

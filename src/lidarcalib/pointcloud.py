@@ -1,9 +1,9 @@
 """Point cloud containers, motion compensation, and scan/trajectory file I/O.
 
 Frames are immutable after construction. The cloud format is a small ASCII
-PCD subset (FIELDS x y z [t] [intensity], TYPE F, DATA ascii); trajectories
-are plain text lines `stamp tx ty tz qx qy qz qw` with scalar-last unit
-quaternions.
+PCD subset (FIELDS x y z [t] [intensity], TYPE F, DATA ascii; an intensity
+column is read and dropped); trajectories are plain text lines
+`stamp tx ty tz qx qy qz qw` with scalar-last unit quaternions.
 """
 
 from __future__ import annotations
@@ -27,16 +27,14 @@ class Frame:
     """One timestamped LiDAR sweep.
 
     positions: (N, 3) meters in the sensor frame at each point's capture
-    time; time_offsets: (N,) seconds from scan start, within
-    [0, scan_duration].
+    time; stamp: seconds, the scan start; time_offsets: (N,) seconds from
+    scan start, within [0, scan_duration] (all zero when None).
     """
 
     positions: np.ndarray
     stamp: float = 0.0
-    sensor_id: str = "A"
     scan_duration: float = 0.0
     time_offsets: np.ndarray | None = None
-    intensities: np.ndarray | None = None
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float).reshape(-1, 3)
@@ -50,24 +48,16 @@ class Frame:
         if len(offs) and not (offs.min() >= 0.0
                               and offs.max() <= self.scan_duration + 1e-12):
             raise ValueError("time_offsets outside [0, scan_duration]")
-        inten = self.intensities
-        if inten is not None:
-            inten = np.asarray(inten, dtype=float).reshape(-1)
-            if len(inten) != len(pos):
-                raise ValueError("intensities length mismatch")
-            inten.flags.writeable = False
         pos.flags.writeable = False
         offs.flags.writeable = False
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "time_offsets", offs)
-        object.__setattr__(self, "intensities", inten)
 
     def __len__(self) -> int:
         return len(self.positions)
 
     def with_positions(self, positions: np.ndarray) -> "Frame":
-        return Frame(positions, self.stamp, self.sensor_id, self.scan_duration,
-                     self.time_offsets, self.intensities)
+        return Frame(positions, self.stamp, self.scan_duration, self.time_offsets)
 
 
 @dataclass(frozen=True)
@@ -109,7 +99,7 @@ def sweep_coefficients(f: Frame, rel: Pose) -> geo.ScaledMotion | None:
     leaves f unchanged: no motion, no points or no scan duration. Raises
     AngleNearPi if rel is a rotation too close to 180 degrees.
     """
-    xi = geo.log_se3(rel).as_vector()
+    xi = geo.log_se3(rel)
     if np.allclose(xi, 0.0, atol=1e-15) or len(f) == 0 or f.scan_duration <= 0.0:
         return None
     return geo.scaled_motion(xi, f.time_offsets / f.scan_duration)
@@ -146,9 +136,7 @@ def voxel_downsample(f: Frame, leaf: float) -> Frame:
         return np.bincount(inv, weights=values) / counts
 
     positions = np.column_stack([cell_mean(f.positions[:, a]) for a in range(3)])
-    offsets = cell_mean(f.time_offsets)
-    inten = None if f.intensities is None else cell_mean(f.intensities)
-    return Frame(positions, f.stamp, f.sensor_id, f.scan_duration, offsets, inten)
+    return Frame(positions, f.stamp, f.scan_duration, cell_mean(f.time_offsets))
 
 
 def sweep_motion(poses: list[Pose], stamps, i: int,
@@ -191,26 +179,20 @@ _ALLOWED_FIELDS = [["x", "y", "z"],
 
 
 def save_cloud(f: Frame, path) -> None:
-    fields = ["x", "y", "z", "t"]
-    cols = [f.positions[:, 0], f.positions[:, 1], f.positions[:, 2], f.time_offsets]
-    if f.intensities is not None:
-        fields.append("intensity")
-        cols.append(f.intensities)
     n = len(f)
-    k = len(fields)
     lines = [
         "VERSION .7",
-        "FIELDS " + " ".join(fields),
-        "SIZE " + " ".join(["4"] * k),
-        "TYPE " + " ".join(["F"] * k),
-        "COUNT " + " ".join(["1"] * k),
+        "FIELDS x y z t",
+        "SIZE 4 4 4 4",
+        "TYPE F F F F",
+        "COUNT 1 1 1 1",
         f"WIDTH {n}",
         "HEIGHT 1",
         "VIEWPOINT 0 0 0 1 0 0 0",
         f"POINTS {n}",
         "DATA ascii",
     ]
-    data = np.column_stack(cols)
+    data = np.column_stack([f.positions, f.time_offsets])
     buf = io.StringIO()
     buf.write("\n".join(lines) + "\n")
     np.savetxt(buf, data, fmt="%.9g")
@@ -218,10 +200,11 @@ def save_cloud(f: Frame, path) -> None:
         fh.write(buf.getvalue())
 
 
-def load_cloud(path, *, stamp: float = 0.0, sensor_id: str = "A",
+def load_cloud(path, *, stamp: float = 0.0,
                scan_duration: float | None = None) -> Frame:
     """Parse the ASCII PCD subset; metadata not stored in PCD is supplied by
-    the caller. scan_duration defaults to the largest time offset present."""
+    the caller. scan_duration defaults to the largest time offset present.
+    An intensity column is accepted and dropped."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     header: dict[str, list[str]] = {}
@@ -266,11 +249,10 @@ def load_cloud(path, *, stamp: float = 0.0, sensor_id: str = "A",
         raise ParseError(f"rows have {data.shape[1]} columns, expected {k}", line=idx + 1)
     pos = data[:, :3]
     offs = data[:, fields.index("t")] if "t" in fields else None
-    inten = data[:, fields.index("intensity")] if "intensity" in fields else None
     if scan_duration is None:
         scan_duration = float(offs.max()) if offs is not None and len(offs) else 0.0
     try:
-        return Frame(pos, stamp, sensor_id, scan_duration, offs, inten)
+        return Frame(pos, stamp, scan_duration, offs)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

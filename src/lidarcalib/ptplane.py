@@ -244,8 +244,8 @@ def cauchy_weights(resid: np.ndarray, factor: float, scale: float) -> np.ndarray
 
 
 def prior_residual(ref: Pose, pose: Pose) -> np.ndarray:
-    """Twist log(ref^-1 pose) of a quadratic pose prior."""
-    return geo.log_se3(geo.compose(geo.inverse(ref), pose)).as_vector()
+    """The twist log(ref^-1 pose) of a quadratic pose prior."""
+    return geo.log_se3(geo.compose(geo.inverse(ref), pose))
 
 
 def _evaluate(batch: PlaneBatch, pose: Pose,

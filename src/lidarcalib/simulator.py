@@ -14,7 +14,7 @@ depend on scheduling or frame count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -23,7 +23,7 @@ import numpy as np
 from . import geometry as geo
 from . import pointcloud as pc
 from .errors import EmptyFrame, InvalidParams, ParseError
-from .geometry import EulerZYX, Pose
+from .geometry import Pose
 from .pointcloud import Frame, Trajectory
 
 
@@ -90,7 +90,9 @@ class LidarModel:
 
 @dataclass(frozen=True)
 class RigConfig:
-    """Mounting transform of sensor B in sensor A's frame (ZYX Euler, deg)."""
+    """Mounting transform of sensor B in sensor A's frame: translation in
+    meters and ZYX Euler angles in degrees, the rotation being
+    Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
 
     x: float
     y: float
@@ -100,9 +102,10 @@ class RigConfig:
     yaw_deg: float
 
     def to_pose(self) -> Pose:
-        e = EulerZYX(math.radians(self.roll_deg), math.radians(self.pitch_deg),
-                     math.radians(self.yaw_deg))
-        return geo.euler_zyx_to_pose(e, (self.x, self.y, self.z))
+        rot = (geo.rot_z(math.radians(self.yaw_deg))
+               @ geo.rot_y(math.radians(self.pitch_deg))
+               @ geo.rot_x(math.radians(self.roll_deg)))
+        return Pose(rot, (self.x, self.y, self.z))
 
 
 RIG_PRESETS: dict[str, RigConfig] = {
@@ -165,8 +168,7 @@ def builtin_scene(kind: str) -> Scene:
 
 
 def simulate_scan(scene: Scene, pose_start: Pose, pose_end: Pose,
-                  model: LidarModel, seed, *, stamp: float = 0.0,
-                  sensor_id: str = "A") -> Frame:
+                  model: LidarModel, seed, *, stamp: float = 0.0) -> Frame:
     """Cast one full rotation of beams from the moving sensor.
 
     Rays at azimuth step a are emitted from the interpolated sensor pose at
@@ -193,7 +195,7 @@ def simulate_scan(scene: Scene, pose_start: Pose, pose_end: Pose,
     n_el = len(elevations)
 
     rel = geo.compose(geo.inverse(pose_start), pose_end)
-    xi = geo.log_se3(rel).as_vector()
+    xi = geo.log_se3(rel)
     rot_i, trans_i = geo.exp_se3_scaled(xi, fractions)
     rot_w = pose_start.rotation @ rot_i
     origins = trans_i @ pose_start.rotation.T + pose_start.translation
@@ -235,7 +237,7 @@ def simulate_scan(scene: Scene, pose_start: Pose, pose_end: Pose,
         ranges = ranges + rng.normal(0.0, model.range_sigma, size=len(ranges))
     positions = dirs_local.reshape(k, 3)[hit] * ranges[:, None]
     offsets = np.repeat(fractions, n_el)[hit] * model.scan_period
-    return Frame(positions, stamp, sensor_id, model.scan_period, offsets)
+    return Frame(positions, stamp, model.scan_period, offsets)
 
 
 def make_trajectory(kind: str, length: float, frame_count: int, *,
@@ -288,7 +290,7 @@ class SimDataset:
     frames_b: list[Frame]
     trajectory: Trajectory
     extrinsic: Pose | None  # None for a read dataset without ground truth
-    scene: Scene
+    scene: str  # the scene's name
     model: LidarModel
     seed: int
     rig_name: str = ""
@@ -307,19 +309,18 @@ def generate_dataset(scene: Scene, trajectory: Trajectory, rig: RigConfig | Pose
     frames_b: list[Frame] = []
     for j, (pose, end) in enumerate(zip(trajectory.poses, ends)):
         stamp = float(trajectory.stamps[j])
-        fa = simulate_scan(scene, pose, end, model, (seed, 0, j),
-                           stamp=stamp, sensor_id="A")
+        fa = simulate_scan(scene, pose, end, model, (seed, 0, j), stamp=stamp)
         fb = simulate_scan(scene, geo.compose(pose, extrinsic),
                            geo.compose(end, extrinsic), model, (seed, 1, j),
-                           stamp=stamp, sensor_id="B")
+                           stamp=stamp)
         if len(fa) == 0:
             raise EmptyFrame(f"sensor A frame {j} has no returns")
         if len(fb) == 0:
             raise EmptyFrame(f"sensor B frame {j} has no returns")
         frames_a.append(fa)
         frames_b.append(fb)
-    return SimDataset(frames_a, frames_b, trajectory, extrinsic, scene, model,
-                      seed, rig_name)
+    return SimDataset(frames_a, frames_b, trajectory, extrinsic, scene.name,
+                      model, seed, rig_name)
 
 
 def check_perturb_bounds(max_trans: float, max_rot_deg: float) -> None:
@@ -373,7 +374,7 @@ def write_dataset(ds: SimDataset, out_dir) -> None:
     with open(out / "extrinsic_gt.txt", "w") as fh:
         fh.write(pc.format_pose_line(ds.extrinsic, 0.0) + "\n")
     meta = {
-        "scene": ds.scene.name,
+        "scene": ds.scene,
         "rig": ds.rig_name or "custom",
         **{f.name: getattr(ds.model, f.name) for f in fields(LidarModel)},
         "seed": ds.seed,
@@ -435,8 +436,7 @@ def read_dataset(dataset_dir) -> SimDataset:
     for sensor, sink in (("A", frames_a), ("B", frames_b)):
         for j, path in enumerate(files[sensor]):
             sink.append(pc.load_cloud(path, stamp=float(trajectory.stamps[j]),
-                                      sensor_id=sensor,
                                       scan_duration=model.scan_period))
-    scene = Scene(meta.get("scene", "unknown"), [Rect([0, 0, 0], [1, 0, 0], [0, 1, 0])])
-    return SimDataset(frames_a, frames_b, trajectory, extrinsic, scene, model,
+    return SimDataset(frames_a, frames_b, trajectory, extrinsic,
+                      meta.get("scene", "unknown"), model,
                       value("seed", int, 0), meta.get("rig", ""))

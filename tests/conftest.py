@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from lidarcalib import geometry as geo
-from lidarcalib import lba
 from lidarcalib import pointcloud as pc
 from lidarcalib import simulator as sim
 from lidarcalib import voxelmap as vm

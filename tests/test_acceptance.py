@@ -109,7 +109,7 @@ class TestCriterion2:
         # sensor A data and the map do not depend on the rig
         ends = pc.scan_end_poses(traj, model.scan_period)
         frames_a = [sim.simulate_scan(scene, p, e, model, (321, 0, j),
-                                      stamp=float(traj.stamps[j]), sensor_id="A")
+                                      stamp=float(traj.stamps[j]))
                     for j, (p, e) in enumerate(zip(traj.poses, ends))]
         deskewed = [pc.deskew(f, p, e)
                     for f, p, e in zip(frames_a, traj.poses, ends)]
@@ -121,7 +121,7 @@ class TestCriterion2:
             gt = preset.to_pose()
             frames_b = [sim.simulate_scan(
                 scene, geo.compose(p, gt), geo.compose(e, gt), model,
-                (321, 1, j), stamp=float(traj.stamps[j]), sensor_id="B")
+                (321, 1, j), stamp=float(traj.stamps[j]))
                 for j, (p, e) in enumerate(zip(traj.poses, ends))]
             # str hash() is salted per process; crc32 is stable across runs
             guess = sim.perturb(gt, 0.2, 15.0, seed=zlib.crc32(name.encode()))
@@ -203,7 +203,7 @@ class TestCriterion6:
             angle = np.linalg.norm(vec[:3])
             if angle >= math.pi - 1e-6:
                 continue
-            back = geo.log_se3(geo.exp_se3(vec)).as_vector()
+            back = geo.log_se3(geo.exp_se3(vec))
             worst = max(worst, float(np.max(np.abs(back - vec))))
         assert worst < 1e-9, f"worst round-trip error {worst:.2e}"
         report(6, f"1e5 twists round trip, worst error {worst:.2e}")
@@ -345,7 +345,7 @@ class TestCriterion10:
                                      range_sigma=0.01)
             frames_b = [sim.simulate_scan(
                 scene, geo.compose(p, gt), geo.compose(e, gt), model_b,
-                (7, 1, j), stamp=float(traj.stamps[j]), sensor_id="B")
+                (7, 1, j), stamp=float(traj.stamps[j]))
                 for j, (p, e) in enumerate(zip(traj.poses, ends))]
             total = sum(len(f) for f in frames_b)
             guess = sim.perturb(gt, 0.05, 3.0, 5)

@@ -1,7 +1,5 @@
 import csv
-import math
 import shutil
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -503,6 +501,31 @@ class TestExitCodes:
                        "--out", str(tmp_path / "calib")])
         assert rc == cli.EXIT_CONFIG
         assert "unsupported FIELDS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["lba", "calibrate"])
+    def test_far_point_exits_2(self, cli_dataset, cli_lba_dir, tmp_path,
+                               capsys, command):
+        # one point 1e10 m out spans more grid cells than int64 keys hold
+        _, cfg_path, out = cli_dataset
+        ds = tmp_path / "ds"
+        shutil.copytree(out, ds)
+        args = ["--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        if command == "lba":
+            source = cloud = ds / "A" / "000000.pcd"
+            args += ["--traj", str(ds / "trajectory_gt.txt")]
+        else:
+            source, cloud = cli_lba_dir / "map_A.pcd", tmp_path / "map.pcd"
+            args += ["--lba-dir", str(cli_lba_dir), "--map", str(cloud),
+                     "--guess", str(ds / "extrinsic_gt.txt")]
+        lines = source.read_text().splitlines()
+        n = int(next(ln for ln in lines if ln.startswith("POINTS")).split()[1])
+        lines = [f"WIDTH {n + 1}" if ln.startswith("WIDTH") else
+                 f"POINTS {n + 1}" if ln.startswith("POINTS") else ln
+                 for ln in lines] + ["10000000000 10000000000 10000000000 0"]
+        cloud.write_text("\n".join(lines) + "\n")
+        rc = cli.main([command, str(ds), *args])
+        assert rc == cli.EXIT_CONFIG
+        assert "cell size" in capsys.readouterr().err
 
     def test_non_monotonic_stamps_exit_2(self, cli_dataset, tmp_path, capsys):
         _, cfg_path, out = cli_dataset

@@ -204,7 +204,7 @@ def patch_world(views):
     for anchor, seen in zip(anchors, views):
         world = np.vstack([sample_patch(rng, *PATCH_RECTS[k], 700) for k in seen])
         local = geo.apply(geo.inverse(gt), geo.apply(geo.inverse(anchor), world))
-        frames.append(pc.Frame(local, 0.0, "B", 0.0))
+        frames.append(pc.Frame(local, 0.0, 0.0))
     return index, gt, anchors, frames
 
 
@@ -411,8 +411,8 @@ class TestCalibrate:
     def test_sweeps_need_increasing_stamps(self, room_calib_setup):
         ds, index, anchors = room_calib_setup
         assert all(f.scan_duration > 0.0 for f in ds.frames_b)
-        same_stamp = [pc.Frame(f.positions, 0.0, f.sensor_id, f.scan_duration,
-                               f.time_offsets) for f in ds.frames_b]
+        same_stamp = [pc.Frame(f.positions, 0.0, f.scan_duration, f.time_offsets)
+                      for f in ds.frames_b]
         with pytest.raises(InvalidParams, match="increasing stamps"):
             ext.calibrate(index, same_stamp, anchors, ds.extrinsic)
 
@@ -469,7 +469,7 @@ class TestCalibrate:
         ds, index, anchors = room_calib_setup
         frames = list(ds.frames_b)
         keep = ext.MIN_FRAME_CORR - 1
-        frames[3] = pc.Frame(frames[3].positions[:keep], frames[3].stamp, "B",
+        frames[3] = pc.Frame(frames[3].positions[:keep], frames[3].stamp,
                              frames[3].scan_duration,
                              frames[3].time_offsets[:keep])
         calls = []
@@ -518,7 +518,7 @@ class TestCalibrate:
                    for j in range(4)]
         frames = [pc.Frame(geo.apply(geo.inverse(gt),
                                      geo.apply(geo.inverse(a), floor(700))),
-                           0.0, "B", 0.0) for a in anchors]
+                           0.0, 0.0) for a in anchors]
         with pytest.raises(Unobservable) as exc:
             ext.calibrate(index, frames, anchors, gt)
         assert exc.value.frame_indices == list(range(len(frames)))

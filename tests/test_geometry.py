@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from lidarcalib import geometry as geo
 from lidarcalib.errors import AngleNearPi
-from lidarcalib.geometry import EulerZYX, Pose, Twist
+from lidarcalib.geometry import Pose
+from lidarcalib.simulator import RIG_PRESETS, RigConfig
 
 
 def random_pose(rng, max_angle=3.0, max_trans=10.0):
@@ -52,12 +53,12 @@ def _series_exp_se3(vec, terms=20):
 
 class TestExpLog:
     def test_exp_zero_is_identity(self):
-        p = geo.exp_se3(Twist.zero())
+        p = geo.exp_se3(np.zeros(6))
         np.testing.assert_allclose(p.rotation, np.eye(3), atol=1e-15)
         np.testing.assert_allclose(p.translation, np.zeros(3), atol=1e-15)
 
     def test_pure_rotation_about_z(self):
-        p = geo.exp_se3(Twist(np.array([0.0, 0.0, math.pi / 2]), np.zeros(3)))
+        p = geo.exp_se3(np.array([0.0, 0.0, math.pi / 2, 0.0, 0.0, 0.0]))
         np.testing.assert_allclose(p.rotation, geo.rot_z(math.pi / 2), atol=1e-12)
         np.testing.assert_allclose(p.translation, np.zeros(3), atol=1e-15)
 
@@ -70,23 +71,24 @@ class TestExpLog:
 
     def test_log_identity(self):
         xi = geo.log_se3(Pose.identity())
-        np.testing.assert_allclose(xi.as_vector(), np.zeros(6), atol=1e-15)
+        assert xi.shape == (6,)
+        np.testing.assert_allclose(xi, np.zeros(6), atol=1e-15)
 
     def test_log_round_trip(self):
-        xi = Twist(np.array([0.1, 0.2, 0.3]), np.array([1.0, 2.0, 3.0]))
+        xi = np.array([0.1, 0.2, 0.3, 1.0, 2.0, 3.0])
         back = geo.log_se3(geo.exp_se3(xi))
-        np.testing.assert_allclose(back.as_vector(), xi.as_vector(), atol=1e-9)
+        np.testing.assert_allclose(back, xi, atol=1e-9)
 
     def test_log_near_pi_axis_extraction(self):
         angle = math.pi - 1e-3
         p = Pose(geo.exp_so3(np.array([angle, 0.0, 0.0])), np.zeros(3))
         xi = geo.log_se3(p)
-        np.testing.assert_allclose(xi.rot, [angle, 0.0, 0.0], atol=1e-9)
+        np.testing.assert_allclose(xi[:3], [angle, 0.0, 0.0], atol=1e-9)
         # axis-angle oracle: rotation eigenvector for eigenvalue 1
         vals, vecs = np.linalg.eig(p.rotation)
         axis = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
         axis /= np.linalg.norm(axis)
-        alignment = abs(np.dot(xi.rot / angle, axis))
+        alignment = abs(np.dot(xi[:3] / angle, axis))
         assert abs(alignment - 1.0) < 1e-9
 
     def test_log_rejects_angle_at_pi(self):
@@ -97,7 +99,7 @@ class TestExpLog:
     def test_small_angle_stability(self):
         vec = np.array([1e-9, -2e-9, 1e-9, 0.5, -0.25, 0.125])
         p = geo.exp_se3(vec)
-        back = geo.log_se3(p).as_vector()
+        back = geo.log_se3(p)
         np.testing.assert_allclose(back, vec, atol=1e-15)
 
     @settings(max_examples=200, deadline=None)
@@ -107,7 +109,7 @@ class TestExpLog:
         angle = np.linalg.norm(vec[:3])
         if angle >= math.pi - 1e-6:
             return
-        back = geo.log_se3(geo.exp_se3(vec)).as_vector()
+        back = geo.log_se3(geo.exp_se3(vec))
         np.testing.assert_allclose(back, vec, atol=1e-9)
 
 
@@ -169,46 +171,39 @@ class TestComposeApply:
                                   pts[0] @ p.rotation.T + p.translation)
 
 
+def rig_pose(roll, pitch, yaw, t=(0.0, 0.0, 0.0)):
+    """`RigConfig.to_pose` of ZYX angles given in radians."""
+    return RigConfig(*t, *np.degrees([roll, pitch, yaw])).to_pose()
+
+
 class TestEuler:
+    """The ZYX convention of `RigConfig.to_pose`."""
+
     def test_zero_angles_identity(self):
-        p = geo.euler_zyx_to_pose(EulerZYX(0.0, 0.0, 0.0))
+        p = rig_pose(0.0, 0.0, 0.0, (1.0, -2.0, 0.5))
         np.testing.assert_allclose(p.rotation, np.eye(3), atol=1e-15)
+        np.testing.assert_array_equal(p.translation, [1.0, -2.0, 0.5])
 
     def test_rig_preset_angles(self):
-        # roll=-90 deg, pitch=0, yaw=180 deg
-        e = EulerZYX(math.radians(-90.0), 0.0, math.radians(180.0))
-        p = geo.euler_zyx_to_pose(e)
+        # config1: roll=-90 deg, pitch=0, yaw=180 deg
+        p = RIG_PRESETS["config1"].to_pose()
         expected = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, -1.0, 0.0]])
         np.testing.assert_allclose(p.rotation, expected, atol=1e-12)
+        np.testing.assert_array_equal(p.translation, [0.0, -0.35, -0.9])
 
     def test_matches_elementary_product(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
             r, pch, y = rng.uniform(-1.4, 1.4, size=3)
-            p = geo.euler_zyx_to_pose(EulerZYX(r, pch, y))
+            p = rig_pose(r, pch, y)
             oracle = geo.rot_z(y) @ geo.rot_y(pch) @ geo.rot_x(r)
             np.testing.assert_allclose(p.rotation, oracle, atol=1e-12)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            r, y = rng.uniform(-math.pi + 0.01, math.pi - 0.01, size=2)
-            pch = rng.uniform(-math.pi / 2 + 0.01, math.pi / 2 - 0.01)
-            pose = geo.euler_zyx_to_pose(EulerZYX(r, pch, y))
-            e, locked = geo.pose_to_euler_zyx(pose)
-            assert not locked
-            np.testing.assert_allclose([e.roll, e.pitch, e.yaw], [r, pch, y], atol=1e-9)
-
-    def test_gimbal_lock_flag(self):
-        pose = geo.euler_zyx_to_pose(EulerZYX(0.3, math.pi / 2, 0.1))
-        _, locked = geo.pose_to_euler_zyx(pose)
-        assert locked
 
     def test_output_satisfies_pose_invariants(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             angles = rng.uniform(-math.pi, math.pi, size=3)
-            p = geo.euler_zyx_to_pose(EulerZYX(*angles))
+            p = rig_pose(*angles)
             assert np.linalg.norm(p.rotation.T @ p.rotation - np.eye(3)) < 1e-9
             assert abs(np.linalg.det(p.rotation) - 1.0) < 1e-9
 

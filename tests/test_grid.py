@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lidarcalib.errors import InvalidParams
 from lidarcalib.grid import pack_cells
 
 INT64_MAX = np.iinfo(np.int64).max
@@ -41,5 +42,5 @@ class TestPackCells:
         [[np.iinfo(np.int64).min, 0, 0], [INT64_MAX, 0, 0]],
     ])
     def test_box_beyond_int64_raises(self, cells):
-        with pytest.raises(ValueError, match="int64"):
+        with pytest.raises(InvalidParams, match="int64"):
             pack_cells(np.array(cells, dtype=np.int64))

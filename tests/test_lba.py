@@ -209,7 +209,7 @@ class TestPointToPlaneCost:
                  for p, n, c, w in zip(b.points, b.normals, b.centroids,
                                        b.weights)]
         for ref, t in zip(refs[1:], poses[1:]):
-            xi = geo.log_se3(geo.compose(geo.inverse(ref), t)).as_vector()
+            xi = geo.log_se3(geo.compose(geo.inverse(ref), t))
             terms.append(lba.OVERLAP_WEIGHT * float(xi @ xi))
         cost = lba.point_to_plane_cost(poses, batches, refs)
         assert cost == pytest.approx(math.fsum(terms), rel=1e-12)
@@ -359,7 +359,7 @@ class TestOptimizeWindow:
         ties = []
         for j in range(1, n_overlap):
             xi = geo.log_se3(geo.compose(geo.inverse(init[j]), refined[j]))
-            ties.append(lba.OVERLAP_WEIGHT * float(np.sum(xi.as_vector() ** 2)))
+            ties.append(lba.OVERLAP_WEIGHT * float(np.sum(xi ** 2)))
         assert math.fsum(ties) > 1e-6 * result.final_cost
         assert result.final_cost == pytest.approx(data + math.fsum(ties),
                                                   rel=1e-12)

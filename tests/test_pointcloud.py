@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 
 from lidarcalib import geometry as geo
 from lidarcalib import pointcloud as pc
-from lidarcalib.errors import NonMonotonicStamps, ParseError, StampMismatch, UnsupportedField
+from lidarcalib.errors import (InvalidParams, NonMonotonicStamps, ParseError,
+                               StampMismatch, UnsupportedField)
 from lidarcalib.geometry import Pose
 
 from test_geometry import random_pose
 
 
-def make_frame(positions, duration=0.1, offsets=None, intensities=None):
-    return pc.Frame(np.asarray(positions, dtype=float), stamp=1.0, sensor_id="A",
-                    scan_duration=duration, time_offsets=offsets, intensities=intensities)
+def make_frame(positions, duration=0.1, offsets=None):
+    return pc.Frame(np.asarray(positions, dtype=float), stamp=1.0,
+                    scan_duration=duration, time_offsets=offsets)
 
 
 class TestFrame:
@@ -143,43 +144,32 @@ class TestVoxelDownsample:
             np.add.at(sums, inv, values)
             return sums / counts.reshape(-1, *([1] * (values.ndim - 1)))
 
-        inten = (None if f.intensities is None
-                 else cell_mean(f.intensities))
-        return cell_mean(f.positions), cell_mean(f.time_offsets), inten
+        return cell_mean(f.positions), cell_mean(f.time_offsets)
 
-    @pytest.mark.parametrize("with_intensity", [False, True])
-    def test_matches_unique_rows_reference(self, with_intensity):
+    def test_matches_unique_rows_reference(self):
         rng = np.random.default_rng(5)
         # negative and positive coordinates, shuffled, many points per cell
         pts = rng.uniform(-3.7, 2.9, size=(4000, 3))
-        inten = rng.uniform(0, 100, 4000) if with_intensity else None
-        f = make_frame(pts, duration=0.1, offsets=rng.uniform(0, 0.1, 4000),
-                       intensities=inten)
+        f = make_frame(pts, duration=0.1, offsets=rng.uniform(0, 0.1, 4000))
         for leaf in (0.25, 0.9):
             out = pc.voxel_downsample(f, leaf)
-            pos, offs, ref_inten = self.unique_rows_reference(f, leaf)
+            pos, offs = self.unique_rows_reference(f, leaf)
             np.testing.assert_array_equal(out.positions, pos)
             np.testing.assert_array_equal(out.time_offsets, offs)
-            if with_intensity:
-                np.testing.assert_array_equal(out.intensities, ref_inten)
-            else:
-                assert out.intensities is None
 
     def test_single_occupied_cell(self):
         rng = np.random.default_rng(6)
         pts = rng.uniform(-0.99, -0.01, size=(50, 3))
-        f = make_frame(pts, duration=0.1, offsets=rng.uniform(0, 0.1, 50),
-                       intensities=rng.uniform(0, 1, 50))
+        f = make_frame(pts, duration=0.1, offsets=rng.uniform(0, 0.1, 50))
         out = pc.voxel_downsample(f, 1.0)
-        pos, offs, inten = self.unique_rows_reference(f, 1.0)
+        pos, offs = self.unique_rows_reference(f, 1.0)
         assert len(out) == 1
         np.testing.assert_array_equal(out.positions, pos)
         np.testing.assert_array_equal(out.time_offsets, offs)
-        np.testing.assert_array_equal(out.intensities, inten)
 
     def test_cell_span_beyond_int64_raises(self):
         f = make_frame([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], duration=0.0)
-        with pytest.raises(ValueError, match="int64"):
+        with pytest.raises(InvalidParams, match="int64"):
             pc.voxel_downsample(f, 1e-7)
 
     def test_output_within_input_bbox(self):
@@ -228,13 +218,23 @@ class TestCloudIO:
         back = pc.load_cloud(path, scan_duration=0.1)
         assert np.max(np.abs(back.positions - pts)) < 1e-6
 
-    def test_intensity_round_trip(self, tmp_path):
-        f = make_frame([[1.0, 2.0, 3.0]], duration=0.0, intensities=[42.0])
-        path = tmp_path / "i.pcd"
-        pc.save_cloud(f, path)
-        back = pc.load_cloud(path)
-        assert back.intensities is not None
-        assert back.intensities[0] == 42.0
+    def test_intensity_column_is_dropped(self, tmp_path):
+        def load(fields, rows):
+            k = len(fields.split())
+            path = tmp_path / f"{k}.pcd"
+            path.write_text(
+                f"VERSION .7\nFIELDS {fields}\nSIZE {' '.join(['4'] * k)}\n"
+                f"TYPE {' '.join(['F'] * k)}\nCOUNT {' '.join(['1'] * k)}\n"
+                f"WIDTH {len(rows)}\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\n"
+                f"POINTS {len(rows)}\nDATA ascii\n" + "".join(r + "\n" for r in rows))
+            return pc.load_cloud(path)
+
+        plain = load("x y z t", ["1.5 -2 3 0.25", "4 5.5 -6 0.5"])
+        dropped = load("x y z t intensity", ["1.5 -2 3 0.25 42", "4 5.5 -6 0.5 7"])
+        np.testing.assert_array_equal(dropped.positions, plain.positions)
+        np.testing.assert_array_equal(dropped.time_offsets, plain.time_offsets)
+        np.testing.assert_array_equal(plain.time_offsets, [0.25, 0.5])
+        assert dropped.scan_duration == plain.scan_duration == 0.5
 
     def test_missing_t_field_defaults_zero(self, tmp_path):
         path = tmp_path / "xyz.pcd"

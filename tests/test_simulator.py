@@ -41,7 +41,7 @@ def reference_scan(scene, pose_start, pose_end, model, seed):
         half = math.radians(model.vertical_fov_deg) / 2.0
         elevations = np.linspace(-half, half, model.beams)
     rel = geo.compose(geo.inverse(pose_start), pose_end)
-    rot_i, trans_i = geo.exp_se3_scaled(geo.log_se3(rel).as_vector(), fractions)
+    rot_i, trans_i = geo.exp_se3_scaled(geo.log_se3(rel), fractions)
     rot_w = pose_start.rotation @ rot_i
     origins = trans_i @ pose_start.rotation.T + pose_start.translation
     cos_el = np.cos(elevations)
