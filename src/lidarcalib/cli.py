@@ -54,8 +54,6 @@ def _load_effective_config(args) -> RunConfig:
         cfg = load_config(args.config, cfg)
     if getattr(args, "seed", None) is not None:
         cfg.sim.seed = args.seed
-    if getattr(args, "stride", None) is not None:
-        cfg.calib.frame_stride = args.stride
     cfg.validate()
     return cfg
 
@@ -109,7 +107,11 @@ def cmd_lba(args) -> int:
         raise StampMismatch(f"--traj {args.traj} has {len(traj)} poses but the "
                             f"dataset has {len(ds.frames_a)} frames")
     frames = _deskew_all(ds.frames_a, traj, ds.model.scan_period)
-    result = lba.run_sliding_lba(frames, traj, cfg.lba)
+    try:
+        result = lba.run_sliding_lba(frames, traj, cfg.lba)
+    except InvalidParams as exc:
+        # the config is valid: the input is at fault
+        raise InvalidParams(f"sensor A: {exc}") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pc.save_trajectory(result.trajectory, out / "trajectory_refined.txt")
@@ -156,8 +158,14 @@ def cmd_calibrate(args) -> int:
     anchors = [traj.poses[traj.index_for_stamp(f.stamp)] for f in ds.frames_b]
     gt = ds.extrinsic
     guess = _resolve_guess(args, gt)
-    index = build_map_index(map_frame.positions, cfg)
-    result = ext.calibrate(index, ds.frames_b, anchors, guess, cfg.calib)
+    try:
+        index = build_map_index(map_frame.positions, cfg)
+    except InvalidParams as exc:
+        raise InvalidParams(f"map {map_path}: {exc}") from exc
+    try:
+        result = ext.calibrate(index, ds.frames_b, anchors, guess, cfg.calib)
+    except InvalidParams as exc:
+        raise InvalidParams(f"sensor B: {exc}") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     echo = {"config": dump_config(cfg).replace("\n", "; ")}
@@ -334,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--perturb", nargs=2, type=float,
                        metavar=("T_M", "ROT_DEG"))
     p_cal.add_argument("--seed", type=int)
-    p_cal.add_argument("--stride", type=int)
     p_cal.add_argument("--out", required=True)
 
     p_eval = sub.add_parser("evaluate", help="compare estimates to ground truth")

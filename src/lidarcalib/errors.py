@@ -36,9 +36,9 @@ class InvalidParams(LidarCalibError):
 
 
 class DegenerateGeometry(LidarCalibError):
-    """Too few independent point-to-plane constraints to optimize an LBA
-    window. (A voxel cell that cannot hold a plane is discarded instead,
-    without an error.)"""
+    """An LBA frame's matches are `Unobservable`; the message names the
+    window and the frame. (A voxel cell that cannot hold a plane is
+    discarded instead, without an error.)"""
 
     def __init__(self, message: str, window: int | None = None):
         self.window = window
@@ -48,7 +48,9 @@ class DegenerateGeometry(LidarCalibError):
 
 
 class Unobservable(LidarCalibError):
-    """Plane geometry does not constrain all six pose degrees of freedom."""
+    """Point-to-plane matches do not pin all six pose degrees of freedom, by
+    the one test of every LM solve (`ptplane.lm_refine`). `calibrate` adds
+    the usable frames' indices."""
 
     def __init__(self, message: str, frame_indices: list[int] | None = None):
         self.frame_indices = frame_indices or []

@@ -7,7 +7,8 @@ extrinsic is refined by weighted point-to-plane Levenberg-Marquardt on the
 Lie algebra: each frame's matches form a `ptplane.PlaneBatch` that folds
 its reference pose into the planes, and the consensus frames' batches are
 stacked and solved jointly by `ptplane.lm_refine`, the solver the LBA uses
-too. An outer loop re-associates every frame under a distance gate that
+too, whose observability test on the match geometry is the only one here.
+An outer loop re-associates every frame under a distance gate that
 shrinks one stage per iteration, keeps the consensus frames (robust RMS
 residual at the shared estimate within 6x the median), takes one joint LM
 solve over them with the association and robust weights frozen, and stops
@@ -43,7 +44,7 @@ from .errors import InvalidParams, NoCorrespondences, Unobservable
 from .geometry import Pose
 from .pointcloud import Frame
 from .ptplane import (CAUCHY_FACTOR, CAUCHY_SCALE_FLOOR, PlaneBatch,
-                      cauchy_weights, fit_planes, lm_refine, normal_equations)
+                      cauchy_weights, fit_planes, lm_refine)
 from .voxelmap import VoxelMapIndex
 
 
@@ -55,9 +56,6 @@ from .voxelmap import VoxelMapIndex
 NORMAL_GATE = 0.85
 # frames with fewer matches sit out the outer iteration
 MIN_FRAME_CORR = 20
-# the joint batch is unobservable above this condition number of the
-# undamped Gauss-Newton H at its start pose (see lm_solve)
-COND_LIMIT = 1e12
 # seeding scores candidates on about this many evenly spaced probe frames,
 # with proximity weight 1 / (1 + (d / ROT_SEED_KERNEL)^2) at distance d (m)
 ROT_SEED_FRAMES = 6
@@ -79,7 +77,6 @@ SEED_FINALISTS = 8
 class CalibConfig:
     max_outer_iters: int = 30
     convergence_delta: float = 1e-5
-    frame_stride: int = 1
     # association gate shrinks geometrically from start to end over the
     # first reject_iters outer iterations, tolerating coarse initial guesses
     reject_start: float = 0.5
@@ -94,8 +91,6 @@ class CalibConfig:
             raise InvalidParams("max_outer_iters must be >= 1")
         if not self.convergence_delta > 0.0:
             raise InvalidParams("convergence delta must be positive")
-        if self.frame_stride < 1:
-            raise InvalidParams("frame stride must be >= 1")
         if not (self.reject_start > 0.0 and self.reject_end > 0.0):
             raise InvalidParams("reject_start and reject_end must be positive")
         if self.reject_iters < 1:
@@ -131,19 +126,10 @@ class CalibrationResult:
 
 
 def lm_solve(batch: PlaneBatch, t_init: Pose) -> tuple[Pose, list[dict]]:
-    """Weighted point-to-plane LM (`ptplane.lm_refine`) for one batch.
-
-    `calibrate` runs it once per outer iteration, on the joint batch of the
-    consensus frames; its test is the only observability test there.
-    Raises Unobservable for fewer than 6 matches, or when the undamped
-    Gauss-Newton H at t_init has condition number above COND_LIMIT.
-    """
-    if len(batch) < 6:
-        raise Unobservable(f"only {len(batch)} correspondences (< 6)")
-    h, _ = normal_equations(batch, t_init)
-    if np.linalg.cond(h) > COND_LIMIT:
-        raise Unobservable("normal equations are ill conditioned "
-                           "(degenerate plane geometry)")
+    """The joint step: weighted point-to-plane LM (`ptplane.lm_refine`) on
+    one batch. `calibrate` runs it once per outer iteration, on the joint
+    batch of the consensus frames. Raises Unobservable when the batch fails
+    `lm_refine`'s observability test on the match geometry."""
     return lm_refine(batch, t_init)
 
 
@@ -401,7 +387,7 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
               cfg: CalibConfig | None = None) -> CalibrationResult:
     """Extrinsic estimation by joint weighted LM against the reference map.
 
-    Per outer iteration every strided frame is deskewed with the reference
+    Per outer iteration every frame is deskewed with the reference
     motion rel conjugated by the current estimate T and associated to map
     planes under the current rejection gate, which freezes the matches and
     their robust weights. Each sweep's point-form coefficients M_s of
@@ -428,14 +414,11 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
     cfg.validate()
     if len(frames_b) != len(anchors):
         raise InvalidParams("frames and anchors must correspond one-to-one")
-    sel = list(range(0, len(frames_b), cfg.frame_stride))
-    frames = [frames_b[i] for i in sel]
-    anchor_list = [anchors[i] for i in sel]
-    if cfg.downsample_leaf > 0:
-        frames = [pc.voxel_downsample(f, cfg.downsample_leaf) for f in frames]
+    frames = (pc.downsample_frames(frames_b, cfg.downsample_leaf)
+              if cfg.downsample_leaf > 0 else frames_b)
 
     nearest_lookup = _NearestPlaneLookup(map_index)
-    t_prev = _seed_initial(map_index, nearest_lookup, frames, anchor_list,
+    t_prev = _seed_initial(map_index, nearest_lookup, frames, anchors,
                            t_guess, cfg)
     # a frame with fewer points than MIN_FRAME_CORR never has enough matches
     active = [k for k, f in enumerate(frames) if len(f) >= MIN_FRAME_CORR]
@@ -443,7 +426,7 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
     # deskewing (see the docstring); None leaves a frame as it is
     stamps = [f.stamp for f in frames_b]
     motions = {k: pc.sweep_coefficients(frames[k], pc.sweep_motion(
-                   anchors, stamps, sel[k], frames[k].scan_duration))
+                   anchors, stamps, k, frames[k].scan_duration))
                if frames[k].scan_duration > 0.0 and len(anchors) > 1 else None
                for k in active}
     # sensor-frame local normals, computed once per frame (deskewing warps
@@ -462,7 +445,7 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
         # the usable frames' batches, keyed by frame
         batches: dict[int, PlaneBatch] = {}
         for k in active:
-            f, anchor, motion = frames[k], anchor_list[k], motions[k]
+            f, anchor, motion = frames[k], anchors[k], motions[k]
             if motion is None:
                 points = f.positions
                 world = geo.apply(anchor, geo.apply(t_prev, points))
@@ -483,13 +466,12 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
                            for b in batches.values()])
         consensus = [k for k, kept in zip(batches, _consensus_mask(scores))
                      if kept]
-        skipped = [sel[i] for i in range(len(frames)) if i not in consensus]
+        skipped = [k for k in range(len(frames)) if k not in consensus]
         joint = _joint_batch([batches[i] for i in consensus])
         try:
             t_new, joint_trace = lm_solve(joint, t_prev)
         except Unobservable as exc:
-            raise Unobservable(str(exc),
-                               frame_indices=[sel[k] for k in batches]) from exc
+            raise Unobservable(str(exc), frame_indices=list(batches)) from exc
         lm_traces.append(joint_trace)
         # translation norm plus half the rotation angle of the joint step
         step = geo.log_se3(geo.compose(prev_inv, t_new))

@@ -29,7 +29,8 @@ def cell_box(cells: np.ndarray) -> tuple[np.ndarray, list[int]]:
     dims = [int(h) - int(l) + 1 for l, h in zip(lo, cells.max(axis=0))]
     if math.prod(dims) > _KEY_MAX:
         raise InvalidParams(f"cell box {dims} has more cells than int64 keys "
-                            "can tell apart; use a larger cell size")
+                            "can tell apart: a point may lie far from the "
+                            "rest, or the cell size is too small")
     return lo, dims
 
 

@@ -33,7 +33,8 @@ from scipy.spatial import cKDTree
 
 from . import geometry as geo
 from . import pointcloud as pc
-from .errors import DegenerateGeometry, InvalidParams, StampMismatch
+from .errors import (DegenerateGeometry, InvalidParams, StampMismatch,
+                     Unobservable)
 from .geometry import Pose
 from .pointcloud import Frame, Trajectory
 from .ptplane import (CAUCHY_FACTOR, CAUCHY_SCALE_FLOOR, INNER_TOL,
@@ -86,9 +87,6 @@ def _check_window(w: int, d: int) -> None:
 
 @dataclass
 class WindowPlan:
-    n: int
-    w: int
-    d: int
     o: int
     windows: list[tuple[int, int]]  # 0-based inclusive (start, end)
 
@@ -100,14 +98,14 @@ def plan_windows(n: int, w: int, d: int) -> WindowPlan:
     _check_window(w, d)
     o = d // 2
     if n <= d or w > n:
-        return WindowPlan(n, w, d, o, [(0, n - 1)])
+        return WindowPlan(o, [(0, n - 1)])
     k = math.ceil((n - d) / (d - o)) + 1
     windows = []
     for m in range(k):
         start = m * (d - o)
         end = min(start + w - 1, n - 1)
         windows.append((start, end))
-    return WindowPlan(n, w, d, o, windows)
+    return WindowPlan(o, windows)
 
 
 @dataclass
@@ -210,21 +208,6 @@ def point_to_plane_cost(poses: list[Pose], batches: list[PlaneBatch],
     return cost
 
 
-def _check_frame_constraints(j: int, batch: PlaneBatch, pose: Pose):
-    """Frame j's matches, taken at the pose they were matched at, must pin
-    all six DoF."""
-    count = len(batch)
-    if count < 6:
-        raise DegenerateGeometry(
-            f"frame {j} has {count} point-to-plane constraints (< 6)")
-    jrow = batch.jacobian(pose)
-    evals = np.linalg.eigvalsh(jrow.T @ jrow)
-    if evals[0] < 1e-10 * max(evals[-1], 1e-30):
-        raise DegenerateGeometry(
-            f"frame {j} constraints are rank deficient (plane geometry "
-            "does not pin down 6 DoF)")
-
-
 def optimize_window(frames: list[Frame], init_poses: list[Pose],
                     n_overlap: int, params: LbaParams,
                     n_refined: int = 0) -> WindowResult:
@@ -253,6 +236,9 @@ def optimize_window(frames: list[Frame], init_poses: list[Pose],
     factor: costs under different associations are not comparable. The same
     two costs decide whether the refinement is kept, so final_cost <=
     initial_cost always holds.
+
+    Raises DegenerateGeometry naming the frame whose matches fail the
+    solver's observability test (`ptplane.lm_refine`; the prior takes no part).
     """
     params.validate()
     w = len(frames)
@@ -283,10 +269,11 @@ def optimize_window(frames: list[Frame], init_poses: list[Pose],
                 neighbors[j] = _search_pool(world, pool[:offsets[j]], params)
             batch = PlaneBatch(*_fit_to_pool(local, world, pool, *neighbors[j],
                                              factor))
-            if rnd == 0:
-                _check_frame_constraints(j, batch, poses[j])
             frame_prior = (start_poses[j], OVERLAP_WEIGHT) if j < n_overlap else None
-            new_pose, frame_trace = lm_refine(batch, poses[j], frame_prior)
+            try:
+                new_pose, frame_trace = lm_refine(batch, poses[j], frame_prior)
+            except Unobservable as exc:
+                raise DegenerateGeometry(f"frame {j}: {exc}") from exc
             move = geo.translation_error(new_pose, poses[j]) + \
                 geo.rotation_error(new_pose, poses[j])
             max_move = max(max_move, move)
@@ -328,8 +315,8 @@ def run_sliding_lba(frames: list[Frame], trajectory: Trajectory,
             raise StampMismatch(
                 f"frame stamp {f.stamp:.6f} does not match trajectory {stamp:.6f}")
     n = len(frames)
-    ds_frames = [pc.voxel_downsample(f, params.downsample_leaf)
-                 if params.downsample_leaf > 0 else f for f in frames]
+    ds_frames = (pc.downsample_frames(frames, params.downsample_leaf)
+                 if params.downsample_leaf > 0 else frames)
     plan = plan_windows(n, params.window, params.step)
     poses = list(trajectory.poses)
     window_results: list[WindowResult] = []

@@ -139,6 +139,18 @@ def voxel_downsample(f: Frame, leaf: float) -> Frame:
     return Frame(positions, f.stamp, f.scan_duration, cell_mean(f.time_offsets))
 
 
+def downsample_frames(frames: list[Frame], leaf: float) -> list[Frame]:
+    """`voxel_downsample` of each frame; an InvalidParams (a cell box too
+    large for int64 keys) is raised again naming the frame's index."""
+    out = []
+    for j, f in enumerate(frames):
+        try:
+            out.append(voxel_downsample(f, leaf))
+        except InvalidParams as exc:
+            raise InvalidParams(f"frame {j}: {exc}") from exc
+    return out
+
+
 def sweep_motion(poses: list[Pose], stamps, i: int,
                  duration: float | None = None) -> Pose:
     """Motion over sweep i, relative to poses[i]. The sweep runs from

@@ -12,6 +12,12 @@ frame's reference pose A, which the batch folds into its planes once:
 n . (A T p - c) = (R_A^T n) . (T p - A^-1 c). The pose is updated on the
 right, T <- T exp(xi), xi = (rotation, translation), so the Jacobian row of
 r_i is [p_i x u_i, u_i] with u_i = R^T n_i.
+
+Every solve first checks that its matches pin all six degrees of freedom,
+a property of the match geometry alone (Zhang, Kaess & Singh, ICRA 2016):
+the unweighted J^T J at the start pose must have no eigenvalue below
+MIN_EIG_RATIO times its largest. Robust weights and priors are left out of
+the test, so a crushed weight does not fail it and a prior does not pass it.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry as geo
+from .errors import Unobservable
 from .geometry import Pose
 
 # Levenberg-Marquardt damping: start, factor on a rejected step, factor on
@@ -30,6 +37,8 @@ MAX_INNER = 30
 # an LM solve stops once a step's largest entry drops below this; LBA also
 # ends a window once no frame moved further in a round
 INNER_TOL = 1e-7
+# the observability test's eigenvalue ratio (see the module docstring)
+MIN_EIG_RATIO = 1e-10
 
 # Cauchy robust weight 1 / (1 + (r / (factor * scale))^2) with scale =
 # max(CAUCHY_SCALE_FLOOR, median |r|), frozen per association. Soft
@@ -292,9 +301,18 @@ def lm_refine(batch: PlaneBatch, pose: Pose, prior: tuple[Pose, float] | None = 
     pose never costs more than the start. The loop ends after MAX_INNER
     iterations or once a step's largest entry drops below INNER_TOL. Each
     trace entry records iter, cost, cand_cost, accepted, mu and step_inf.
+
+    Raises Unobservable, before the first step, for fewer than 6 matches or
+    a batch that fails the observability test at pose (module docstring).
     """
-    cost, r, rho = _evaluate(batch, pose, prior)
+    if len(batch) < 6:
+        raise Unobservable(f"only {len(batch)} point-to-plane matches (< 6)")
     jac = batch.jacobian(pose)
+    evals = np.linalg.eigvalsh(jac.T @ jac)
+    if evals[0] < MIN_EIG_RATIO * max(evals[-1], 1e-30):
+        raise Unobservable("the matched planes do not pin down all six "
+                           "degrees of freedom")
+    cost, r, rho = _evaluate(batch, pose, prior)
     mu = MU0
     trace: list[dict] = []
     for it in range(MAX_INNER):

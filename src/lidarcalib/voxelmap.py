@@ -159,8 +159,9 @@ class VoxelMapIndex:
         return self.params.l_parent / (2 ** depth)
 
 
-def build_adaptive(source, params: VoxelParams | None = None) -> VoxelMapIndex:
-    """Classify a reference map (or raw (N, 3) array) into a plane index.
+def build_adaptive(points: np.ndarray,
+                   params: VoxelParams | None = None) -> VoxelMapIndex:
+    """Classify a reference map's (N, 3) points into a plane index.
 
     Depth by depth, the points not yet classified are grouped by cell, and
     all cells are fitted in one kernel call. A cell is planar, a leaf, when
@@ -170,7 +171,7 @@ def build_adaptive(source, params: VoxelParams | None = None) -> VoxelMapIndex:
     """
     params = params or VoxelParams()
     params.validate()
-    points = np.asarray(getattr(source, "points", source), dtype=float).reshape(-1, 3)
+    points = np.asarray(points, dtype=float)
     point_leaf = np.full(len(points), -1)
     tables = []
     # per depth: the leaves' keys, counts and fit rows, after a row-less

@@ -94,9 +94,9 @@ class TestConfig:
     @pytest.mark.parametrize("key", [
         "lba.eta_max", "lba.overlap_weight", "voxel.eta_max", "voxel.gamma",
         "voxel.tau_theta_deg", "voxel.tau_d", "calib.rot_seed_max_deg",
-        "calib.trans_seed_step", "calib.inner_tol"])
+        "calib.trans_seed_step", "calib.inner_tol", "calib.frame_stride"])
     def test_constant_key_exits_2(self, tmp_path, capsys, key):
-        # each is a module constant, not a key
+        # each is a module constant or gone, not a key
         bad = tmp_path / "bad.cfg"
         bad.write_text(f"{key} = 0.1\n")
         rc = cli.main(["simulate", "--config", str(bad),
@@ -256,6 +256,19 @@ class TestCalibrateCommand:
                        "--out", str(tmp_path / "calib")])
         assert rc == cli.EXIT_CONFIG
         assert "perturbation bounds" in capsys.readouterr().err
+
+    def test_stride_option_exits_2(self, cli_dataset, cli_lba_dir, tmp_path,
+                                   capsys):
+        # every frame takes part in calibration: there is no frame stride
+        _, cfg_path, out = cli_dataset
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["calibrate", str(out), "--config", str(cfg_path),
+                      "--lba-dir", str(cli_lba_dir),
+                      "--guess", str(out / "extrinsic_gt.txt"),
+                      "--stride", "2", "--out", str(tmp_path / "calib")])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "--stride" in capsys.readouterr().err
+        assert not (tmp_path / "calib").exists()
 
     def test_dataset_without_ground_truth(self, cli_dataset, cli_lba_dir,
                                           tmp_path, capsys):
@@ -502,20 +515,29 @@ class TestExitCodes:
         assert rc == cli.EXIT_CONFIG
         assert "unsupported FIELDS" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["lba", "calibrate"])
+    @pytest.mark.parametrize("case", ["lba", "calibrate", "calibrate-source"])
     def test_far_point_exits_2(self, cli_dataset, cli_lba_dir, tmp_path,
-                               capsys, command):
-        # one point 1e10 m out spans more grid cells than int64 keys hold
+                               capsys, case):
+        # one point 1e10 m out spans more grid cells than int64 keys hold;
+        # the message names the cloud that holds it
         _, cfg_path, out = cli_dataset
         ds = tmp_path / "ds"
         shutil.copytree(out, ds)
+        command = case.split("-")[0]
         args = ["--config", str(cfg_path), "--out", str(tmp_path / "out")]
         if command == "lba":
             source = cloud = ds / "A" / "000000.pcd"
+            name = "sensor A: frame 0:"
             args += ["--traj", str(ds / "trajectory_gt.txt")]
-        else:
+        elif case == "calibrate":
             source, cloud = cli_lba_dir / "map_A.pcd", tmp_path / "map.pcd"
+            name = f"map {cloud}:"
             args += ["--lba-dir", str(cli_lba_dir), "--map", str(cloud),
+                     "--guess", str(ds / "extrinsic_gt.txt")]
+        else:
+            source = cloud = ds / "B" / "000002.pcd"
+            name = "sensor B: frame 2:"
+            args += ["--lba-dir", str(cli_lba_dir),
                      "--guess", str(ds / "extrinsic_gt.txt")]
         lines = source.read_text().splitlines()
         n = int(next(ln for ln in lines if ln.startswith("POINTS")).split()[1])
@@ -525,7 +547,8 @@ class TestExitCodes:
         cloud.write_text("\n".join(lines) + "\n")
         rc = cli.main([command, str(ds), *args])
         assert rc == cli.EXIT_CONFIG
-        assert "cell size" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "far from the rest" in err and name in err
 
     def test_non_monotonic_stamps_exit_2(self, cli_dataset, tmp_path, capsys):
         _, cfg_path, out = cli_dataset

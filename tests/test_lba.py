@@ -310,8 +310,11 @@ class TestOptimizeWindow:
                                range_sigma=0.0)
         ds = sim.generate_dataset(scene, traj, Pose.identity(), model, 6)
         frames = [pc.voxel_downsample(f, 0.25) for f in deskewed_frames(ds)]
-        with pytest.raises(DegenerateGeometry):
+        with pytest.raises(DegenerateGeometry, match="frame 1"):
             lba.optimize_window(frames, list(traj.poses), 0, FAST)
+        # the overlap prior takes no part in the observability test
+        with pytest.raises(DegenerateGeometry, match="frame 1"):
+            lba.optimize_window(frames, list(traj.poses), 2, FAST)
 
     def test_monotone_accepted_steps(self):
         ds = room_dataset(5)

@@ -5,11 +5,14 @@ import ast
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import lidarcalib
-from lidarcalib.ptplane import (MAX_DEV_FLOOR, MAX_DEV_RATIO,
+from lidarcalib.errors import Unobservable
+from lidarcalib.geometry import Pose
+from lidarcalib.ptplane import (MAX_DEV_FLOOR, MAX_DEV_RATIO, PlaneBatch,
                                 cluster_sq_distance, fit_clusters, fit_groups,
-                                fit_planes, plane_gate)
+                                fit_planes, lm_refine, plane_gate)
 
 from test_geometry import random_pose
 
@@ -217,3 +220,31 @@ def test_eigh_only_in_ptplane():
                      [a.name for a in node.names]
                      if isinstance(node, ast.ImportFrom) else [])
             assert "eigh" not in names, f"{path.name}:{node.lineno}"
+
+
+class TestObservability:
+    """`lm_refine` checks, before its first step, that the matches pin all
+    six degrees of freedom."""
+
+    @staticmethod
+    def floor_batch(n):
+        xy = np.random.default_rng(9).uniform(-2.0, 2.0, size=(n, 2))
+        points = np.column_stack([xy, np.full(n, 0.01)])
+        normals = np.tile([0.0, 0.0, 1.0], (n, 1))
+        return PlaneBatch(points, normals, np.zeros((n, 3)), np.ones(n))
+
+    def test_five_matches_are_unobservable(self):
+        batch = self.floor_batch(40)
+        corner = PlaneBatch(batch.points[:5], np.eye(3)[[0, 1, 2, 0, 1]],
+                            np.zeros((5, 3)), np.ones(5))
+        with pytest.raises(Unobservable, match="5 point-to-plane matches"):
+            lm_refine(corner, Pose.identity())
+
+    def test_single_plane_is_unobservable(self):
+        # one plane leaves its two in-plane translations and the rotation
+        # about its normal free, whatever the weights or a prior
+        batch = self.floor_batch(40)
+        with pytest.raises(Unobservable, match="six degrees of freedom"):
+            lm_refine(batch, Pose.identity())
+        with pytest.raises(Unobservable):
+            lm_refine(batch, Pose.identity(), (Pose.identity(), 1e3))
