@@ -7,16 +7,20 @@ parameter dataclasses of their modules (`LbaParams`, `VoxelParams`,
 in use (LM damping and tolerance, Cauchy factor, planarity, flatness and
 merge gates, seeding grid and the like) is a module constant in `ptplane`,
 `lba`, `voxelmap` or `extrinsic`, not a config key.
+
+Each section checks its keys with `errors.check_rules`; a bad value reads
+`section.key = value: rule`. Scene, kind and rig names are `simulator`'s.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError, InvalidParams
+from . import simulator as sim
+from .errors import ConfigError, InvalidParams, check_rules
 from .extrinsic import CalibConfig
 from .lba import LbaParams
-from .simulator import LidarModel
 from .voxelmap import VoxelParams
 
 
@@ -46,13 +50,29 @@ class SimSection:
     rig_yaw_deg: float = 0.0
     seed: int = 0
 
-    def lidar_model(self) -> LidarModel:
+    def validate(self):
+        check_rules(vars(self), (
+            *((f.name, math.isfinite(getattr(self, f.name)), "must be finite")
+              for f in fields(self) if isinstance(f.default, float)),
+            ("scene", self.scene in sim.SCENES,
+             f"must be one of {', '.join(sim.SCENES)}"),
+            ("traj_kind", self.traj_kind in sim.TRAJECTORY_KINDS,
+             f"must be one of {', '.join(sim.TRAJECTORY_KINDS)}"),
+            ("frames", self.frames >= 2, "must be >= 2"),
+            ("sweep_deg", self.sweep_deg != 0.0
+             or self.traj_kind not in sim.TURNING_KINDS,
+             f"must be non-zero for traj_kind = {self.traj_kind}"),
+            ("dt", self.dt > 0.0, "must be > 0"),
+            ("rig", self.rig == "custom" or self.rig in sim.RIG_PRESETS,
+             f"must be custom or one of {', '.join(sim.RIG_PRESETS)}"),
+            ("seed", self.seed >= 0, "must be >= 0"),
+        ))
+        self.lidar_model()
+
+    def lidar_model(self) -> sim.LidarModel:
         """The sensor model these keys describe; raises InvalidParams."""
-        return LidarModel(
-            beams=self.beams, vertical_fov_deg=self.vertical_fov_deg,
-            horizontal_res_deg=self.horizontal_res_deg,
-            max_range=self.max_range, range_sigma=self.range_sigma,
-            scan_period=self.scan_period)
+        return sim.LidarModel(**{f.name: getattr(self, f.name)
+                                 for f in fields(sim.LidarModel)})
 
 
 @dataclass
@@ -63,42 +83,23 @@ class RunConfig:
     calib: CalibConfig = field(default_factory=CalibConfig)
 
     def validate(self):
-        if self.sim.scene not in ("room", "corridor", "yard"):
-            raise ConfigError(f"sim.scene: unknown scene {self.sim.scene!r}")
-        if self.sim.traj_kind not in ("line", "arc", "lissajous"):
-            raise ConfigError(f"sim.traj_kind: unknown kind {self.sim.traj_kind!r}")
-        if self.sim.frames < 2:
-            raise ConfigError("sim.frames must be >= 2")
-        if self.sim.seed < 0:
-            raise ConfigError(f"sim.seed = {self.sim.seed}: must be >= 0")
-        try:
-            self.sim.lidar_model()
-        except InvalidParams as exc:
-            raise ConfigError(f"sim.{exc}") from exc
-        if self.sim.rig not in ("custom", "config1", "config2", "config3",
-                                "config4", "config5"):
-            raise ConfigError(f"sim.rig: unknown preset {self.sim.rig!r}")
-        for name in ("lba", "voxel", "calib"):
+        for section in fields(self):
             try:
-                getattr(self, name).validate()
+                getattr(self, section.name).validate()
             except InvalidParams as exc:
-                raise ConfigError(f"{name}: {exc}") from exc
+                raise ConfigError(f"{section.name}.{exc}") from exc
 
 
-_SECTIONS = {"sim": SimSection, "lba": LbaParams, "voxel": VoxelParams,
-             "calib": CalibConfig}
+_SECTIONS = [f.name for f in fields(RunConfig)]
 
 
 def _coerce(raw: str, target_type: type, key: str):
     raw = raw.strip()
     try:
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-    return raw
+        return target_type(raw)
+    except ValueError:
+        raise ConfigError(f"{key} = {raw!r}: must parse as "
+                          f"{target_type.__name__}") from None
 
 
 def parse_config_lines(lines, base: RunConfig | None = None) -> RunConfig:

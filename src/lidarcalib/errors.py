@@ -35,6 +35,15 @@ class InvalidParams(LidarCalibError):
     """Parameter combination violates a documented precondition."""
 
 
+def check_rules(values, rules) -> None:
+    """Raise InvalidParams("key = values[key]: rule") for the first (key,
+    ok, rule) row whose ok is false. Each ok states what a good value
+    passes (`x > 0`, not a negated `x <= 0`), so that NaN fails it."""
+    for key, ok, rule in rules:
+        if not ok:
+            raise InvalidParams(f"{key} = {values[key]!r}: {rule}")
+
+
 class DegenerateGeometry(LidarCalibError):
     """An LBA frame's matches are `Unobservable`; the message names the
     window and the frame. (A voxel cell that cannot hold a plane is

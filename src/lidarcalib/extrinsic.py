@@ -40,7 +40,7 @@ from scipy.spatial import cKDTree
 from . import geometry as geo
 from . import pointcloud as pc
 from . import voxelmap as vm
-from .errors import InvalidParams, NoCorrespondences, Unobservable
+from .errors import InvalidParams, NoCorrespondences, Unobservable, check_rules
 from .geometry import Pose
 from .pointcloud import Frame
 from .ptplane import (CAUCHY_FACTOR, CAUCHY_SCALE_FLOOR, PlaneBatch,
@@ -87,19 +87,17 @@ class CalibConfig:
     rot_seed_candidates: int = 40
 
     def validate(self):
-        if self.max_outer_iters < 1:
-            raise InvalidParams("max_outer_iters must be >= 1")
-        if not self.convergence_delta > 0.0:
-            raise InvalidParams("convergence delta must be positive")
-        if not (self.reject_start > 0.0 and self.reject_end > 0.0):
-            raise InvalidParams("reject_start and reject_end must be positive")
-        if self.reject_iters < 1:
-            raise InvalidParams(f"reject_iters = {self.reject_iters}: must be >= 1")
-        if self.rot_seed_candidates < 0:
-            raise InvalidParams(f"rot_seed_candidates = {self.rot_seed_candidates}: "
-                                "must be >= 0 (0 disables seeding)")
-        if not self.downsample_leaf >= 0.0:
-            raise InvalidParams("downsample_leaf must be >= 0 (0 is off)")
+        check_rules(vars(self), (
+            ("max_outer_iters", self.max_outer_iters >= 1, "must be >= 1"),
+            ("convergence_delta", self.convergence_delta > 0.0, "must be > 0"),
+            ("reject_start", self.reject_start > 0.0, "must be > 0"),
+            ("reject_end", self.reject_end > 0.0, "must be > 0"),
+            ("reject_iters", self.reject_iters >= 1, "must be >= 1"),
+            ("downsample_leaf", self.downsample_leaf >= 0.0,
+             "must be >= 0 (0 is off)"),
+            ("rot_seed_candidates", self.rot_seed_candidates >= 0,
+             "must be >= 0 (0 disables seeding)"),
+        ))
 
 
 @dataclass
@@ -414,8 +412,7 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
     cfg.validate()
     if len(frames_b) != len(anchors):
         raise InvalidParams("frames and anchors must correspond one-to-one")
-    frames = (pc.downsample_frames(frames_b, cfg.downsample_leaf)
-              if cfg.downsample_leaf > 0 else frames_b)
+    frames = pc.downsample_frames(frames_b, cfg.downsample_leaf)
 
     nearest_lookup = _NearestPlaneLookup(map_index)
     t_prev = _seed_initial(map_index, nearest_lookup, frames, anchors,

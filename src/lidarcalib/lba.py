@@ -34,7 +34,7 @@ from scipy.spatial import cKDTree
 from . import geometry as geo
 from . import pointcloud as pc
 from .errors import (DegenerateGeometry, InvalidParams, StampMismatch,
-                     Unobservable)
+                     Unobservable, check_rules)
 from .geometry import Pose
 from .pointcloud import Frame, Trajectory
 from .ptplane import (CAUCHY_FACTOR, CAUCHY_SCALE_FLOOR, INNER_TOL,
@@ -64,25 +64,23 @@ class LbaParams:
 
     def validate(self):
         _check_window(self.window, self.step)
-        if self.k_neighbors < 3:
-            raise InvalidParams("k_neighbors must be >= 3 (a plane takes 3)")
-        if not self.max_corr_dist > 0.0:
-            raise InvalidParams("max_corr_dist must be positive")
-        if self.assoc_rounds < 1:
-            raise InvalidParams("assoc_rounds must be >= 1")
-        if not self.downsample_leaf >= 0.0:
-            raise InvalidParams("downsample_leaf must be >= 0 (0 is off)")
+        check_rules(vars(self), (
+            ("k_neighbors", self.k_neighbors >= 3, "must be >= 3 (a plane takes 3)"),
+            ("max_corr_dist", self.max_corr_dist > 0.0, "must be > 0"),
+            ("assoc_rounds", self.assoc_rounds >= 1, "must be >= 1"),
+            ("downsample_leaf", self.downsample_leaf >= 0.0,
+             "must be >= 0 (0 is off)"),
+        ))
 
 
 def _check_window(w: int, d: int) -> None:
     """Window size w and step d preconditions of the window plan."""
-    if w < 2:
-        raise InvalidParams(f"window = {w}: must be >= 2")
-    if d < 2 or d % 2 != 0:
-        raise InvalidParams(f"step = {d}: must be a positive even number "
-                            "(overlap o = step/2)")
-    if d > w:
-        raise InvalidParams(f"step = {d}: must not exceed window = {w}")
+    check_rules({"window": w, "step": d}, (
+        ("window", w >= 2, "must be >= 2"),
+        ("step", d >= 2 and d % 2 == 0,
+         "must be a positive even number (overlap o = step/2)"),
+        ("step", d <= w, f"must not exceed window = {w}"),
+    ))
 
 
 @dataclass
@@ -315,8 +313,7 @@ def run_sliding_lba(frames: list[Frame], trajectory: Trajectory,
             raise StampMismatch(
                 f"frame stamp {f.stamp:.6f} does not match trajectory {stamp:.6f}")
     n = len(frames)
-    ds_frames = (pc.downsample_frames(frames, params.downsample_leaf)
-                 if params.downsample_leaf > 0 else frames)
+    ds_frames = pc.downsample_frames(frames, params.downsample_leaf)
     plan = plan_windows(n, params.window, params.step)
     poses = list(trajectory.poses)
     window_results: list[WindowResult] = []

@@ -140,8 +140,11 @@ def voxel_downsample(f: Frame, leaf: float) -> Frame:
 
 
 def downsample_frames(frames: list[Frame], leaf: float) -> list[Frame]:
-    """`voxel_downsample` of each frame; an InvalidParams (a cell box too
-    large for int64 keys) is raised again naming the frame's index."""
+    """`voxel_downsample` of each frame, or the frames themselves for leaf
+    0 (no downsampling); an InvalidParams (a cell box too large for int64
+    keys) is raised again naming the frame's index."""
+    if leaf == 0.0:
+        return frames
     out = []
     for j, f in enumerate(frames):
         try:

@@ -283,15 +283,6 @@ def _assemble(batch: PlaneBatch, jac: np.ndarray, r: np.ndarray,
     return h, g
 
 
-def normal_equations(batch: PlaneBatch, pose: Pose,
-                     prior: tuple[Pose, float] | None = None
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Newton (H, g) at pose: H = J^T W J, g = J^T W r, plus lam * I
-    and lam * rho for a prior. g is half the gradient of the cost."""
-    _, r, rho = _evaluate(batch, pose, prior)
-    return _assemble(batch, batch.jacobian(pose), r, rho, prior)
-
-
 def lm_refine(batch: PlaneBatch, pose: Pose, prior: tuple[Pose, float] | None = None
               ) -> tuple[Pose, list[dict]]:
     """Damped Gauss-Newton on the batch cost from pose.

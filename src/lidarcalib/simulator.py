@@ -22,7 +22,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import pointcloud as pc
-from .errors import EmptyFrame, InvalidParams, ParseError
+from .errors import EmptyFrame, InvalidParams, ParseError, check_rules
 from .geometry import Pose
 from .pointcloud import Frame, Trajectory
 
@@ -66,8 +66,7 @@ class LidarModel:
     scan_period: float = 0.1
 
     def __post_init__(self):
-        # negated tests, so that NaN fails them too
-        rules = (
+        check_rules(vars(self), (
             ("beams", 1 <= self.beams, "beam count must be >= 1"),
             ("vertical_fov_deg", 0.0 <= self.vertical_fov_deg <= 180.0,
              "must be in [0, 180]"),
@@ -82,10 +81,7 @@ class LidarModel:
              "must be finite and >= 0"),
             ("scan_period", 0.0 <= self.scan_period < math.inf,
              "must be finite and >= 0"),
-        )
-        for key, ok, rule in rules:
-            if not ok:
-                raise InvalidParams(f"{key} = {getattr(self, key)!r}: {rule}")
+        ))
 
 
 @dataclass(frozen=True)
@@ -115,6 +111,11 @@ RIG_PRESETS: dict[str, RigConfig] = {
     "config4": RigConfig(0.6, 0.4, 0.4, 0.0, 90.0, 180.0),
     "config5": RigConfig(0.4, -0.2, -1.0, 180.0, -90.0, 0.0),
 }
+# the names builtin_scene and make_trajectory take; a turning kind turns
+# through sweep_deg, which must then be non-zero
+SCENES = ("room", "corridor", "yard")
+TRAJECTORY_KINDS = ("line", "arc", "lissajous")
+TURNING_KINDS = ("arc",)
 
 
 def builtin_scene(kind: str) -> Scene:

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import InvalidParams
+from .errors import check_rules
 from .grid import cell_box, pack_cells
 from .ptplane import (COLLINEAR_EPS, MAX_DEV_FLOOR, cluster_sq_distance,
                       fit_clusters, fit_groups, plane_gate, planarity)
@@ -60,12 +60,11 @@ class VoxelParams:
     min_points: int = 10
 
     def validate(self):
-        if not self.l_parent > 0.0:
-            raise InvalidParams("l_parent must be positive")
-        if self.max_depth < 0:
-            raise InvalidParams("max_depth must be >= 0")
-        if self.min_points < 3:
-            raise InvalidParams("min_points must be >= 3")
+        check_rules(vars(self), (
+            ("l_parent", self.l_parent > 0.0, "must be > 0"),
+            ("max_depth", self.max_depth >= 0, "must be >= 0"),
+            ("min_points", self.min_points >= 3, "must be >= 3"),
+        ))
 
 
 def confidence_weight(point_count, sigma_lambda, eta, gamma):

@@ -67,7 +67,7 @@ class TestConfig:
         for line in ("lba.step = 0", "lba.step = -2", "lba.window = 1",
                      "calib.reject_iters = 0", "calib.rot_seed_candidates = -1"):
             section, key = line.split(" =")[0].split(".")
-            with pytest.raises(ConfigError, match=f"{section}: {key} = "):
+            with pytest.raises(ConfigError, match=f"{section}.{key} = "):
                 cfgmod.parse_config_lines([line])
         # the sensor model's rules, reported under their sim. key
         for line in ("sim.beams = 0", "sim.horizontal_res_deg = 0",
@@ -155,12 +155,13 @@ class TestSimulateCommand:
                     "extrinsic_gt.txt", "meta.txt"]:
             assert (out / rel).read_bytes() == (out2 / rel).read_bytes()
 
-    def test_invalid_rig_exits_2(self, tmp_path):
+    def test_invalid_rig_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("sim.rig = config9\n")
         rc = cli.main(["simulate", "--config", str(bad),
                        "--out", str(tmp_path / "x")])
         assert rc == 2
+        assert "sim.rig" in capsys.readouterr().err
 
     def test_self_check(self, cli_dataset, capsys):
         _, _, out = cli_dataset
@@ -430,6 +431,12 @@ MAPPED_ERRORS = [
 ]
 
 
+# the simulator's float keys outside the sensor model
+SIM_FLOAT_KEYS = ["traj_length", "dt", "sweep_deg", "start_x", "start_y",
+                  "start_z", "rig_x", "rig_y", "rig_z", "rig_roll_deg",
+                  "rig_pitch_deg", "rig_yaw_deg"]
+
+
 class TestExitCodes:
     """Each documented error reaches its exit code, with a message."""
 
@@ -474,6 +481,31 @@ class TestExitCodes:
         assert rc == cli.EXIT_CONFIG
         assert line.split(" =")[0] in capsys.readouterr().err
         assert not out.exists()
+
+    # each float went on to the simulator unchecked: a NaN dt or sweep broke
+    # a rotation, a non-finite length or start a translation, a zero sweep
+    # divided by zero, and a non-finite custom rig failed building its pose
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--out", "out"],
+        ["sweep", "--trials", "2", "--jobs", "1", "--out-csv", "out"]],
+        ids=["simulate", "sweep"])
+    @pytest.mark.parametrize("line", [
+        *(f"sim.{key} = {value}" for key in SIM_FLOAT_KEYS
+          for value in ("nan", "inf")),
+        "sim.sweep_deg = 0", "sim.scene = nowhere", "sim.traj_kind = nowhere",
+        "sim.rig = nowhere"])
+    def test_bad_sim_key_exits_2_before_simulating(self, tmp_path, capsys,
+                                                   monkeypatch, command, line):
+        def run_trial(cfg, trial, base_seed, perturb_spec):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "run_trial", run_trial)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.cfg").write_text(f"sim.rig = custom\n{line}\n")
+        rc = cli.main([*command, "--config", "bad.cfg"])
+        assert rc == cli.EXIT_CONFIG
+        assert f"{line.split(' =')[0]} = " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", [
         ["simulate", "--out", "x"],

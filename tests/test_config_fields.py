@@ -1,4 +1,5 @@
-"""Every config key must be read by the program.
+"""Every config key must be read by the program, and every float key must
+reject nan, naming its line.
 
 A field of a config section that no code outside its own dataclass reads
 is a key a user can set to no effect. The check is by name: a field counts
@@ -9,13 +10,15 @@ declares it (so its own `validate` does not count either).
 """
 
 import ast
+import re
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import lidarcalib
-from lidarcalib.config import SimSection
+from lidarcalib.config import RunConfig, SimSection, parse_config_lines
+from lidarcalib.errors import ConfigError
 from lidarcalib.extrinsic import CalibConfig
 from lidarcalib.lba import LbaParams
 from lidarcalib.voxelmap import VoxelParams
@@ -58,3 +61,14 @@ def test_every_field_is_read(section):
     read = attributes_read(section.__name__)
     unread = [f.name for f in fields(section) if f.name not in read]
     assert not unread, f"{section.__name__} fields never read: {unread}"
+
+
+FLOAT_KEYS = [f"{section.name}.{f.name}" for section in fields(RunConfig)
+              for f in fields(section.default_factory)
+              if isinstance(f.default, float)]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_every_float_key_rejects_nan(key):
+    with pytest.raises(ConfigError, match=re.escape(f"{key} = nan: ")):
+        parse_config_lines([f"{key} = nan"])

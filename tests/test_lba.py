@@ -6,15 +6,24 @@ import pytest
 from lidarcalib import geometry as geo
 from lidarcalib import lba
 from lidarcalib import pointcloud as pc
+from lidarcalib import ptplane
 from lidarcalib import simulator as sim
 from lidarcalib.errors import DegenerateGeometry, InvalidParams
 from lidarcalib.geometry import Pose
-from lidarcalib.ptplane import PlaneBatch, normal_equations
+from lidarcalib.ptplane import PlaneBatch
 
 from test_geometry import random_pose
 
 MODEL = sim.LidarModel(horizontal_res_deg=1.5, range_sigma=0.0)
 FAST = lba.LbaParams(downsample_leaf=0.25)
+
+
+def normal_equations(batch, pose, prior=None):
+    """Gauss-Newton (H, g) at pose, built as `ptplane.lm_refine` builds
+    them: H = J^T W J, g = J^T W r, plus lam * I and lam * rho for a prior.
+    g is half the gradient of the cost."""
+    _, r, rho = ptplane._evaluate(batch, pose, prior)
+    return ptplane._assemble(batch, batch.jacobian(pose), r, rho, prior)
 
 
 def deskewed_frames(ds):
