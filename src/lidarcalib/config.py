@@ -59,9 +59,11 @@ class SimSection:
             ("traj_kind", self.traj_kind in sim.TRAJECTORY_KINDS,
              f"must be one of {', '.join(sim.TRAJECTORY_KINDS)}"),
             ("frames", self.frames >= 2, "must be >= 2"),
-            ("sweep_deg", self.sweep_deg != 0.0
-             or self.traj_kind not in sim.TURNING_KINDS,
-             f"must be non-zero for traj_kind = {self.traj_kind}"),
+            ("sweep_deg", self.traj_kind not in sim.TURNING_KINDS
+             or (math.radians(self.sweep_deg) != 0.0 and math.isfinite(
+                 self.traj_length / math.radians(self.sweep_deg))),
+             f"must be non-zero, with a finite turn radius traj_length / "
+             f"radians(sweep_deg), for traj_kind = {self.traj_kind}"),
             ("dt", self.dt > 0.0, "must be > 0"),
             ("rig", self.rig == "custom" or self.rig in sim.RIG_PRESETS,
              f"must be custom or one of {', '.join(sim.RIG_PRESETS)}"),

@@ -5,9 +5,11 @@ the synchronized reference-sensor pose (the anchor) composed with the
 current extrinsic estimate, matched to voxel planes by containment, and the
 extrinsic is refined by weighted point-to-plane Levenberg-Marquardt on the
 Lie algebra: each frame's matches form a `ptplane.PlaneBatch` that folds
-its reference pose into the planes, and the consensus frames' batches are
-stacked and solved jointly by `ptplane.lm_refine`, the solver the LBA uses
-too, whose observability test on the match geometry is the only one here.
+its reference pose into the planes, reduced at once to its exact quadratic
+cost, a `ptplane.CostModel` at the current estimate. The consensus frames'
+models are summed and solved jointly by `ptplane.lm_refine`, the solver the
+LBA uses too, whose observability test on the match geometry is the only
+one here.
 An outer loop re-associates every frame under a distance gate that
 shrinks one stage per iteration, keeps the consensus frames (robust RMS
 residual at the shared estimate within 6x the median), takes one joint LM
@@ -24,7 +26,8 @@ rel conjugated by the estimate T needs no new coefficients, because
 log(T^-1 rel T) = Ad_{T^-1} log rel gives
 T^-1 exp(s log rel) T = exp(s log(T^-1 rel T)).
 
-The joint batch stacks the consensus frames in frame order.
+The joint model sums the consensus frames' models in frame order, so no
+step holds more than one frame's matches.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from . import voxelmap as vm
 from .errors import InvalidParams, NoCorrespondences, Unobservable, check_rules
 from .geometry import Pose
 from .pointcloud import Frame
-from .ptplane import (CAUCHY_FACTOR, CAUCHY_SCALE_FLOOR, PlaneBatch,
-                      cauchy_weights, fit_planes, lm_refine)
+from .ptplane import (CAUCHY_FACTOR, CAUCHY_SCALE_FLOOR, CostModel,
+                      PlaneBatch, cauchy_weights, fit_planes, lm_refine)
 from .voxelmap import VoxelMapIndex
 
 
@@ -123,12 +126,13 @@ class CalibrationResult:
     iterations: int
 
 
-def lm_solve(batch: PlaneBatch, t_init: Pose) -> tuple[Pose, list[dict]]:
+def lm_solve(model: CostModel) -> tuple[Pose, list[dict]]:
     """The joint step: weighted point-to-plane LM (`ptplane.lm_refine`) on
-    one batch. `calibrate` runs it once per outer iteration, on the joint
-    batch of the consensus frames. Raises Unobservable when the batch fails
-    `lm_refine`'s observability test on the match geometry."""
-    return lm_refine(batch, t_init)
+    one cost model, from its anchor. `calibrate` runs it once per outer
+    iteration, on the sum of the consensus frames' models. Raises
+    Unobservable when the model fails `lm_refine`'s observability test on
+    the match geometry."""
+    return lm_refine(model)
 
 
 class _NearestPlaneLookup:
@@ -315,10 +319,11 @@ def _reject_schedule(cfg: CalibConfig, it: int) -> float:
 def _associate_frame(index: VoxelMapIndex, points: np.ndarray,
                      world: np.ndarray, anchor: Pose, estimate: Pose,
                      reject_dist: float, local_normals: np.ndarray,
-                     nearest: _NearestPlaneLookup | None = None) -> PlaneBatch | None:
-    """The frame's matches: sensor-frame points with their world positions
-    under the anchor and the estimate, and their sensor-frame local
-    normals. None with fewer than MIN_FRAME_CORR matches."""
+                     nearest: _NearestPlaneLookup | None = None) -> CostModel | None:
+    """The cost model, at the estimate, of the frame's matches: sensor-frame
+    points with their world positions under the anchor and the estimate,
+    and their sensor-frame local normals. None with fewer than
+    MIN_FRAME_CORR matches."""
     planes = index.planes
     if nearest is not None:
         _, ids = nearest.query(world, reject_dist)
@@ -354,16 +359,9 @@ def _associate_frame(index: VoxelMapIndex, points: np.ndarray,
             continue
         scale = max(CAUCHY_SCALE_FLOOR, float(np.median(resid[sel])))
         robust[sel] = cauchy_weights(resid[sel], CAUCHY_FACTOR, scale)
-    return PlaneBatch(pts, normals, centroids, planes.weights[ids] * robust,
-                      anchor)
-
-
-def _joint_batch(batches: list[PlaneBatch]) -> PlaneBatch:
-    """One batch over several frames' batches, in order."""
-    return PlaneBatch(np.vstack([b.points for b in batches]),
-                      np.vstack([b.normals for b in batches]),
-                      np.vstack([b.centroids for b in batches]),
-                      np.concatenate([b.weights for b in batches]))
+    return CostModel.of(PlaneBatch(pts, normals, centroids,
+                                   planes.weights[ids] * robust, anchor),
+                        estimate)
 
 
 def _consensus_mask(scores: np.ndarray) -> np.ndarray:
@@ -400,9 +398,10 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
     score (`_consensus_mask`, the only frame filter). A frame that sees too
     few surfaces to pin all six DoF alone still takes part. The next
     estimate is one joint LM solve of the summed objective over the
-    consensus frames, so every outer step decreases the frozen objective
-    and `lm_solve` runs once per outer iteration. The loop stops once the
-    joint step drops below convergence_delta.
+    consensus frames (the sum of their cost models), so every outer step
+    decreases the frozen objective and `lm_solve` runs once per outer
+    iteration. The loop stops once the joint step drops below
+    convergence_delta.
 
     Raises NoCorrespondences when no frame has enough matches, and
     Unobservable, with every usable frame's index, when the consensus
@@ -439,8 +438,8 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
         reject = _reject_schedule(cfg, it)
         coarse = it < cfg.reject_iters - 1
         prev_inv = geo.inverse(t_prev)
-        # the usable frames' batches, keyed by frame
-        batches: dict[int, PlaneBatch] = {}
+        # the usable frames' cost models at t_prev, keyed by frame
+        models: dict[int, CostModel] = {}
         for k in active:
             f, anchor, motion = frames[k], anchors[k], motions[k]
             if motion is None:
@@ -450,32 +449,34 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
                 moved = geo.apply_scaled_motion(motion, geo.apply(t_prev, f.positions))
                 points = geo.apply(prev_inv, moved)
                 world = geo.apply(anchor, moved)
-            batch = _associate_frame(map_index, points, world, anchor, t_prev,
+            model = _associate_frame(map_index, points, world, anchor, t_prev,
                                      reject, frame_normals[k],
                                      nearest=nearest_lookup if coarse else None)
-            if batch is not None:
-                batches[k] = batch
-        if not batches:
+            if model is not None:
+                models[k] = model
+        if not models:
             raise NoCorrespondences(
                 "no frame found enough map correspondences (check FoV overlap "
                 "with the map and the initial guess)")
-        scores = np.array([math.sqrt(b.objective(t_prev) / float(np.sum(b.weights)))
-                           for b in batches.values()])
-        consensus = [k for k, kept in zip(batches, _consensus_mask(scores))
+        scores = np.array([math.sqrt(m.f0 / m.weight_sum)
+                           for m in models.values()])
+        consensus = [k for k, kept in zip(models, _consensus_mask(scores))
                      if kept]
         skipped = [k for k in range(len(frames)) if k not in consensus]
-        joint = _joint_batch([batches[i] for i in consensus])
+        joint = sum((models[k] for k in consensus[1:]), models[consensus[0]])
         try:
-            t_new, joint_trace = lm_solve(joint, t_prev)
+            t_new, joint_trace = lm_solve(joint)
         except Unobservable as exc:
-            raise Unobservable(str(exc), frame_indices=list(batches)) from exc
+            raise Unobservable(str(exc), frame_indices=list(models)) from exc
         lm_traces.append(joint_trace)
         # translation norm plus half the rotation angle of the joint step
         step = geo.log_se3(geo.compose(prev_inv, t_new))
         update = float(np.linalg.norm(step[3:]) + 0.5 * np.linalg.norm(step[:3]))
+        # the joint solve's own cost at t_new (see `ptplane.lm_refine`)
+        last = joint_trace[-1]
         outer_trace.append(OuterIteration(
-            it, joint.objective(t_prev), joint.objective(t_new), update,
-            len(consensus), reject, skipped))
+            it, joint.f0, last["cand_cost"] if last["accepted"] else last["cost"],
+            update, len(consensus), reject, skipped))
         t_prev = t_new
         if update < cfg.convergence_delta:
             converged = True

@@ -8,13 +8,15 @@ and the remaining poses are refined by point-to-plane Levenberg-Marquardt
 non-reference frame is matched to a local plane fit over its k nearest
 neighbors from the frames before it (`ptplane.fit_planes`, the closed-form
 kernel calibration's local normals use too; collinear sets get no match),
-and planes are frozen during the inner LM solve. Association runs for a few
-rounds. Neighbors are searched (a kd-tree build and query) in round 0, and
-in round 1 again for the frames no earlier window refined; every other
-round re-fits the planes to the neighbors a frame holds, read at the
-current poses, so the planes still move with the poses. A window's initial
-and final costs are both taken under the last round's association, with
-that round's annealed Cauchy factor.
+and planes are frozen during the inner LM solve: the frame's matches become
+its `ptplane.CostModel` at its current pose, the exact quadratic that the
+solver and the window costs read. Association runs for a few rounds.
+Neighbors are searched (a kd-tree build and query) in round 0, and in round
+1 again for the frames no earlier window refined; every other round re-fits
+the planes to the neighbors a frame holds, read at the current poses, so
+the planes still move with the poses. A window's initial and final costs
+are both taken under the last round's association, with that round's
+annealed Cauchy factor.
 Windows are stitched by seeding the shared frames from the previous
 window's result: the first o of them are tied to those seeds with a
 quadratic prior on log(seed^-1 * current).
@@ -38,8 +40,8 @@ from .errors import (DegenerateGeometry, InvalidParams, StampMismatch,
 from .geometry import Pose
 from .pointcloud import Frame, Trajectory
 from .ptplane import (CAUCHY_FACTOR, CAUCHY_SCALE_FLOOR, INNER_TOL,
-                      MAX_DEV_FLOOR, PlaneBatch, cauchy_weights, fit_planes,
-                      lm_refine, plane_gate, prior_residual)
+                      MAX_DEV_FLOOR, CostModel, PlaneBatch, cauchy_weights,
+                      fit_planes, lm_refine, plane_gate, prior_residual)
 
 
 # The Cauchy factor (ptplane.CAUCHY_FACTOR in round 0) anneals across
@@ -188,18 +190,18 @@ def _fit_to_pool(points_local: np.ndarray, world: np.ndarray,
     return pts[keep], normal[keep], centroid[keep], weight
 
 
-def point_to_plane_cost(poses: list[Pose], batches: list[PlaneBatch],
+def point_to_plane_cost(poses: list[Pose], models: list[CostModel],
                         overlap: Sequence[Pose] = ()) -> float:
     """Window objective: the weighted point-to-plane cost of every
     non-reference frame against its frozen planes, summed in frame order.
 
-    batches[j - 1] holds frame j's matches, j = 1..len(poses)-1. `overlap`
+    models[j - 1] holds frame j's matches, j = 1..len(poses)-1. `overlap`
     holds the reference poses of the leading frames; each but frame 0 adds
     the prior OVERLAP_WEIGHT * |log(ref^-1 pose)|^2.
     """
     cost = 0.0
-    for pose, batch in zip(poses[1:], batches):
-        cost += batch.objective(pose)
+    for pose, model in zip(poses[1:], models):
+        cost += model.objective(pose)
     for ref, pose in zip(overlap[1:], poses[1:]):
         rho = prior_residual(ref, pose)
         cost += OVERLAP_WEIGHT * float(rho @ rho)
@@ -258,7 +260,7 @@ def optimize_window(frames: list[Frame], init_poses: list[Pose],
     trace: list[dict] = []
     for rnd in range(params.assoc_rounds):
         factor = max(CAUCHY_FACTOR_MIN, CAUCHY_FACTOR * CAUCHY_DECAY ** rnd)
-        batches: list[PlaneBatch] = []
+        models: list[CostModel] = []
         max_move = 0.0
         for j in range(1, w):
             local = frames[j].positions
@@ -267,16 +269,17 @@ def optimize_window(frames: list[Frame], init_poses: list[Pose],
                 neighbors[j] = _search_pool(world, pool[:offsets[j]], params)
             batch = PlaneBatch(*_fit_to_pool(local, world, pool, *neighbors[j],
                                              factor))
+            model = CostModel.of(batch, poses[j])
             frame_prior = (start_poses[j], OVERLAP_WEIGHT) if j < n_overlap else None
             try:
-                new_pose, frame_trace = lm_refine(batch, poses[j], frame_prior)
+                new_pose, frame_trace = lm_refine(model, frame_prior)
             except Unobservable as exc:
                 raise DegenerateGeometry(f"frame {j}: {exc}") from exc
             move = geo.translation_error(new_pose, poses[j]) + \
                 geo.rotation_error(new_pose, poses[j])
             max_move = max(max_move, move)
             poses[j] = new_pose
-            batches.append(batch)
+            models.append(model)
             for entry in frame_trace:
                 entry.update({"round": rnd, "frame": j})
             trace.extend(frame_trace)
@@ -285,8 +288,8 @@ def optimize_window(frames: list[Frame], init_poses: list[Pose],
             break
 
     overlap = start_poses[:n_overlap]
-    final_cost = point_to_plane_cost(poses, batches, overlap)
-    initial_cost = point_to_plane_cost(start_poses, batches, overlap)
+    final_cost = point_to_plane_cost(poses, models, overlap)
+    initial_cost = point_to_plane_cost(start_poses, models, overlap)
     if initial_cost < final_cost:
         # refinement lost ground on the last round's association: reject it
         poses = start_poses

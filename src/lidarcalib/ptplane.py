@@ -9,18 +9,34 @@ centroid c_i) and weights w_i:
 LBA refines one frame pose T against planes fitted in the world frame;
 calibration refines the extrinsic T against world planes seen through each
 frame's reference pose A, which the batch folds into its planes once:
-n . (A T p - c) = (R_A^T n) . (T p - A^-1 c). The pose is updated on the
-right, T <- T exp(xi), xi = (rotation, translation), so the Jacobian row of
-r_i is [p_i x u_i, u_i] with u_i = R^T n_i.
+n . (A T p - c) = (R_A^T n) . (T p - A^-1 c).
+
+A residual is linear in the entries of T = (R, t): r_i = phi_i . x + const
+with phi_i = (vec(n_i p_i^T), n_i) and x = (vec R, t), vec taken row by
+row. So a frozen batch's cost is exactly a quadratic in x, and a
+`CostModel` holds it, built once at an anchor pose A: with dx = x(T) - x(A),
+
+    f(T) = f0 + 2 b . dx + dx^T Q dx,
+
+f0 = sum w r_i(A)^2, b = sum w r_i(A) phi_i, Q = sum w phi_i phi_i^T. The
+anchor keeps the terms small near A, so costs there do not cancel, and
+models that share an anchor add. The solver updates the pose on the right,
+T <- T exp(xi), xi = (rotation, translation), and D(R) (12 x 6), with
+columns vec(R [e_k]x) and R e_k, maps xi to dx; the Jacobian row of r_i is
+phi_i D = [p_i x u_i, u_i] with u_i = R^T n_i. A Gauss-Newton step takes
+H = D^T Q D and g = D^T (b + Q dx), so it costs the same at any match count.
 
 Every solve first checks that its matches pin all six degrees of freedom,
 a property of the match geometry alone (Zhang, Kaess & Singh, ICRA 2016):
-the unweighted J^T J at the start pose must have no eigenvalue below
-MIN_EIG_RATIO times its largest. Robust weights and priors are left out of
-the test, so a crushed weight does not fail it and a prior does not pass it.
+the unweighted J^T J = D^T Q0 D at the anchor, Q0 = sum phi_i phi_i^T, must
+have no eigenvalue below MIN_EIG_RATIO times its largest. Robust weights and
+priors are left out of the test, so a crushed weight does not fail it and a
+prior does not pass it.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,6 +81,21 @@ MAX_DEV_RATIO = 0.3
 COLLINEAR_EPS = 1e-12
 # rows and columns of a symmetric 3x3 matrix's entries xx yy zz xy xz yz
 _PAIRS = ([0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2])
+# [e_k]x for k = 0, 1, 2: R @ _GENERATORS[k] is d R / d xi_k
+_GENERATORS = np.stack([geo.skew(e) for e in np.eye(3)])
+
+
+def _pose_vector(pose: Pose) -> np.ndarray:
+    """x(T) = (vec R, t), the 12 entries a residual is linear in."""
+    return np.concatenate([pose.rotation.ravel(), pose.translation])
+
+
+def _twist_basis(rotation: np.ndarray) -> np.ndarray:
+    """D (12, 6): d x(T exp(xi)) / d xi at xi = 0."""
+    d = np.zeros((12, 6))
+    d[:9, :3] = (rotation @ _GENERATORS).reshape(3, 9).T
+    d[9:, 3:] = rotation
+    return d
 
 
 class PlaneBatch:
@@ -94,12 +125,66 @@ class PlaneBatch:
         r = self.residuals(transform)
         return float(self.weights @ (r * r))
 
+    def features(self) -> np.ndarray:
+        """phi (M, 12): residual i is phi_i . x(T) - n_i . c_i."""
+        phi = np.empty((len(self.points), 12))
+        phi[:, :9] = (self.normals[:, :, None]
+                      * self.points[:, None, :]).reshape(-1, 9)
+        phi[:, 9:] = self.normals
+        return phi
+
     def jacobian(self, transform: Pose) -> np.ndarray:
-        u = self.normals @ transform.rotation
-        rows = np.empty((len(self.points), 6))
-        rows[:, :3] = geo.cross(self.points, u)
-        rows[:, 3:] = u
-        return rows
+        """Rows d r_i / d xi of T exp(xi): phi D, the solver's D."""
+        return self.features() @ _twist_basis(transform.rotation)
+
+
+@dataclass(frozen=True, eq=False)
+class CostModel:
+    """A frozen batch's cost as the exact quadratic in x(T) about an anchor
+    (module docstring): f0, b, Q, the unweighted Q0 of the observability
+    test, the match count and the weight sum."""
+
+    anchor: Pose
+    f0: float
+    b: np.ndarray
+    q: np.ndarray
+    q0: np.ndarray
+    count: int
+    weight_sum: float
+
+    @classmethod
+    def of(cls, batch: PlaneBatch, anchor: Pose) -> "CostModel":
+        phi = batch.features()
+        r = batch.residuals(anchor)
+        wphi = batch.weights[:, None] * phi
+        return cls(anchor, float(batch.weights @ (r * r)), wphi.T @ r,
+                   phi.T @ wphi, phi.T @ phi, len(batch),
+                   float(np.sum(batch.weights)))
+
+    def __add__(self, other: "CostModel") -> "CostModel":
+        if not np.array_equal(_pose_vector(other.anchor),
+                              _pose_vector(self.anchor)):
+            raise ValueError("cost models with different anchors do not add")
+        return CostModel(self.anchor, self.f0 + other.f0, self.b + other.b,
+                         self.q + other.q, self.q0 + other.q0,
+                         self.count + other.count,
+                         self.weight_sum + other.weight_sum)
+
+    def objective(self, transform: Pose) -> float:
+        return self.f0 + self.change(self.anchor, transform)
+
+    def change(self, start: Pose, end: Pose) -> float:
+        """f(end) - f(start) = (x_e - x_s) . (2b + Q (x_e + x_s - 2 x_A)),
+        free of the cancellation of two costs taken far from the anchor."""
+        xa, xs, xe = (_pose_vector(p) for p in (self.anchor, start, end))
+        return float((xe - xs) @ (2.0 * self.b + self.q @ (xe + xs - 2.0 * xa)))
+
+    def normal_equations(self, transform: Pose) -> tuple[np.ndarray, np.ndarray]:
+        """Gauss-Newton (H, g) at transform: H = J^T W J = D^T Q D and
+        g = J^T W r = D^T (b + Q dx), half the gradient of the cost."""
+        d = _twist_basis(transform.rotation)
+        dx = _pose_vector(transform) - _pose_vector(self.anchor)
+        return d.T @ self.q @ d, d.T @ (self.b + self.q @ dx)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -257,67 +342,67 @@ def prior_residual(ref: Pose, pose: Pose) -> np.ndarray:
     return geo.log_se3(geo.compose(geo.inverse(ref), pose))
 
 
-def _evaluate(batch: PlaneBatch, pose: Pose,
-              prior: tuple[Pose, float] | None):
-    """(cost, residuals, prior twist or None) at pose; the prior (ref, lam)
-    adds lam * |log(ref^-1 pose)|^2 to the cost."""
-    r = batch.residuals(pose)
-    cost = float(batch.weights @ (r * r))
-    rho = None
-    if prior is not None:
-        ref, lam = prior
-        rho = prior_residual(ref, pose)
-        cost += lam * float(rho @ rho)
-    return cost, r, rho
-
-
-def _assemble(batch: PlaneBatch, jac: np.ndarray, r: np.ndarray,
-              rho: np.ndarray | None, prior: tuple[Pose, float] | None):
-    h = jac.T @ (batch.weights[:, None] * jac)
-    g = jac.T @ (batch.weights * r)
-    if prior is not None:
-        # identity approximation of the prior's right Jacobian
-        lam = prior[1]
-        h += lam * np.eye(6)
-        g += lam * rho
-    return h, g
-
-
-def lm_refine(batch: PlaneBatch, pose: Pose, prior: tuple[Pose, float] | None = None
+def lm_refine(model: CostModel, prior: tuple[Pose, float] | None = None
               ) -> tuple[Pose, list[dict]]:
-    """Damped Gauss-Newton on the batch cost from pose.
+    """Damped Gauss-Newton on the model's cost from its anchor.
 
-    Each iteration solves (H + mu I) xi = -g, mu starting at MU0, and
-    accepts T exp(xi) only if it strictly lowers the cost, so the returned
-    pose never costs more than the start. The loop ends after MAX_INNER
-    iterations or once a step's largest entry drops below INNER_TOL. Each
-    trace entry records iter, cost, cand_cost, accepted, mu and step_inf.
+    The prior (ref, lam) adds lam * |log(ref^-1 T)|^2 to the cost, with the
+    identity as its right Jacobian. Each iteration solves (H + mu I) xi =
+    -g, mu starting at MU0, and accepts T exp(xi) only if it strictly lowers
+    the cost, so the returned pose never costs more than the anchor. A
+    candidate's cost is the current one plus `CostModel.change`, so small
+    steps are judged as finely far from the anchor as near it. The loop
+    ends after MAX_INNER iterations or once a step's largest entry drops
+    below INNER_TOL. Each trace entry records iter, cost, cand_cost,
+    accepted, mu and step_inf; the last entry's cost, or its cand_cost when
+    accepted, is the returned pose's.
 
     Raises Unobservable, before the first step, for fewer than 6 matches or
-    a batch that fails the observability test at pose (module docstring).
+    a model that fails the observability test at its anchor (module
+    docstring).
     """
-    if len(batch) < 6:
-        raise Unobservable(f"only {len(batch)} point-to-plane matches (< 6)")
-    jac = batch.jacobian(pose)
-    evals = np.linalg.eigvalsh(jac.T @ jac)
+    if model.count < 6:
+        raise Unobservable(f"only {model.count} point-to-plane matches (< 6)")
+    pose = model.anchor
+    d = _twist_basis(pose.rotation)
+    evals = np.linalg.eigvalsh(d.T @ model.q0 @ d)
     if evals[0] < MIN_EIG_RATIO * max(evals[-1], 1e-30):
         raise Unobservable("the matched planes do not pin down all six "
                            "degrees of freedom")
-    cost, r, rho = _evaluate(batch, pose, prior)
+
+    def tie(pose: Pose) -> tuple[float, np.ndarray | None]:
+        """The prior's cost and twist at pose; (0, None) without a prior."""
+        if prior is None:
+            return 0.0, None
+        rho = prior_residual(prior[0], pose)
+        return prior[1] * float(rho @ rho), rho
+
+    def normal_equations(pose: Pose, rho: np.ndarray | None):
+        h, g = model.normal_equations(pose)
+        if prior is not None:
+            h += prior[1] * np.eye(6)
+            g += prior[1] * rho
+        return h, g
+
+    data = model.f0
+    tie_cost, rho = tie(pose)
+    cost = data + tie_cost
+    h, g = normal_equations(pose, rho)
     mu = MU0
     trace: list[dict] = []
     for it in range(MAX_INNER):
-        h, g = _assemble(batch, jac, r, rho, prior)
         step = -np.linalg.solve(h + mu * np.eye(6), g)
         cand = geo.compose(pose, geo.exp_se3(step))
-        cand_cost, cand_r, cand_rho = _evaluate(batch, cand, prior)
+        cand_data = data + model.change(pose, cand)
+        cand_tie, cand_rho = tie(cand)
+        cand_cost = cand_data + cand_tie
         accepted = cand_cost < cost
         step_inf = float(np.max(np.abs(step)))
         trace.append({"iter": it, "cost": cost, "cand_cost": cand_cost,
                       "accepted": accepted, "mu": mu, "step_inf": step_inf})
         if accepted:
-            pose, cost, r, rho = cand, cand_cost, cand_r, cand_rho
-            jac = batch.jacobian(pose)
+            pose, data, cost = cand, cand_data, cand_cost
+            h, g = normal_equations(pose, cand_rho)
             mu *= MU_DOWN
         else:
             mu *= MU_UP

@@ -112,7 +112,7 @@ RIG_PRESETS: dict[str, RigConfig] = {
     "config5": RigConfig(0.4, -0.2, -1.0, 180.0, -90.0, 0.0),
 }
 # the names builtin_scene and make_trajectory take; a turning kind turns
-# through sweep_deg, which must then be non-zero
+# through sweep_deg, which must then give a finite turn radius
 SCENES = ("room", "corridor", "yard")
 TRAJECTORY_KINDS = ("line", "arc", "lissajous")
 TURNING_KINDS = ("arc",)

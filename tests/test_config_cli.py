@@ -484,7 +484,9 @@ class TestExitCodes:
 
     # each float went on to the simulator unchecked: a NaN dt or sweep broke
     # a rotation, a non-finite length or start a translation, a zero sweep
-    # divided by zero, and a non-finite custom rig failed building its pose
+    # divided by zero, a subnormal sweep made the turn radius infinite (or
+    # divided by zero once in radians), and a non-finite custom rig failed
+    # building its pose
     @pytest.mark.parametrize("command", [
         ["simulate", "--out", "out"],
         ["sweep", "--trials", "2", "--jobs", "1", "--out-csv", "out"]],
@@ -492,8 +494,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("line", [
         *(f"sim.{key} = {value}" for key in SIM_FLOAT_KEYS
           for value in ("nan", "inf")),
-        "sim.sweep_deg = 0", "sim.scene = nowhere", "sim.traj_kind = nowhere",
-        "sim.rig = nowhere"])
+        "sim.sweep_deg = 0", "sim.sweep_deg = 1e-320", "sim.sweep_deg = 5e-324",
+        "sim.scene = nowhere", "sim.traj_kind = nowhere", "sim.rig = nowhere"])
     def test_bad_sim_key_exits_2_before_simulating(self, tmp_path, capsys,
                                                    monkeypatch, command, line):
         def run_trial(cfg, trial, base_seed, perturb_spec):

@@ -13,7 +13,7 @@ from lidarcalib import simulator as sim
 from lidarcalib import voxelmap as vm
 from lidarcalib.errors import InvalidParams, NoCorrespondences, Unobservable
 from lidarcalib.geometry import Pose
-from lidarcalib.ptplane import PlaneBatch
+from lidarcalib.ptplane import CostModel, PlaneBatch
 
 from test_geometry import random_pose
 
@@ -127,11 +127,16 @@ def orthogonal_plane_batch(rng, n_per_plane=60, weight=1.0):
     return make_batch(*(np.array(col) for col in zip(*rows)), weights=weight)
 
 
+def solve(batch, t_init):
+    """`lm_solve` on the batch's cost model at t_init."""
+    return ext.lm_solve(CostModel.of(batch, t_init))
+
+
 class TestLmSolve:
     def test_ground_truth_is_fixed_point(self):
         rng = np.random.default_rng(3)
         batch = orthogonal_plane_batch(rng)
-        pose, trace = ext.lm_solve(batch, Pose.identity())
+        pose, trace = solve(batch, Pose.identity())
         assert geo.translation_error(pose, Pose.identity()) < 1e-9
         assert batch.objective(pose) < 1e-18
 
@@ -139,7 +144,7 @@ class TestLmSolve:
         rng = np.random.default_rng(4)
         batch = orthogonal_plane_batch(rng)
         t_init = sim.perturb(Pose.identity(), 0.1 / math.sqrt(3), 5.0, 9)
-        pose, _ = ext.lm_solve(batch, t_init)
+        pose, _ = solve(batch, t_init)
         assert geo.translation_error(pose, Pose.identity()) < 1e-6
         assert geo.rotation_error(pose, Pose.identity()) < 1e-6
 
@@ -152,13 +157,13 @@ class TestLmSolve:
             pts.append(pt)
         batch = make_batch(pts, [[0, 0, 1]] * 40, [0, 0, 0])
         with pytest.raises(Unobservable):
-            ext.lm_solve(batch, Pose.identity())
+            solve(batch, Pose.identity())
 
     def test_accepted_steps_strictly_decrease(self):
         rng = np.random.default_rng(6)
         batch = orthogonal_plane_batch(rng)
         t_init = sim.perturb(Pose.identity(), 0.15, 10.0, 10)
-        _, trace = ext.lm_solve(batch, t_init)
+        _, trace = solve(batch, t_init)
         for entry in trace:
             if entry["accepted"]:
                 assert entry["cand_cost"] < entry["cost"]
@@ -175,7 +180,7 @@ class TestLmSolve:
         jac = batch.jacobian(Pose.identity())
         assert np.linalg.cond(jac.T @ (weights[:, None] * jac)) > 1e12
         t_init = sim.perturb(Pose.identity(), 0.05, 3.0, 12)
-        pose, trace = ext.lm_solve(batch, t_init)
+        pose, trace = solve(batch, t_init)
         assert trace and batch.objective(pose) < batch.objective(t_init)
 
     def test_weight_scaling_leaves_argmin(self, monkeypatch):
@@ -185,8 +190,8 @@ class TestLmSolve:
         scaled = PlaneBatch(base.points, base.normals, base.centroids,
                             np.full(len(base), 7.5))
         t_init = sim.perturb(Pose.identity(), 0.05, 3.0, 11)
-        p1, _ = ext.lm_solve(base, t_init)
-        p2, _ = ext.lm_solve(scaled, t_init)
+        p1, _ = solve(base, t_init)
+        p2, _ = solve(scaled, t_init)
         assert geo.translation_error(p1, p2) < 1e-9
         assert geo.rotation_error(p1, p2) < 1e-9
 
@@ -457,20 +462,38 @@ class TestCalibrate:
     def test_one_lm_solve_per_outer_iteration(self, room_calib_setup,
                                               monkeypatch):
         # frames are scored by their residuals, not by a solve of their own:
-        # the joint step of each outer iteration is the only LM solve
+        # the joint step of each outer iteration is the only LM solve, on
+        # the sum of the consensus frames' models
         ds, index, anchors = room_calib_setup
         calls = []
+        frame_models = []
         original = ext.lm_solve
+        associate = ext._associate_frame
 
         def counted(*args, **kwargs):
-            calls.append(1)
+            calls.append(args[0])
             return original(*args, **kwargs)
 
+        def recording(*args, **kwargs):
+            frame_models.append(associate(*args, **kwargs))
+            return frame_models[-1]
+
         monkeypatch.setattr(ext, "lm_solve", counted)
+        monkeypatch.setattr(ext, "_associate_frame", recording)
         guess = sim.perturb(ds.extrinsic, 0.3, 20.0, 23)
         result = ext.calibrate(index, ds.frames_b, anchors, guess)
         assert result.iterations > 1
         assert len(calls) == result.iterations
+        # every frame is associated in every outer iteration, in frame order
+        n = len(ds.frames_b)
+        assert len(frame_models) == result.iterations * n
+        for it, (joint, entry) in enumerate(zip(calls, result.outer_trace)):
+            models = frame_models[it * n:(it + 1) * n]
+            consensus = [m for k, m in enumerate(models)
+                         if k not in entry.skipped_frames]
+            assert isinstance(joint, CostModel)
+            assert len(consensus) == entry.frames_used
+            assert joint.count == sum(m.count for m in consensus)
 
     def test_tiny_frame_sits_out(self, room_calib_setup, monkeypatch):
         # a frame with fewer points than MIN_FRAME_CORR can never be usable:

@@ -10,7 +10,7 @@ from lidarcalib import ptplane
 from lidarcalib import simulator as sim
 from lidarcalib.errors import DegenerateGeometry, InvalidParams
 from lidarcalib.geometry import Pose
-from lidarcalib.ptplane import PlaneBatch
+from lidarcalib.ptplane import CostModel, PlaneBatch
 
 from test_geometry import random_pose
 
@@ -18,12 +18,21 @@ MODEL = sim.LidarModel(horizontal_res_deg=1.5, range_sigma=0.0)
 FAST = lba.LbaParams(downsample_leaf=0.25)
 
 
-def normal_equations(batch, pose, prior=None):
-    """Gauss-Newton (H, g) at pose, built as `ptplane.lm_refine` builds
-    them: H = J^T W J, g = J^T W r, plus lam * I and lam * rho for a prior.
-    g is half the gradient of the cost."""
-    _, r, rho = ptplane._evaluate(batch, pose, prior)
-    return ptplane._assemble(batch, batch.jacobian(pose), r, rho, prior)
+def normal_equations(model, pose, prior=None):
+    """Gauss-Newton (H, g) at pose, as `ptplane.lm_refine` takes them from
+    the model: H = D^T Q D = J^T W J, g = D^T (b + Q dx) = J^T W r, plus
+    lam * I and lam * rho for a prior. g is half the gradient of the cost."""
+    h, g = model.normal_equations(pose)
+    if prior is not None:
+        ref, lam = prior
+        h += lam * np.eye(6)
+        g += lam * ptplane.prior_residual(ref, pose)
+    return h, g
+
+
+def models_at(batches, poses):
+    """Frame j's model at poses[j], as `lba.optimize_window` builds them."""
+    return [CostModel.of(b, p) for b, p in zip(batches, poses[1:])]
 
 
 def deskewed_frames(ds):
@@ -194,17 +203,19 @@ class TestPointToPlaneCost:
         for b in batches:
             r = np.einsum("ij,ij->i", b.normals, b.points - b.centroids)
             b.points[:] = b.points - r[:, None] * b.normals
-        cost = lba.point_to_plane_cost(poses, batches)
+        models = models_at(batches, poses)
+        cost = lba.point_to_plane_cost(poses, models)
         assert cost == pytest.approx(0.0, abs=1e-18)
-        for j, b in enumerate(batches, start=1):
-            h, g = normal_equations(b, poses[j])
+        for j, model in enumerate(models, start=1):
+            h, g = normal_equations(model, poses[j])
             np.testing.assert_allclose(g, 0.0, atol=1e-12)
             assert h.shape == (6, 6)
 
     def test_single_point_cost(self):
         batch = PlaneBatch(np.array([[0.0, 0.0, 0.2]]), np.array([[0.0, 0.0, 1.0]]),
                            np.zeros((1, 3)), np.ones(1))
-        cost = lba.point_to_plane_cost([Pose.identity()] * 2, [batch])
+        cost = lba.point_to_plane_cost([Pose.identity()] * 2,
+                                       [CostModel.of(batch, Pose.identity())])
         assert cost == pytest.approx(0.04)
 
     def test_overlap_prior_oracle(self):
@@ -220,7 +231,7 @@ class TestPointToPlaneCost:
         for ref, t in zip(refs[1:], poses[1:]):
             xi = geo.log_se3(geo.compose(geo.inverse(ref), t))
             terms.append(lba.OVERLAP_WEIGHT * float(xi @ xi))
-        cost = lba.point_to_plane_cost(poses, batches, refs)
+        cost = lba.point_to_plane_cost(poses, models_at(batches, poses), refs)
         assert cost == pytest.approx(math.fsum(terms), rel=1e-12)
 
     def test_gradient_matches_central_differences(self):
@@ -230,9 +241,10 @@ class TestPointToPlaneCost:
         batches = synthetic_correspondences(rng)
         poses = [Pose.identity()] + [random_pose(rng, max_angle=0.5, max_trans=1.0)
                                      for _ in batches]
+        models = models_at(batches, poses)
         h = 1e-6
-        for j, batch in enumerate(batches, start=1):
-            _, g = normal_equations(batch, poses[j])
+        for j, model in enumerate(models, start=1):
+            _, g = normal_equations(model, poses[j])
             for k in range(6):
                 delta = np.zeros(6)
                 delta[k] = h
@@ -240,8 +252,8 @@ class TestPointToPlaneCost:
                 plus[j] = geo.compose(poses[j], geo.exp_se3(delta))
                 minus = list(poses)
                 minus[j] = geo.compose(poses[j], geo.exp_se3(-delta))
-                cp = lba.point_to_plane_cost(plus, batches)
-                cm = lba.point_to_plane_cost(minus, batches)
+                cp = lba.point_to_plane_cost(plus, models)
+                cm = lba.point_to_plane_cost(minus, models)
                 fd = (cp - cm) / (2 * h)
                 analytic = 2.0 * g[k]
                 assert analytic == pytest.approx(fd, rel=1e-4, abs=1e-8)
@@ -255,15 +267,16 @@ class TestPointToPlaneCost:
         ref = geo.compose(pose1, geo.exp_se3(np.full(6, 0.005)))
         poses = [Pose.identity(), pose1]
         overlap = [Pose.identity(), ref]
-        _, g = normal_equations(batches[0], pose1, (ref, lba.OVERLAP_WEIGHT))
+        models = models_at(batches, poses)
+        _, g = normal_equations(models[0], pose1, (ref, lba.OVERLAP_WEIGHT))
         h = 1e-6
         for k in range(6):
             delta = np.zeros(6)
             delta[k] = h
             plus = [poses[0], geo.compose(poses[1], geo.exp_se3(delta))]
             minus = [poses[0], geo.compose(poses[1], geo.exp_se3(-delta))]
-            cp = lba.point_to_plane_cost(plus, batches, overlap)
-            cm = lba.point_to_plane_cost(minus, batches, overlap)
+            cp = lba.point_to_plane_cost(plus, models, overlap)
+            cm = lba.point_to_plane_cost(minus, models, overlap)
             fd = (cp - cm) / (2 * h)
             assert 2.0 * g[k] == pytest.approx(fd, rel=2e-2, abs=1e-6)
 
@@ -344,9 +357,9 @@ class TestOptimizeWindow:
         solves = []
         refine = lba.lm_refine
 
-        def recording(batch, pose, prior=None):
-            solves.append((batch, prior))
-            return refine(batch, pose, prior)
+        def recording(model, prior=None):
+            solves.append((model, prior))
+            return refine(model, prior)
 
         monkeypatch.setattr(lba, "lm_refine", recording)
         ds = room_dataset(5)
@@ -366,7 +379,7 @@ class TestOptimizeWindow:
                 assert prior is None
         assert result.final_cost < result.initial_cost
         refined = result.refined_poses
-        data = math.fsum(batch.objective(pose) for (batch, _), pose
+        data = math.fsum(model.objective(pose) for (model, _), pose
                          in zip(solves[-per_round:], refined[1:]))
         ties = []
         for j in range(1, n_overlap):
@@ -405,13 +418,20 @@ class TestOptimizeWindow:
     def test_refit_at_unchanged_poses_equals_search(self, monkeypatch):
         # with the poses held (no LM step, no early stop) and the Cauchy
         # factor not annealed, every round sees the same pool: the re-fit
-        # rounds 2.. must give round 0's searched batches bit for bit
+        # rounds 2.. must build their models from round 0's searched batches
+        # bit for bit
         solves = []
 
-        def holding(batch, pose, prior=None):
-            solves.append(batch)
-            return pose, []
+        class Recording(CostModel):
+            @classmethod
+            def of(cls, batch, anchor):
+                solves.append(batch)
+                return super().of(batch, anchor)
 
+        def holding(model, prior=None):
+            return model.anchor, []
+
+        monkeypatch.setattr(lba, "CostModel", Recording)
         monkeypatch.setattr(lba, "lm_refine", holding)
         monkeypatch.setattr(lba, "CAUCHY_DECAY", 1.0)
         monkeypatch.setattr(lba, "INNER_TOL", -1.0)

@@ -1,5 +1,6 @@
 """The closed-form plane-fit kernel against numpy's general eigensolver,
-and the one plane test."""
+the one plane test, and the cost models and solver against a per-point
+reference."""
 
 import ast
 from pathlib import Path
@@ -8,11 +9,14 @@ import numpy as np
 import pytest
 
 import lidarcalib
+from lidarcalib import geometry as geo
+from lidarcalib import ptplane
 from lidarcalib.errors import Unobservable
 from lidarcalib.geometry import Pose
-from lidarcalib.ptplane import (MAX_DEV_FLOOR, MAX_DEV_RATIO, PlaneBatch,
-                                cluster_sq_distance, fit_clusters, fit_groups,
-                                fit_planes, lm_refine, plane_gate)
+from lidarcalib.ptplane import (MAX_DEV_FLOOR, MAX_DEV_RATIO, CostModel,
+                                PlaneBatch, cluster_sq_distance, fit_clusters,
+                                fit_groups, fit_planes, lm_refine, plane_gate,
+                                prior_residual)
 
 from test_geometry import random_pose
 
@@ -238,13 +242,175 @@ class TestObservability:
         corner = PlaneBatch(batch.points[:5], np.eye(3)[[0, 1, 2, 0, 1]],
                             np.zeros((5, 3)), np.ones(5))
         with pytest.raises(Unobservable, match="5 point-to-plane matches"):
-            lm_refine(corner, Pose.identity())
+            lm_refine(CostModel.of(corner, Pose.identity()))
 
     def test_single_plane_is_unobservable(self):
         # one plane leaves its two in-plane translations and the rotation
         # about its normal free, whatever the weights or a prior
         batch = self.floor_batch(40)
+        model = CostModel.of(batch, Pose.identity())
         with pytest.raises(Unobservable, match="six degrees of freedom"):
-            lm_refine(batch, Pose.identity())
+            lm_refine(model)
         with pytest.raises(Unobservable):
-            lm_refine(batch, Pose.identity(), (Pose.identity(), 1e3))
+            lm_refine(model, (Pose.identity(), 1e3))
+
+
+def reference_jacobian(batch, pose):
+    """Rows [p x u, u], u = R^T n, taken point by point."""
+    u = batch.normals @ pose.rotation
+    return np.column_stack([geo.cross(batch.points, u), u])
+
+
+def reference_lm(batch, pose, prior=None):
+    """The per-point solver: every step evaluates each match's residual and
+    Jacobian row for J^T W J and J^T W r, and the per-point cost decides
+    acceptance by the rule `lm_refine` keeps."""
+
+    def evaluate(pose):
+        r = batch.residuals(pose)
+        cost = float(batch.weights @ (r * r))
+        rho = None
+        if prior is not None:
+            rho = prior_residual(prior[0], pose)
+            cost += prior[1] * float(rho @ rho)
+        return cost, r, rho
+
+    def assemble(pose, r, rho):
+        jac = reference_jacobian(batch, pose)
+        h = jac.T @ (batch.weights[:, None] * jac)
+        g = jac.T @ (batch.weights * r)
+        if prior is not None:
+            h += prior[1] * np.eye(6)
+            g += prior[1] * rho
+        return h, g
+
+    cost, r, rho = evaluate(pose)
+    mu = ptplane.MU0
+    for _ in range(ptplane.MAX_INNER):
+        h, g = assemble(pose, r, rho)
+        step = -np.linalg.solve(h + mu * np.eye(6), g)
+        cand = geo.compose(pose, geo.exp_se3(step))
+        cand_cost, cand_r, cand_rho = evaluate(cand)
+        if cand_cost < cost:
+            pose, cost, r, rho = cand, cand_cost, cand_r, cand_rho
+            mu *= ptplane.MU_DOWN
+        else:
+            mu *= ptplane.MU_UP
+        if np.max(np.abs(step)) < ptplane.INNER_TOL:
+            break
+    return pose
+
+
+def offset(rng, max_trans, max_deg):
+    """A random pose within max_trans (m) and max_deg of the identity."""
+    axis = rng.normal(size=3)
+    direction = rng.normal(size=3)
+    xi = np.concatenate([
+        axis / np.linalg.norm(axis) * np.radians(rng.uniform(0.0, max_deg)),
+        direction / np.linalg.norm(direction) * rng.uniform(0.0, max_trans)])
+    return geo.exp_se3(xi)
+
+
+def random_batch(rng, n=80, truth=None, noise=0.01):
+    """n matches with a random folded anchor. With `truth`, each point lies
+    within `noise` of its plane under that pose, so the cost has a proper
+    minimum near it; otherwise points and planes are unrelated."""
+    normals = rng.normal(size=(n, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    centroids = rng.uniform(-5.0, 5.0, size=(n, 3))
+    anchor = random_pose(rng)
+    points = rng.uniform(-5.0, 5.0, size=(n, 3))
+    if truth is not None:
+        world = geo.apply(anchor, geo.apply(truth, points))
+        height = np.einsum("ij,ij->i", normals, world - centroids)
+        world -= (height - rng.normal(0.0, noise, n))[:, None] * normals
+        points = geo.apply(geo.inverse(truth),
+                           geo.apply(geo.inverse(anchor), world))
+    return PlaneBatch(points, normals, centroids,
+                      rng.uniform(0.1, 2.0, size=n), anchor)
+
+
+class TestCostModel:
+    """A `CostModel` is its batch's cost, exactly: the same objective, sums
+    and normal equations as the per-point evaluation, and `lm_refine` on it
+    ends where the per-point solver does."""
+
+    @pytest.mark.parametrize("with_prior", [False, True])
+    def test_lm_refine_matches_per_point_solver(self, with_prior):
+        rng = np.random.default_rng(21 + with_prior)
+        for _ in range(10):
+            truth = random_pose(rng)
+            batch = random_batch(rng, truth=truth)
+            start = geo.compose(truth, offset(rng, 0.2, 10.0))
+            prior = ((geo.compose(truth, offset(rng, 0.01, 0.5)), 30.0)
+                     if with_prior else None)
+            pose, trace = lm_refine(CostModel.of(batch, start), prior)
+            ref = reference_lm(batch, start, prior)
+            assert trace and any(entry["accepted"] for entry in trace)
+            assert np.max(np.abs(pose.rotation - ref.rotation)) < 1e-9
+            assert np.max(np.abs(pose.translation - ref.translation)) < 1e-9
+
+    def test_objective_equals_batch_objective(self):
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            batch = random_batch(rng)
+            anchor = random_pose(rng)
+            model = CostModel.of(batch, anchor)
+            assert model.objective(anchor) == batch.objective(anchor)
+            for _ in range(10):
+                pose = geo.compose(anchor, offset(rng, 0.5, 30.0))
+                assert model.objective(pose) == pytest.approx(
+                    batch.objective(pose), rel=1e-12)
+
+    def test_models_add_like_stacked_batches(self):
+        rng = np.random.default_rng(23)
+        first, second = random_batch(rng, 50), random_batch(rng, 70)
+        anchor = random_pose(rng)
+        stacked = PlaneBatch(*(np.concatenate([getattr(first, name),
+                                               getattr(second, name)])
+                               for name in ("points", "normals", "centroids",
+                                            "weights")))
+        total = CostModel.of(first, anchor) + CostModel.of(second, anchor)
+        whole = CostModel.of(stacked, anchor)
+        assert total.anchor is anchor
+        assert total.count == whole.count == 120
+        assert total.weight_sum == pytest.approx(whole.weight_sum, rel=1e-14)
+        assert total.f0 == pytest.approx(whole.f0, rel=1e-12)
+        for name in ("b", "q", "q0"):
+            a, b = getattr(total, name), getattr(whole, name)
+            np.testing.assert_allclose(a, b, rtol=0.0,
+                                       atol=1e-12 * np.max(np.abs(b)))
+
+    def test_models_at_different_anchors_do_not_add(self):
+        rng = np.random.default_rng(24)
+        batch = random_batch(rng)
+        with pytest.raises(ValueError, match="anchors"):
+            CostModel.of(batch, random_pose(rng)) + \
+                CostModel.of(batch, random_pose(rng))
+
+    def test_normal_equations_equal_per_point_sums(self):
+        # D^T Q D and D^T (b + Q dx) against J^T W J and J^T W r, away
+        # from the anchor too
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            batch = random_batch(rng)
+            anchor = random_pose(rng)
+            model = CostModel.of(batch, anchor)
+            for pose in (anchor, geo.compose(anchor, offset(rng, 0.5, 30.0))):
+                jac = reference_jacobian(batch, pose)
+                r = batch.residuals(pose)
+                h, g = model.normal_equations(pose)
+                ref_h = jac.T @ (batch.weights[:, None] * jac)
+                ref_g = jac.T @ (batch.weights * r)
+                np.testing.assert_allclose(h, ref_h, rtol=0.0,
+                                           atol=1e-12 * np.max(np.abs(ref_h)))
+                np.testing.assert_allclose(g, ref_g, rtol=0.0,
+                                           atol=1e-11 * np.max(np.abs(ref_g)))
+
+    def test_jacobian_is_the_solvers_twist_map(self):
+        rng = np.random.default_rng(26)
+        batch = random_batch(rng)
+        pose = random_pose(rng)
+        np.testing.assert_allclose(batch.jacobian(pose),
+                                   reference_jacobian(batch, pose),
+                                   rtol=0.0, atol=1e-12)
