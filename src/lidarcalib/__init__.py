@@ -7,15 +7,3 @@ transform by weighted point-to-plane optimization.
 """
 
 __version__ = "0.1.0"
-
-from .geometry import (  # noqa: F401
-    Pose,
-    apply,
-    compose,
-    exp_se3,
-    inverse,
-    log_se3,
-    rotation_error,
-    skew,
-    translation_error,
-)

@@ -180,14 +180,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if args.self_check:
-        gt = pc.load_pose(Path(args.self_check) / "extrinsic_gt.txt")
-        e_t, e_r = geo.translation_error(gt, gt), geo.rotation_error(gt, gt)
-        print(f"self-check e_trans: {e_t} m  e_rot: {e_r} rad")
-        return EXIT_OK
     if not args.gt or not args.estimates:
-        raise ConfigError("evaluate needs estimate files and --gt "
-                          "(or --self-check DIR)")
+        raise ConfigError("evaluate needs estimate files and --gt")
     gt = pc.load_pose(args.gt)
     rows = []
     for est_path in args.estimates:
@@ -348,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("estimates", nargs="*")
     p_eval.add_argument("--gt")
     p_eval.add_argument("--csv")
-    p_eval.add_argument("--self-check", dest="self_check",
-                        help="dataset dir: verify gt-vs-gt evaluates to zero")
 
     p_sweep = sub.add_parser("sweep", help="repeated simulate/lba/calibrate trials")
     p_sweep.add_argument("--config")

@@ -2,14 +2,16 @@
 
 Each source frame's points are carried into the map's world frame through
 the synchronized reference-sensor pose (the anchor) composed with the
-current extrinsic estimate, matched to voxel planes by containment, and the
-extrinsic is refined by weighted point-to-plane Levenberg-Marquardt on the
-Lie algebra: each frame's matches form a `ptplane.PlaneBatch` that folds
-its reference pose into the planes, reduced at once to its exact quadratic
-cost, a `ptplane.CostModel` at the current estimate. The consensus frames'
-models are summed and solved jointly by `ptplane.lm_refine`, the solver the
-LBA uses too, whose observability test on the match geometry is the only
-one here.
+current extrinsic estimate and matched to voxel planes. The map only finds
+each point's candidate plane (its nearest mapped surface, or its containing
+leaf); this module judges the candidates, by one distance gate and a normal
+test (`_associate_frame`). The extrinsic is refined by weighted
+point-to-plane Levenberg-Marquardt on the Lie algebra: each frame's matches
+form a `ptplane.PlaneBatch` that folds its reference pose into the planes,
+reduced at once to its exact quadratic cost, a `ptplane.CostModel` at the
+current estimate. The consensus frames' models are summed and solved
+jointly by `ptplane.lm_refine`, the solver the LBA uses too, whose
+observability test on the match geometry is the only one here.
 An outer loop re-associates every frame under a distance gate that
 shrinks one stage per iteration, keeps the consensus frames (robust RMS
 residual at the shared estimate within 6x the median), takes one joint LM
@@ -323,31 +325,31 @@ def _associate_frame(index: VoxelMapIndex, points: np.ndarray,
     """The cost model, at the estimate, of the frame's matches: sensor-frame
     points with their world positions under the anchor and the estimate,
     and their sensor-frame local normals. None with fewer than
-    MIN_FRAME_CORR matches."""
+    MIN_FRAME_CORR matches.
+
+    Each point's candidate plane is the one owning its nearest mapped
+    surface point within reject_dist when `nearest` is given, and its
+    containing leaf's plane (`vm.associate_batch`) otherwise. A candidate
+    is kept when its residual |n.(w - c)| is within reject_dist, the only
+    distance gate of the package, and its normal agrees with the point's
+    rotated local normal (NORMAL_GATE). The kept matches are weighted by
+    plane confidence times a per-axis Cauchy weight.
+    """
     planes = index.planes
-    if nearest is not None:
-        _, ids = nearest.query(world, reject_dist)
-        if (ids >= 0).any():
-            resid = np.abs(np.einsum(
-                "ij,ij->i", planes.normals[np.maximum(ids, 0)],
-                world - planes.centroids[np.maximum(ids, 0)]))
-            ids = np.where(resid <= reject_dist, ids, -1)
-    else:
-        ids = vm.associate_batch(world, index, reject_dist)
-    if (ids >= 0).any():
-        rot_w = anchor.rotation @ estimate.rotation
-        agree = np.abs(np.einsum("ij,ij->i", planes.normals[np.maximum(ids, 0)],
-                                 local_normals @ rot_w.T))
-        ids = np.where(agree >= NORMAL_GATE, ids, -1)
-    matched = ids >= 0
-    if np.count_nonzero(matched) < MIN_FRAME_CORR:
-        return None
-    world = world[matched]
-    ids = ids[matched]
-    pts = points[matched]
+    ids = (nearest.query(world, reject_dist)[1] if nearest is not None
+           else vm.associate_batch(world, index))
+    rows = np.flatnonzero(ids >= 0)
+    ids = ids[rows]
     normals = planes.normals[ids]
     centroids = planes.centroids[ids]
-    resid = np.abs(np.einsum("ij,ij->i", normals, world - centroids))
+    resid = np.abs(np.einsum("ij,ij->i", normals, world[rows] - centroids))
+    rot_w = anchor.rotation @ estimate.rotation
+    agree = np.abs(np.einsum("ij,ij->i", normals, local_normals[rows] @ rot_w.T))
+    keep = (resid <= reject_dist) & (agree >= NORMAL_GATE)
+    if np.count_nonzero(keep) < MIN_FRAME_CORR:
+        return None
+    rows, ids, normals, centroids, resid = (
+        a[keep] for a in (rows, ids, normals, centroids, resid))
     # robust scale per dominant normal axis: residual magnitudes are highly
     # anisotropic while converging, and a single global scale would crush
     # the sparse constraints along directions that are still far off
@@ -359,7 +361,7 @@ def _associate_frame(index: VoxelMapIndex, points: np.ndarray,
             continue
         scale = max(CAUCHY_SCALE_FLOOR, float(np.median(resid[sel])))
         robust[sel] = cauchy_weights(resid[sel], CAUCHY_FACTOR, scale)
-    return CostModel.of(PlaneBatch(pts, normals, centroids,
+    return CostModel.of(PlaneBatch(points[rows], normals, centroids,
                                    planes.weights[ids] * robust, anchor),
                         estimate)
 
@@ -386,8 +388,10 @@ def calibrate(map_index: VoxelMapIndex, frames_b: list[Frame],
     Per outer iteration every frame is deskewed with the reference
     motion rel conjugated by the current estimate T and associated to map
     planes under the current rejection gate, which freezes the matches and
-    their robust weights. Each sweep's point-form coefficients M_s of
-    exp(s log rel) are computed once per call (`pc.sweep_coefficients`):
+    their robust weights (`_associate_frame`: every candidate plane is
+    judged there, by the gate on its residual and by NORMAL_GATE). Each
+    sweep's point-form coefficients M_s of exp(s log rel) are computed
+    once per call (`pc.sweep_coefficients`):
     an iteration computes q = M_s(T p) and takes T^-1 q as the deskewed
     points and A q as their world positions under the anchor A. The gate
     shrinks one stage per iteration (`_reject_schedule`), and association
@@ -498,11 +502,6 @@ def write_report(path, result: CalibrationResult, gt: Pose | None = None,
     Each CSV row carries the outer iteration's association gate
     (reject_dist, m) and the frames left out of its joint step
     (skipped_frames, space-separated frame indices).
-
-    The estimate is returned as the jointly refined absolute transform; composing
-    it once more with the initial guess would double-count the guess, so no
-    such composition is applied (noted here for audit against descriptions
-    that state a final re-composition).
     """
     with open(path, "w") as fh:
         if config_echo:

@@ -294,15 +294,16 @@ def merge_neighbors(index: VoxelMapIndex, tau_theta: float, tau_d: float) -> Vox
                    leaf_to_plane=(np.cumsum(starts) - 1)[np.argsort(order)])
 
 
-def associate_batch(points: np.ndarray, index: VoxelMapIndex,
-                    reject_dist: float = 0.3) -> np.ndarray:
-    """Vectorized containment association.
+def associate_batch(points: np.ndarray, index: VoxelMapIndex) -> np.ndarray:
+    """Vectorized containment lookup.
 
-    Returns per-point indices into index.planes, -1 where the containing
-    cell chain ends in a discarded/empty cell or the distance gate fails.
-    Depth by depth, the points still descending look their cells up in the
-    index's key table for that depth (see `VoxelMapIndex`); a leaf found
-    maps to its plane through `leaf_to_plane`.
+    Returns per-point indices into index.planes of the plane whose leaf
+    cell contains the point, -1 where the containing cell chain ends in a
+    discarded or empty cell. No residual is computed: judging a match is
+    calibration's (`extrinsic._associate_frame`). Depth by depth, the points
+    still descending look their cells up in the index's key table for that
+    depth (see `VoxelMapIndex`); a leaf found maps to its plane through
+    `leaf_to_plane`.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     n = len(points)
@@ -320,13 +321,4 @@ def associate_batch(points: np.ndarray, index: VoxelMapIndex,
         planar = targets >= 0
         out[active[planar]] = index.leaf_to_plane[targets[planar]]
         active = active[targets == _DESCEND]
-    matched = out >= 0
-    if matched.any():
-        ids = out[matched]
-        planes = index.planes
-        dist = np.abs(np.einsum(
-            "ij,ij->i", planes.normals[ids], points[matched] - planes.centroids[ids]))
-        bad = dist > reject_dist
-        sel = np.nonzero(matched)[0][bad]
-        out[sel] = -1
     return out

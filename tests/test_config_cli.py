@@ -163,13 +163,6 @@ class TestSimulateCommand:
         assert rc == 2
         assert "sim.rig" in capsys.readouterr().err
 
-    def test_self_check(self, cli_dataset, capsys):
-        _, _, out = cli_dataset
-        rc = cli.main(["evaluate", "--self-check", str(out)])
-        assert rc == 0
-        text = capsys.readouterr().out
-        assert "e_trans: 0.0" in text
-
 
 class TestLbaCommand:
     def test_noise_free_fixed_point(self, cli_dataset, capsys):

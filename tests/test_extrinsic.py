@@ -16,6 +16,7 @@ from lidarcalib.geometry import Pose
 from lidarcalib.ptplane import CostModel, PlaneBatch
 
 from test_geometry import random_pose
+from test_voxelmap import plane_patch
 
 
 def make_batch(points, normals, centroids, weights=1.0, anchor=None):
@@ -297,6 +298,102 @@ def test_nearest_lookup_owners(room_calib_setup):
     np.testing.assert_array_equal(lookup.tree.data, index.points[owned])
 
 
+def oracle_frame_model(index, points, world, anchor, estimate, gate,
+                       local_normals, nearest):
+    """`ext._associate_frame` point by point: each point's candidate plane
+    (nearest surface or containment), kept when its residual is within the
+    gate and its normal agrees with the point's rotated local normal, then
+    weighted by plane confidence times the Cauchy weight of its dominant
+    normal axis. (model or None, rejected by distance, rejected by
+    normal)."""
+    planes = index.planes
+    rot_w = anchor.rotation @ estimate.rotation
+    kept = []
+    far = misaligned = 0
+    for i, w in enumerate(world):
+        if nearest is not None:
+            plane = int(nearest.query(w[None], gate)[1][0])
+        else:
+            plane = int(vm.associate_batch(w[None], index)[0])
+        if plane < 0:
+            continue
+        n = planes.normals[plane]
+        resid = abs(float(n @ (w - planes.centroids[plane])))
+        close = resid <= gate
+        aligned = abs(float(n @ (rot_w @ local_normals[i]))) >= ext.NORMAL_GATE
+        far += not close
+        misaligned += close and not aligned
+        if close and aligned:
+            kept.append((i, plane, resid))
+    if len(kept) < ext.MIN_FRAME_CORR:
+        return None, far, misaligned
+    rows, ids, resid = (np.array(c) for c in zip(*kept))
+    axis = np.argmax(np.abs(planes.normals[ids]), axis=1)
+    weights = planes.weights[ids]
+    for b in range(3):
+        sel = axis == b
+        if sel.any():
+            scale = max(ptplane.CAUCHY_SCALE_FLOOR, float(np.median(resid[sel])))
+            weights[sel] /= 1.0 + (resid[sel] / (ptplane.CAUCHY_FACTOR * scale)) ** 2
+    batch = PlaneBatch(points[rows], planes.normals[ids], planes.centroids[ids],
+                       weights, anchor)
+    return CostModel.of(batch, estimate), far, misaligned
+
+
+class TestAssociateFrame:
+    @pytest.mark.parametrize("coarse", [True, False],
+                             ids=["nearest", "containment"])
+    def test_matches_point_oracle(self, room_calib_setup, coarse):
+        # a coarse stage (wide gate, nearest surface, far-off estimate) and
+        # the final one (reject_end, containment, near the truth); each
+        # rule must reject some candidate for the check to mean anything
+        ds, index, anchors = room_calib_setup
+        cfg = ext.CalibConfig()
+        k = 4
+        points = pc.voxel_downsample(ds.frames_b[k], cfg.downsample_leaf).positions
+        local_normals = ext._local_normals(points)
+        if coarse:
+            estimate = sim.perturb(ds.extrinsic, 0.15, 8.0, 5)
+            gate, nearest = cfg.reject_start, ext._NearestPlaneLookup(index)
+        else:
+            estimate = sim.perturb(ds.extrinsic, 0.03, 2.0, 5)
+            gate, nearest = cfg.reject_end, None
+        world = geo.apply(anchors[k], geo.apply(estimate, points))
+        model = ext._associate_frame(index, points, world, anchors[k], estimate,
+                                     gate, local_normals, nearest=nearest)
+        expected, far, misaligned = oracle_frame_model(
+            index, points, world, anchors[k], estimate, gate, local_normals,
+            nearest)
+        assert far > 0 and misaligned > 0
+        assert model is not None and expected is not None
+        assert model.count == expected.count
+        np.testing.assert_allclose(model.f0, expected.f0, rtol=1e-12)
+        np.testing.assert_allclose(model.b, expected.b, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(model.q, expected.q, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("coarse", [True, False],
+                             ids=["nearest", "containment"])
+    def test_reject_distance(self, coarse):
+        # a frame parallel to the floor and 0.38 m above it: both lookups
+        # find the floor plane, and the gate alone decides
+        rng = np.random.default_rng(15)
+        floor = plane_patch(rng, [0, 0, 1], [2.0, 2.0, 0.5], 1.9, 4000)
+        wall = plane_patch(rng, [1, 0, 0], [0.5, 2.0, 1.5], 1.4, 3000)
+        index = vm.build_adaptive(np.vstack([floor, wall]),
+                                  vm.VoxelParams(max_depth=2))
+        xy = rng.uniform(1.6, 2.8, size=(ext.MIN_FRAME_CORR + 10, 2))
+        points = np.column_stack([xy, np.full(len(xy), 0.88)])
+        nearest = ext._NearestPlaneLookup(index) if coarse else None
+
+        def model(gate):
+            return ext._associate_frame(
+                index, points, points, Pose.identity(), Pose.identity(), gate,
+                ext._local_normals(points), nearest=nearest)
+
+        assert model(0.1) is None
+        assert model(0.6).count == len(points)
+
+
 class TestSeeding:
     @staticmethod
     def inputs(room_calib_setup):
@@ -386,9 +483,12 @@ class TestCalibrate:
         objective = 0.0
         for anchor, frame in zip(anchors, frames):
             world = geo.apply(anchor, geo.apply(result.extrinsic, frame.positions))
-            ids = vm.associate_batch(world, index, 0.3)
-            hit = ids >= 0
+            ids = vm.associate_batch(world, index)
             planes = index.planes
+            hit = ids >= 0
+            hit[hit] = np.abs(np.einsum(
+                "ij,ij->i", planes.normals[ids[hit]],
+                world[hit] - planes.centroids[ids[hit]])) <= 0.3
             batch = PlaneBatch(frame.positions[hit], planes.normals[ids[hit]],
                                planes.centroids[ids[hit]], planes.weights[ids[hit]],
                                anchor)

@@ -3,8 +3,7 @@
 An import nothing reads is dead weight that survives the code it once
 served. The check is by name: an imported name counts as used when the
 module loads it anywhere (as a bare name or as the root of an attribute
-chain). Package `__init__.py` files are exempt, since their imports are
-the package's re-exports.
+chain).
 """
 
 import ast
@@ -33,8 +32,7 @@ def unused_imports(path: Path) -> list[str]:
             if name not in used]
 
 
-MODULES = sorted(p for p in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]
-                 if p.name != "__init__.py")
+MODULES = sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")])
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")

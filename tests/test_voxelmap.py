@@ -332,9 +332,9 @@ class TestMergeNeighbors:
             np.testing.assert_array_equal(once.planes.counts, twice.planes.counts)
 
 
-def associate_one(point, index, reject_dist=0.3):
+def associate_one(point, index):
     """The plane id associate_batch gives a single point, or None."""
-    ids = vm.associate_batch(np.reshape(point, (1, 3)), index, reject_dist)
+    ids = vm.associate_batch(np.reshape(point, (1, 3)), index)
     return int(ids[0]) if ids[0] >= 0 else None
 
 
@@ -348,7 +348,7 @@ class TestAssociate:
     def test_point_in_planar_root(self):
         rng = np.random.default_rng(13)
         pts, index = self._walls_index(rng)
-        plane = associate_one([2.2, 2.2, 0.52], index, reject_dist=0.3)
+        plane = associate_one([2.2, 2.2, 0.52], index)
         assert plane is not None
         np.testing.assert_allclose(np.abs(index.planes.normals[plane]), [0, 0, 1],
                                    atol=1e-6)
@@ -358,12 +358,6 @@ class TestAssociate:
         _, index = self._walls_index(rng)
         assert associate_one([20.0, 20.0, 20.0], index) is None
 
-    def test_reject_distance(self):
-        rng = np.random.default_rng(15)
-        _, index = self._walls_index(rng)
-        assert associate_one([2.2, 2.2, 0.9], index, reject_dist=0.1) is None
-        assert associate_one([2.2, 2.2, 0.9], index, reject_dist=0.6) is not None
-
     def test_subdivided_cell_resolves_to_child(self):
         rng = np.random.default_rng(16)
         # two perpendicular patches inside one root cell force subdivision
@@ -372,7 +366,7 @@ class TestAssociate:
         pts = np.clip(np.vstack([a, b]), 0.001, 0.999)
         index = vm.build_adaptive(pts, vm.VoxelParams(max_depth=2, min_points=5))
         query = np.array([0.2, 0.2, 0.505])
-        plane = associate_one(query, index, reject_dist=0.3)
+        plane = associate_one(query, index)
         if plane is not None:
             # brute-force containment oracle: best plane among cells containing query
             candidates = []
@@ -389,9 +383,9 @@ class TestAssociate:
         rng = np.random.default_rng(17)
         pts, index = self._walls_index(rng)
         queries = rng.uniform(0, 4, size=(200, 3))
-        ids = vm.associate_batch(queries, index, reject_dist=0.3)
+        ids = vm.associate_batch(queries, index)
         for q, i in zip(queries, ids):
-            single = associate_one(q, index, reject_dist=0.3)
+            single = associate_one(q, index)
             if i < 0:
                 assert single is None
             else:
@@ -400,7 +394,8 @@ class TestAssociate:
 
     def test_batch_matches_node_walk(self):
         """associate_batch against a per-point walk down the decoded
-        octree."""
+        octree: the plane of the first planar cell on the way, with no
+        distance gate."""
         rng = np.random.default_rng(18)
         floor = plane_patch(rng, [0, 0, 1], [0.0, 0.0, -0.5], 1.9, 3000)
         wall = plane_patch(rng, [1, 0, 0], [-1.5, 0.0, 0.5], 1.4, 2000)
@@ -428,7 +423,6 @@ class TestAssociate:
                              beside,
                              rng.uniform(-1e6, 1e6, size=(100, 3)),
                              lo - 1e-9, hi, lo + (hi - lo) * [1, 0, 0]])
-        reject = 0.2
         expected = np.full(len(queries), -1)
         for i, q in enumerate(queries):
             for depth in range(index.params.max_depth + 1):
@@ -437,15 +431,11 @@ class TestAssociate:
                 if node is None or node[0] == DISCARDED:
                     break
                 if node[0] == PLANAR:
-                    plane_id = index.leaf_to_plane[node[1]]
-                    resid = np.dot(index.planes.normals[plane_id],
-                                   q - index.planes.centroids[plane_id])
-                    if abs(resid) <= reject:
-                        expected[i] = plane_id
+                    expected[i] = index.leaf_to_plane[node[1]]
                     break
         assert np.count_nonzero(expected >= 0) > 300
         np.testing.assert_array_equal(
-            vm.associate_batch(queries, index, reject_dist=reject), expected)
+            vm.associate_batch(queries, index), expected)
 
 
 def reference_classify(points, params):
