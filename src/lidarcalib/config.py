@@ -35,12 +35,14 @@ class SimSection:
     start_y: float = 3.5
     start_z: float = 2.0
     dt: float = 0.1
-    beams: int = 16
-    vertical_fov_deg: float = 30.0
-    horizontal_res_deg: float = 0.4
-    max_range: float = 50.0
-    range_sigma: float = 0.01
-    scan_period: float = 0.1
+    # the sensor model's defaults, which also fill a dataset's missing
+    # meta.txt keys (`simulator.read_dataset`)
+    beams: int = sim.LidarModel.beams
+    vertical_fov_deg: float = sim.LidarModel.vertical_fov_deg
+    horizontal_res_deg: float = sim.LidarModel.horizontal_res_deg
+    max_range: float = sim.LidarModel.max_range
+    range_sigma: float = sim.LidarModel.range_sigma
+    scan_period: float = sim.LidarModel.scan_period
     rig: str = "config1"
     rig_x: float = 0.0
     rig_y: float = 0.0

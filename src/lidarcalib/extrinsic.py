@@ -6,10 +6,10 @@ current extrinsic estimate and matched to voxel planes. The map only finds
 each point's candidate plane (its nearest mapped surface, or its containing
 leaf); this module judges the candidates, by one distance gate and a normal
 test (`_associate_frame`). The extrinsic is refined by weighted
-point-to-plane Levenberg-Marquardt on the Lie algebra: each frame's matches
-form a `ptplane.PlaneBatch` that folds its reference pose into the planes,
-reduced at once to its exact quadratic cost, a `ptplane.CostModel` at the
-current estimate. The consensus frames' models are summed and solved
+point-to-plane Levenberg-Marquardt on the Lie algebra: each frame folds
+its reference pose into its matched planes and reduces its matches at once
+to their exact quadratic cost, a `ptplane.CostModel` at the current
+estimate. The consensus frames' models are summed and solved
 jointly by `ptplane.lm_refine`, the solver the LBA uses too, whose
 observability test on the match geometry is the only one here.
 An outer loop re-associates every frame under a distance gate that
@@ -49,7 +49,7 @@ from .errors import InvalidParams, NoCorrespondences, Unobservable, check_rules
 from .geometry import Pose
 from .pointcloud import Frame
 from .ptplane import (CAUCHY_FACTOR, CAUCHY_SCALE_FLOOR, CostModel,
-                      PlaneBatch, cauchy_weights, fit_planes, lm_refine)
+                      cauchy_weights, fit_planes, lm_refine)
 from .voxelmap import VoxelMapIndex
 
 
@@ -361,9 +361,11 @@ def _associate_frame(index: VoxelMapIndex, points: np.ndarray,
             continue
         scale = max(CAUCHY_SCALE_FLOOR, float(np.median(resid[sel])))
         robust[sel] = cauchy_weights(resid[sel], CAUCHY_FACTOR, scale)
-    return CostModel.of(PlaneBatch(points[rows], normals, centroids,
-                                   planes.weights[ids] * robust, anchor),
-                        estimate)
+    # the anchor A folded into the planes:
+    # n . (A T p - c) = (n R_A) . (T p - A^-1 c)
+    return CostModel.of(points[rows], normals @ anchor.rotation,
+                        geo.apply(geo.inverse(anchor), centroids),
+                        planes.weights[ids] * robust, estimate)
 
 
 def _consensus_mask(scores: np.ndarray) -> np.ndarray:

@@ -40,7 +40,7 @@ from .errors import (DegenerateGeometry, InvalidParams, StampMismatch,
 from .geometry import Pose
 from .pointcloud import Frame, Trajectory
 from .ptplane import (CAUCHY_FACTOR, CAUCHY_SCALE_FLOOR, INNER_TOL,
-                      MAX_DEV_FLOOR, CostModel, PlaneBatch, cauchy_weights,
+                      MAX_DEV_FLOOR, CostModel, cauchy_weights,
                       fit_planes, lm_refine, plane_gate, prior_residual)
 
 
@@ -161,7 +161,8 @@ def _fit_to_pool(points_local: np.ndarray, world: np.ndarray,
     `world` is the frame at its current pose, and point rows[i] gets a plane
     fit over pool_pts[nbr_idx[i]] (`ptplane.fit_planes`, the closed-form
     kernel calibration's local normals use too). Returns (pt_local, normal,
-    centroid, weight) for the accepted matches. Acceptance is
+    centroid, weight) of the accepted matches, the arrays
+    `ptplane.CostModel.of` takes. Acceptance is
     `ptplane.plane_gate`, the test voxel cells pass too. Cauchy weights are
     computed from the point's own residual against the robust per-frame
     scale.
@@ -267,9 +268,8 @@ def optimize_window(frames: list[Frame], init_poses: list[Pose],
             world = geo.apply(poses[j], local)
             if rnd == 0 or (rnd == 1 and j >= n_refined):
                 neighbors[j] = _search_pool(world, pool[:offsets[j]], params)
-            batch = PlaneBatch(*_fit_to_pool(local, world, pool, *neighbors[j],
-                                             factor))
-            model = CostModel.of(batch, poses[j])
+            model = CostModel.of(*_fit_to_pool(local, world, pool, *neighbors[j],
+                                               factor), poses[j])
             frame_prior = (start_poses[j], OVERLAP_WEIGHT) if j < n_overlap else None
             try:
                 new_pose, frame_trace = lm_refine(model, frame_prior)

@@ -314,28 +314,36 @@ def parse_pose_line(line: str) -> tuple[float, Pose]:
     return float(vals[0]), Pose(geo.quat_to_rot(vals[4:8]), vals[1:4])
 
 
-def load_trajectory(path) -> Trajectory:
-    stamps: list[float] = []
-    poses: list[Pose] = []
+def _pose_lines(path):
+    """(stamp, pose) of each line of a file, in order, skipping blank lines
+    and `#` comments; a line that is no pose raises ParseError naming it."""
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             try:
-                stamp, pose = parse_pose_line(line)
+                parsed = parse_pose_line(line)
             except (ValueError, ParseError) as exc:
                 raise ParseError(str(exc), line=lineno) from exc
-            stamps.append(stamp)
-            poses.append(pose)
+            yield parsed
+
+
+def load_trajectory(path) -> Trajectory:
+    stamps: list[float] = []
+    poses: list[Pose] = []
+    for stamp, pose in _pose_lines(path):
+        stamps.append(stamp)
+        poses.append(pose)
     if len(stamps) > 1 and np.any(np.diff(np.asarray(stamps)) <= 0.0):
         raise NonMonotonicStamps(f"{path}: stamps must be strictly increasing")
     return Trajectory(np.asarray(stamps), poses)
 
 
 def load_pose(path) -> Pose:
-    """Read the first pose line of a file (e.g. a ground-truth extrinsic)."""
-    traj = load_trajectory(path)
-    if len(traj) == 0:
-        raise ParseError(f"{path}: no pose lines found")
-    return traj.poses[0]
+    """Read the first pose line of a file and nothing after it: a
+    ground-truth extrinsic, or a calibration report, whose estimate is its
+    first line that is not a comment."""
+    for _, pose in _pose_lines(path):
+        return pose
+    raise ParseError(f"{path}: no pose lines found")

@@ -1,20 +1,21 @@
 """Weighted point-to-plane residuals and the one Levenberg-Marquardt solver
 behind both the sliding-window LBA and the extrinsic calibration.
 
-A batch pairs sensor-frame points p_i with frozen planes (unit normal n_i,
-centroid c_i) and weights w_i:
+A solve's matches pair sensor-frame points p_i with frozen planes (unit
+normal n_i, centroid c_i) and weights w_i:
 
     r_i(T) = n_i . (T p_i - c_i),    f(T) = sum_i w_i r_i(T)^2.
 
 LBA refines one frame pose T against planes fitted in the world frame;
 calibration refines the extrinsic T against world planes seen through each
-frame's reference pose A, which the batch folds into its planes once:
-n . (A T p - c) = (R_A^T n) . (T p - A^-1 c).
+frame's reference pose A, which it folds into the planes before the model
+is built: n . (A T p - c) = (R_A^T n) . (T p - A^-1 c).
 
 A residual is linear in the entries of T = (R, t): r_i = phi_i . x + const
 with phi_i = (vec(n_i p_i^T), n_i) and x = (vec R, t), vec taken row by
-row. So a frozen batch's cost is exactly a quadratic in x, and a
-`CostModel` holds it, built once at an anchor pose A: with dx = x(T) - x(A),
+row. So the cost of frozen matches is exactly a quadratic in x, and a
+`CostModel` holds it, built once (`CostModel.of`, the one place matches
+become a cost) at an anchor pose A: with dx = x(T) - x(A),
 
     f(T) = f0 + 2 b . dx + dx^T Q dx,
 
@@ -98,51 +99,11 @@ def _twist_basis(rotation: np.ndarray) -> np.ndarray:
     return d
 
 
-class PlaneBatch:
-    """Point-to-plane matches frozen for one solve. An anchor A is folded
-    into the planes (normals n R_A, centroids A^-1 c), so the residuals are
-    n . (A T p - c)."""
-
-    def __init__(self, points: np.ndarray, normals: np.ndarray,
-                 centroids: np.ndarray, weights: np.ndarray,
-                 anchor: Pose | None = None):
-        if anchor is not None:
-            normals = normals @ anchor.rotation
-            centroids = geo.apply(geo.inverse(anchor), centroids)
-        self.points = points
-        self.normals = normals
-        self.centroids = centroids
-        self.weights = weights
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def residuals(self, transform: Pose) -> np.ndarray:
-        world = geo.apply(transform, self.points)
-        return np.einsum("ij,ij->i", self.normals, world - self.centroids)
-
-    def objective(self, transform: Pose) -> float:
-        r = self.residuals(transform)
-        return float(self.weights @ (r * r))
-
-    def features(self) -> np.ndarray:
-        """phi (M, 12): residual i is phi_i . x(T) - n_i . c_i."""
-        phi = np.empty((len(self.points), 12))
-        phi[:, :9] = (self.normals[:, :, None]
-                      * self.points[:, None, :]).reshape(-1, 9)
-        phi[:, 9:] = self.normals
-        return phi
-
-    def jacobian(self, transform: Pose) -> np.ndarray:
-        """Rows d r_i / d xi of T exp(xi): phi D, the solver's D."""
-        return self.features() @ _twist_basis(transform.rotation)
-
-
 @dataclass(frozen=True, eq=False)
 class CostModel:
-    """A frozen batch's cost as the exact quadratic in x(T) about an anchor
-    (module docstring): f0, b, Q, the unweighted Q0 of the observability
-    test, the match count and the weight sum."""
+    """The cost of frozen matches as the exact quadratic in x(T) about an
+    anchor (module docstring): f0, b, Q, the unweighted Q0 of the
+    observability test, the match count and the weight sum."""
 
     anchor: Pose
     f0: float
@@ -153,13 +114,20 @@ class CostModel:
     weight_sum: float
 
     @classmethod
-    def of(cls, batch: PlaneBatch, anchor: Pose) -> "CostModel":
-        phi = batch.features()
-        r = batch.residuals(anchor)
-        wphi = batch.weights[:, None] * phi
-        return cls(anchor, float(batch.weights @ (r * r)), wphi.T @ r,
-                   phi.T @ wphi, phi.T @ phi, len(batch),
-                   float(np.sum(batch.weights)))
+    def of(cls, points: np.ndarray, normals: np.ndarray, centroids: np.ndarray,
+           weights: np.ndarray, anchor: Pose) -> "CostModel":
+        """The model at anchor of matches (M, 3) points, normals and
+        centroids, (M,) weights: phi_i = (vec(n_i p_i^T), n_i) and the
+        residuals r_i(anchor)."""
+        phi = np.empty((len(points), 12))
+        phi[:, :9] = (normals[:, :, None] * points[:, None, :]).reshape(-1, 9)
+        phi[:, 9:] = normals
+        r = np.einsum("ij,ij->i", normals,
+                      geo.apply(anchor, points) - centroids)
+        wphi = weights[:, None] * phi
+        return cls(anchor, float(weights @ (r * r)), wphi.T @ r,
+                   phi.T @ wphi, phi.T @ phi, len(points),
+                   float(np.sum(weights)))
 
     def __add__(self, other: "CostModel") -> "CostModel":
         if not np.array_equal(_pose_vector(other.anchor),

@@ -22,8 +22,9 @@ from lidarcalib import simulator as sim
 from lidarcalib import voxelmap as vm
 from lidarcalib.config import RunConfig
 from lidarcalib.geometry import Pose
-from lidarcalib.ptplane import PlaneBatch, planarity
+from lidarcalib.ptplane import planarity
 
+from ptplane_oracle import PlaneBatch
 from test_geometry import random_pose
 from test_voxelmap import PLANAR, SUBDIVIDED, octree_nodes, plane_patch
 

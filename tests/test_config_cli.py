@@ -9,6 +9,7 @@ from lidarcalib import config as cfgmod
 from lidarcalib import errors
 from lidarcalib import geometry as geo
 from lidarcalib import pointcloud as pc
+from lidarcalib import simulator as sim
 from lidarcalib.errors import ConfigError
 
 FAST_CONFIG = """
@@ -31,6 +32,10 @@ class TestConfig:
         assert cfg.calib.reject_start == 0.5
         # one beam needs no vertical span
         cfgmod.parse_config_lines(["sim.beams = 1", "sim.vertical_fov_deg = 0"])
+
+    def test_sensor_defaults_are_the_models(self):
+        # the CLI's defaults and a dataset's missing meta.txt keys agree
+        assert cfgmod.SimSection().lidar_model() == sim.LidarModel()
 
     def test_parse_overrides(self):
         cfg = cfgmod.parse_config_lines(FAST_CONFIG.splitlines())
@@ -600,6 +605,27 @@ class TestExitCodes:
 
 
 class TestEvaluateCommand:
+    def test_reads_the_calibration_report(self, cli_dataset, cli_lba_dir,
+                                          tmp_path, capsys):
+        # README's usage: calibrate, then evaluate its report against the
+        # ground truth; the report's estimate is its first pose line
+        _, cfg_path, out = cli_dataset
+        calib_out = tmp_path / "calib"
+        rc = cli.main(["calibrate", str(out), "--config", str(cfg_path),
+                       "--lba-dir", str(cli_lba_dir), "--perturb", "0.3", "20",
+                       "--seed", "1", "--out", str(calib_out)])
+        assert rc == 0
+        capsys.readouterr()
+        report = calib_out / "calibration_report.txt"
+        rc = cli.main(["evaluate", str(report),
+                       "--gt", str(out / "extrinsic_gt.txt")])
+        assert rc == 0
+        printed = capsys.readouterr().out.split()
+        e_line = [ln for ln in report.read_text().splitlines()
+                  if ln.startswith("e_trans_m")]
+        assert float(printed[printed.index("e_trans") + 1]) == pytest.approx(
+            float(e_line[0].split()[1]), abs=1e-9)
+
     def test_identical_files(self, cli_dataset, capsys):
         _, _, out = cli_dataset
         gt_file = str(out / "extrinsic_gt.txt")

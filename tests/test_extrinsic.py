@@ -13,8 +13,9 @@ from lidarcalib import simulator as sim
 from lidarcalib import voxelmap as vm
 from lidarcalib.errors import InvalidParams, NoCorrespondences, Unobservable
 from lidarcalib.geometry import Pose
-from lidarcalib.ptplane import CostModel, PlaneBatch
+from lidarcalib.ptplane import CostModel
 
+from ptplane_oracle import PlaneBatch, model_of
 from test_geometry import random_pose
 from test_voxelmap import plane_patch
 
@@ -130,7 +131,7 @@ def orthogonal_plane_batch(rng, n_per_plane=60, weight=1.0):
 
 def solve(batch, t_init):
     """`lm_solve` on the batch's cost model at t_init."""
-    return ext.lm_solve(CostModel.of(batch, t_init))
+    return ext.lm_solve(model_of(batch, t_init))
 
 
 class TestLmSolve:
@@ -337,7 +338,7 @@ def oracle_frame_model(index, points, world, anchor, estimate, gate,
             weights[sel] /= 1.0 + (resid[sel] / (ptplane.CAUCHY_FACTOR * scale)) ** 2
     batch = PlaneBatch(points[rows], planes.normals[ids], planes.centroids[ids],
                        weights, anchor)
-    return CostModel.of(batch, estimate), far, misaligned
+    return model_of(batch, estimate), far, misaligned
 
 
 class TestAssociateFrame:

@@ -10,8 +10,9 @@ from lidarcalib import ptplane
 from lidarcalib import simulator as sim
 from lidarcalib.errors import DegenerateGeometry, InvalidParams
 from lidarcalib.geometry import Pose
-from lidarcalib.ptplane import CostModel, PlaneBatch
+from lidarcalib.ptplane import CostModel
 
+from ptplane_oracle import PlaneBatch, model_of
 from test_geometry import random_pose
 
 MODEL = sim.LidarModel(horizontal_res_deg=1.5, range_sigma=0.0)
@@ -32,7 +33,7 @@ def normal_equations(model, pose, prior=None):
 
 def models_at(batches, poses):
     """Frame j's model at poses[j], as `lba.optimize_window` builds them."""
-    return [CostModel.of(b, p) for b, p in zip(batches, poses[1:])]
+    return [model_of(b, p) for b, p in zip(batches, poses[1:])]
 
 
 def deskewed_frames(ds):
@@ -215,7 +216,7 @@ class TestPointToPlaneCost:
         batch = PlaneBatch(np.array([[0.0, 0.0, 0.2]]), np.array([[0.0, 0.0, 1.0]]),
                            np.zeros((1, 3)), np.ones(1))
         cost = lba.point_to_plane_cost([Pose.identity()] * 2,
-                                       [CostModel.of(batch, Pose.identity())])
+                                       [model_of(batch, Pose.identity())])
         assert cost == pytest.approx(0.04)
 
     def test_overlap_prior_oracle(self):
@@ -424,9 +425,9 @@ class TestOptimizeWindow:
 
         class Recording(CostModel):
             @classmethod
-            def of(cls, batch, anchor):
-                solves.append(batch)
-                return super().of(batch, anchor)
+            def of(cls, points, normals, centroids, weights, anchor):
+                solves.append(PlaneBatch(points, normals, centroids, weights))
+                return super().of(points, normals, centroids, weights, anchor)
 
         def holding(model, prior=None):
             return model.anchor, []

@@ -1,6 +1,6 @@
 """The closed-form plane-fit kernel against numpy's general eigensolver,
-the one plane test, and the cost models and solver against a per-point
-reference."""
+the one plane test, and the cost models and solver against the per-point
+oracle (`ptplane_oracle.PlaneBatch`)."""
 
 import ast
 from pathlib import Path
@@ -13,11 +13,12 @@ from lidarcalib import geometry as geo
 from lidarcalib import ptplane
 from lidarcalib.errors import Unobservable
 from lidarcalib.geometry import Pose
-from lidarcalib.ptplane import (MAX_DEV_FLOOR, MAX_DEV_RATIO, CostModel,
-                                PlaneBatch, cluster_sq_distance, fit_clusters,
-                                fit_groups, fit_planes, lm_refine, plane_gate,
+from lidarcalib.ptplane import (MAX_DEV_FLOOR, MAX_DEV_RATIO,
+                                cluster_sq_distance, fit_clusters, fit_groups,
+                                fit_planes, lm_refine, plane_gate,
                                 prior_residual)
 
+from ptplane_oracle import PlaneBatch, model_of
 from test_geometry import random_pose
 
 
@@ -242,13 +243,13 @@ class TestObservability:
         corner = PlaneBatch(batch.points[:5], np.eye(3)[[0, 1, 2, 0, 1]],
                             np.zeros((5, 3)), np.ones(5))
         with pytest.raises(Unobservable, match="5 point-to-plane matches"):
-            lm_refine(CostModel.of(corner, Pose.identity()))
+            lm_refine(model_of(corner, Pose.identity()))
 
     def test_single_plane_is_unobservable(self):
         # one plane leaves its two in-plane translations and the rotation
         # about its normal free, whatever the weights or a prior
         batch = self.floor_batch(40)
-        model = CostModel.of(batch, Pose.identity())
+        model = model_of(batch, Pose.identity())
         with pytest.raises(Unobservable, match="six degrees of freedom"):
             lm_refine(model)
         with pytest.raises(Unobservable):
@@ -344,18 +345,37 @@ class TestCostModel:
             start = geo.compose(truth, offset(rng, 0.2, 10.0))
             prior = ((geo.compose(truth, offset(rng, 0.01, 0.5)), 30.0)
                      if with_prior else None)
-            pose, trace = lm_refine(CostModel.of(batch, start), prior)
+            pose, trace = lm_refine(model_of(batch, start), prior)
             ref = reference_lm(batch, start, prior)
             assert trace and any(entry["accepted"] for entry in trace)
             assert np.max(np.abs(pose.rotation - ref.rotation)) < 1e-9
             assert np.max(np.abs(pose.translation - ref.translation)) < 1e-9
+
+    def test_model_is_built_from_the_oracles_sums(self):
+        # f0, b, Q and Q0 are the sums over the oracle's features and
+        # residuals at the anchor, bit for bit
+        rng = np.random.default_rng(27)
+        for _ in range(5):
+            batch = random_batch(rng)
+            anchor = random_pose(rng)
+            model = model_of(batch, anchor)
+            phi = batch.features()
+            r = batch.residuals(anchor)
+            wphi = batch.weights[:, None] * phi
+            assert model.anchor is anchor
+            assert model.f0 == batch.objective(anchor)
+            np.testing.assert_array_equal(model.b, wphi.T @ r)
+            np.testing.assert_array_equal(model.q, phi.T @ wphi)
+            np.testing.assert_array_equal(model.q0, phi.T @ phi)
+            assert model.count == len(batch)
+            assert model.weight_sum == float(np.sum(batch.weights))
 
     def test_objective_equals_batch_objective(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
             batch = random_batch(rng)
             anchor = random_pose(rng)
-            model = CostModel.of(batch, anchor)
+            model = model_of(batch, anchor)
             assert model.objective(anchor) == batch.objective(anchor)
             for _ in range(10):
                 pose = geo.compose(anchor, offset(rng, 0.5, 30.0))
@@ -370,8 +390,8 @@ class TestCostModel:
                                                getattr(second, name)])
                                for name in ("points", "normals", "centroids",
                                             "weights")))
-        total = CostModel.of(first, anchor) + CostModel.of(second, anchor)
-        whole = CostModel.of(stacked, anchor)
+        total = model_of(first, anchor) + model_of(second, anchor)
+        whole = model_of(stacked, anchor)
         assert total.anchor is anchor
         assert total.count == whole.count == 120
         assert total.weight_sum == pytest.approx(whole.weight_sum, rel=1e-14)
@@ -385,8 +405,8 @@ class TestCostModel:
         rng = np.random.default_rng(24)
         batch = random_batch(rng)
         with pytest.raises(ValueError, match="anchors"):
-            CostModel.of(batch, random_pose(rng)) + \
-                CostModel.of(batch, random_pose(rng))
+            model_of(batch, random_pose(rng)) + \
+                model_of(batch, random_pose(rng))
 
     def test_normal_equations_equal_per_point_sums(self):
         # D^T Q D and D^T (b + Q dx) against J^T W J and J^T W r, away
@@ -395,7 +415,7 @@ class TestCostModel:
         for _ in range(20):
             batch = random_batch(rng)
             anchor = random_pose(rng)
-            model = CostModel.of(batch, anchor)
+            model = model_of(batch, anchor)
             for pose in (anchor, geo.compose(anchor, offset(rng, 0.5, 30.0))):
                 jac = reference_jacobian(batch, pose)
                 r = batch.residuals(pose)
