@@ -35,7 +35,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "calibbench")]
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from lidarcalib import cli, lba  # noqa: E402
+from lidarcalib import cli  # noqa: E402
 from lidarcalib.config import RunConfig  # noqa: E402
 
 
@@ -80,24 +80,13 @@ def workload_lines():
 
 def trial_lines():
     """`cli.run_trial` trial 0 of the yard and the corridor, with the LBA
-    result it builds recorded on the way."""
-    recorded = []
-    run_sliding_lba = lba.run_sliding_lba
-
-    def recording(*args, **kwargs):
-        recorded.append(run_sliding_lba(*args, **kwargs))
-        return recorded[-1]
-
-    lba.run_sliding_lba = recording
-    try:
-        for scene, kind in (("yard", "arc"), ("corridor", "line")):
-            cfg = RunConfig()
-            cfg.sim.scene = scene
-            cfg.sim.traj_kind = kind
-            row = cli.run_trial(cfg, 0, base_seed=100, perturb_spec=(0.4, 30.0))
-            yield line(f"{scene} ({kind}) trial 0", row["result"], recorded[-1])
-    finally:
-        lba.run_sliding_lba = run_sliding_lba
+    result it returns."""
+    for scene, kind in (("yard", "arc"), ("corridor", "line")):
+        cfg = RunConfig()
+        cfg.sim.scene = scene
+        cfg.sim.traj_kind = kind
+        row = cli.run_trial(cfg, 0, base_seed=100, perturb_spec=(0.4, 30.0))
+        yield line(f"{scene} ({kind}) trial 0", row["result"], row["lba"])
 
 
 def main() -> None:

@@ -49,9 +49,7 @@ EXIT_SWEEP_QUOTA = 7
 
 
 def _load_effective_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        cfg = load_config(args.config, cfg)
+    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
     if getattr(args, "seed", None) is not None:
         cfg.sim.seed = args.seed
     cfg.validate()
@@ -168,8 +166,8 @@ def cmd_calibrate(args) -> int:
         raise InvalidParams(f"sensor B: {exc}") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    echo = {"config": dump_config(cfg).replace("\n", "; ")}
-    ext.write_report(out / "calibration_report.txt", result, gt=gt, config_echo=echo)
+    ext.write_report(out / "calibration_report.txt", result, gt=gt,
+                     config=dump_config(cfg))
     print("estimate:", pc.format_pose_line(result.extrinsic, 0.0))
     print(f"converged: {result.converged} after {result.iterations} iterations")
     if gt is not None:
@@ -206,7 +204,9 @@ def cmd_evaluate(args) -> int:
 
 def run_trial(cfg: RunConfig, trial: int, base_seed: int,
               perturb_spec: tuple[float, float]) -> dict:
-    """simulate -> lba -> calibrate once; returns one sweep CSV row."""
+    """simulate -> lba -> calibrate once; returns one sweep CSV row plus the
+    `CalibrationResult` ("result") and the `LbaResult` ("lba"), which the
+    sweep drops."""
     start_time = time.perf_counter()
     seed = base_seed + trial
     scene, traj, rig, model = _sim_objects(cfg)
@@ -229,8 +229,7 @@ def run_trial(cfg: RunConfig, trial: int, base_seed: int,
         "outer_iters": result.iterations,
         "wall_seconds": time.perf_counter() - start_time,
         "result": result,
-        "gt": ds.extrinsic,
-        "lba_windows": lba_result.window_results,
+        "lba": lba_result,
     }
 
 
@@ -247,8 +246,7 @@ def _trial_task(payload):
     try:
         row = run_trial(cfg, trial, base_seed, perturb_spec)
         row.pop("result", None)
-        row.pop("gt", None)
-        row.pop("lba_windows", None)
+        row.pop("lba", None)
         return row
     except Exception as exc:  # one bad trial must not end the sweep
         traceback.print_exc(file=sys.stderr)

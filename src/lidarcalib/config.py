@@ -106,8 +106,8 @@ def _coerce(raw: str, target_type: type, key: str):
                           f"{target_type.__name__}") from None
 
 
-def parse_config_lines(lines, base: RunConfig | None = None) -> RunConfig:
-    cfg = base or RunConfig()
+def parse_config_lines(lines) -> RunConfig:
+    cfg = RunConfig()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -129,9 +129,9 @@ def parse_config_lines(lines, base: RunConfig | None = None) -> RunConfig:
     return cfg
 
 
-def load_config(path, base: RunConfig | None = None) -> RunConfig:
+def load_config(path) -> RunConfig:
     with open(path) as fh:
-        return parse_config_lines(fh.readlines(), base)
+        return parse_config_lines(fh.readlines())
 
 
 def dump_config(cfg: RunConfig) -> str:

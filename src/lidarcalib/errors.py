@@ -49,12 +49,6 @@ class DegenerateGeometry(LidarCalibError):
     window and the frame. (A voxel cell that cannot hold a plane is
     discarded instead, without an error.)"""
 
-    def __init__(self, message: str, window: int | None = None):
-        self.window = window
-        if window is not None:
-            message = f"window {window}: {message}"
-        super().__init__(message)
-
 
 class Unobservable(LidarCalibError):
     """Point-to-plane matches do not pin all six pose degrees of freedom, by

@@ -164,10 +164,10 @@ class _NearestPlaneLookup:
         return dist, out
 
 
-def _local_normals(points: np.ndarray, k: int = 6) -> np.ndarray:
-    """Unit normals of each point's k-neighborhood within its own cloud."""
+def _local_normals(points: np.ndarray) -> np.ndarray:
+    """Unit normals of each point's 6-neighborhood within its own cloud."""
     tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
-    _, idx = tree.query(points, k=min(k, len(points)))
+    _, idx = tree.query(points, k=min(6, len(points)))
     return fit_planes(points[idx])[2]
 
 
@@ -497,18 +497,20 @@ def evaluate(result: CalibrationResult | Pose, gt: Pose) -> tuple[float, float]:
     return geo.translation_error(est, gt), geo.rotation_error(est, gt)
 
 
-def write_report(path, result: CalibrationResult, gt: Pose | None = None,
-                 config_echo: dict | None = None) -> None:
-    """Calibration report: estimate line, outer-iteration CSV, error metrics.
+def write_report(path, result: CalibrationResult, gt: Pose | None,
+                 config: str) -> None:
+    """Calibration report: config comments, estimate line, outer-iteration
+    CSV, error metrics.
 
-    Each CSV row carries the outer iteration's association gate
+    `config` is the effective configuration as `config.dump_config` writes
+    it; each of its lines becomes one `# config section.key = value`
+    comment. Each CSV row carries the outer iteration's association gate
     (reject_dist, m) and the frames left out of its joint step
     (skipped_frames, space-separated frame indices).
     """
     with open(path, "w") as fh:
-        if config_echo:
-            for key in sorted(config_echo):
-                fh.write(f"# config {key} = {config_echo[key]}\n")
+        for line in config.splitlines():
+            fh.write(f"# config {line}\n")
         fh.write("# extrinsic estimate (stamp tx ty tz qx qy qz qw)\n")
         fh.write(pc.format_pose_line(result.extrinsic, 0.0) + "\n")
         fh.write(f"# converged {result.converged} iterations {result.iterations}\n")

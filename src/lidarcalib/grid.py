@@ -1,4 +1,5 @@
-"""Integer grid cells packed into sortable int64 keys.
+"""Points floored into integer grid cells, and cells packed into sortable
+int64 keys.
 
 Grouping points by cell with `np.unique(cells, axis=0)` sorts rows through a
 structured view, several times slower than sorting one integer per point.
@@ -16,6 +17,24 @@ import numpy as np
 from .errors import InvalidParams
 
 _KEY_MAX = int(np.iinfo(np.int64).max)
+# a floored coordinate below this in magnitude is at most 2^63 - 1024, so it
+# and its neighbours one cell out (a key table's rim) cast to int64 exactly
+_CELL_LIMIT = 2.0 ** 63
+
+
+def floor_cells(points: np.ndarray, size: float) -> np.ndarray:
+    """The (N, 3) int64 cells floor(points / size) of (N, 3) points. Raises
+    InvalidParams naming the first point whose cell index int64 cannot
+    hold (too small a cell size, or a point too far out), before the cast
+    would wrap it."""
+    scaled = np.floor(points / size)
+    fits = np.abs(scaled) < _CELL_LIMIT
+    if not fits.all():
+        i = int(np.flatnonzero(~fits.all(axis=1))[0])
+        x, y, z = points[i]
+        raise InvalidParams(f"point {i} ({x:.9g}, {y:.9g}, {z:.9g}) has no "
+                            f"int64 cell at cell size {size!r}")
+    return scaled.astype(np.int64)
 
 
 def cell_box(cells: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -19,7 +19,8 @@ are both taken under the last round's association, with that round's
 annealed Cauchy factor.
 Windows are stitched by seeding the shared frames from the previous
 window's result: the first o of them are tied to those seeds with a
-quadratic prior on log(seed^-1 * current).
+quadratic prior on log(seed^-1 * current), the prior pose `lm_refine` takes
+and weighs by `ptplane.OVERLAP_WEIGHT`.
 
 The union of the refined, downsampled frames becomes the reference map.
 """
@@ -40,7 +41,7 @@ from .errors import (DegenerateGeometry, InvalidParams, StampMismatch,
 from .geometry import Pose
 from .pointcloud import Frame, Trajectory
 from .ptplane import (CAUCHY_FACTOR, CAUCHY_SCALE_FLOOR, INNER_TOL,
-                      MAX_DEV_FLOOR, CostModel, cauchy_weights,
+                      MAX_DEV_FLOOR, OVERLAP_WEIGHT, CostModel, cauchy_weights,
                       fit_planes, lm_refine, plane_gate, prior_residual)
 
 
@@ -51,8 +52,6 @@ from .ptplane import (CAUCHY_FACTOR, CAUCHY_SCALE_FLOOR, INNER_TOL,
 # stall the iteration millimeters short of the optimum.
 CAUCHY_DECAY = 0.7
 CAUCHY_FACTOR_MIN = 1.2
-# weight of the prior tying a window's overlap frames to the last window
-OVERLAP_WEIGHT = 1e3
 
 
 @dataclass
@@ -270,9 +269,9 @@ def optimize_window(frames: list[Frame], init_poses: list[Pose],
                 neighbors[j] = _search_pool(world, pool[:offsets[j]], params)
             model = CostModel.of(*_fit_to_pool(local, world, pool, *neighbors[j],
                                                factor), poses[j])
-            frame_prior = (start_poses[j], OVERLAP_WEIGHT) if j < n_overlap else None
             try:
-                new_pose, frame_trace = lm_refine(model, frame_prior)
+                new_pose, frame_trace = lm_refine(
+                    model, start_poses[j] if j < n_overlap else None)
             except Unobservable as exc:
                 raise DegenerateGeometry(f"frame {j}: {exc}") from exc
             move = geo.translation_error(new_pose, poses[j]) + \
@@ -330,7 +329,7 @@ def run_sliding_lba(frames: list[Frame], trajectory: Trajectory,
             result = optimize_window(win_frames, init, plan.o if m > 0 else 0,
                                      params, n_refined=n_refined)
         except DegenerateGeometry as exc:
-            raise DegenerateGeometry(str(exc), window=m) from exc
+            raise DegenerateGeometry(f"window {m}: {exc}") from exc
         poses[start:end + 1] = result.refined_poses
         window_results.append(result)
 

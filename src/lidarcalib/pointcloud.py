@@ -17,7 +17,7 @@ from . import geometry as geo
 from .errors import (InvalidParams, NonMonotonicStamps, ParseError, StampMismatch,
                      UnsupportedField)
 from .geometry import Pose
-from .grid import pack_cells
+from .grid import floor_cells, pack_cells
 
 STAMP_TOL = 1e-6
 
@@ -80,14 +80,14 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.poses)
 
-    def index_for_stamp(self, stamp: float, tol: float = STAMP_TOL) -> int:
+    def index_for_stamp(self, stamp: float) -> int:
         if len(self.stamps) == 0:
             raise StampMismatch(f"no trajectory sample for stamp {stamp:.6f}: "
                                 "the trajectory is empty")
         i = int(np.argmin(np.abs(self.stamps - stamp)))
-        if abs(self.stamps[i] - stamp) > tol:
+        if abs(self.stamps[i] - stamp) > STAMP_TOL:
             raise StampMismatch(
-                f"no trajectory sample within {tol} s of stamp {stamp:.6f}")
+                f"no trajectory sample within {STAMP_TOL} s of stamp {stamp:.6f}")
         return i
 
 
@@ -123,13 +123,15 @@ def voxel_downsample(f: Frame, leaf: float) -> Frame:
     """Replace each occupied leaf cell by the centroid of its points.
 
     Output cells are ordered lexicographically by integer cell index, so the
-    result is independent of input ordering and worker partitioning.
+    result is independent of input ordering and worker partitioning. Raises
+    InvalidParams when int64 cannot index the cells (`grid.floor_cells`,
+    `grid.pack_cells`).
     """
     if leaf <= 0.0:
         raise ValueError("leaf must be positive")
     if len(f) == 0:
         return f
-    keys = pack_cells(np.floor(f.positions / leaf).astype(np.int64))
+    keys = pack_cells(floor_cells(f.positions, leaf))
     _, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
 
     def cell_mean(values):
@@ -141,8 +143,8 @@ def voxel_downsample(f: Frame, leaf: float) -> Frame:
 
 def downsample_frames(frames: list[Frame], leaf: float) -> list[Frame]:
     """`voxel_downsample` of each frame, or the frames themselves for leaf
-    0 (no downsampling); an InvalidParams (a cell box too large for int64
-    keys) is raised again naming the frame's index."""
+    0 (no downsampling); an InvalidParams (a cell index or cell box too
+    large for int64) is raised again naming the frame's index."""
     if leaf == 0.0:
         return frames
     out = []
@@ -154,26 +156,24 @@ def downsample_frames(frames: list[Frame], leaf: float) -> list[Frame]:
     return out
 
 
-def sweep_motion(poses: list[Pose], stamps, i: int,
-                 duration: float | None = None) -> Pose:
+def sweep_motion(poses: list[Pose], stamps, i: int, duration: float) -> Pose:
     """Motion over sweep i, relative to poses[i]. The sweep runs from
-    stamps[i] toward the next sample, duration / stamp gap of the way (the
-    whole way with duration None); the last sample extrapolates the interval
+    stamps[i] toward the next sample, duration / stamp gap of the way, at
+    the interval's constant twist; the last sample extrapolates the interval
     before it. Needs two samples, and stamps that increase."""
     j = min(i, len(poses) - 2)
     rel = geo.compose(geo.inverse(poses[j]), poses[j + 1])
-    if duration is None:
-        return rel
     gap = stamps[j + 1] - stamps[j]
     if gap <= 0.0:
         raise InvalidParams("frames with a scan duration need increasing stamps")
     return geo.interpolate_pose(Pose.identity(), rel, duration / gap)
 
 
-def scan_end_poses(traj: Trajectory, scan_period: float | None = None) -> list[Pose]:
-    """End-of-scan pose for each trajectory sample, assuming each scan spans
-    from its stamp toward the next sample (contiguous scanning), as set out
-    in `sweep_motion`; scan_period None means the next sample itself.
+def scan_end_poses(traj: Trajectory, scan_period: float) -> list[Pose]:
+    """End-of-scan pose for each trajectory sample: each scan spans
+    scan_period from its stamp toward the next sample, as set out in
+    `sweep_motion` (a scan_period equal to the stamp gap ends at the next
+    sample itself). A lone sample is its own end.
     """
     if len(traj) == 1:
         return [traj.poses[0]]

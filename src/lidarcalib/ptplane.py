@@ -26,6 +26,9 @@ T <- T exp(xi), xi = (rotation, translation), and D(R) (12 x 6), with
 columns vec(R [e_k]x) and R e_k, maps xi to dx; the Jacobian row of r_i is
 phi_i D = [p_i x u_i, u_i] with u_i = R^T n_i. A Gauss-Newton step takes
 H = D^T Q D and g = D^T (b + Q dx), so it costs the same at any match count.
+A solve may carry a prior pose ref, which adds OVERLAP_WEIGHT * |log(ref^-1
+T)|^2 to the cost: LBA ties a window's overlap frames to the last window's
+poses this way, and the weight lives here, with the solver that applies it.
 
 Every solve first checks that its matches pin all six degrees of freedom,
 a property of the match geometry alone (Zhang, Kaess & Singh, ICRA 2016):
@@ -56,6 +59,8 @@ MAX_INNER = 30
 INNER_TOL = 1e-7
 # the observability test's eigenvalue ratio (see the module docstring)
 MIN_EIG_RATIO = 1e-10
+# weight of an LM solve's prior pose (see the module docstring)
+OVERLAP_WEIGHT = 1e3
 
 # Cauchy robust weight 1 / (1 + (r / (factor * scale))^2) with scale =
 # max(CAUCHY_SCALE_FLOOR, median |r|), frozen per association. Soft
@@ -310,14 +315,15 @@ def prior_residual(ref: Pose, pose: Pose) -> np.ndarray:
     return geo.log_se3(geo.compose(geo.inverse(ref), pose))
 
 
-def lm_refine(model: CostModel, prior: tuple[Pose, float] | None = None
+def lm_refine(model: CostModel, prior: Pose | None = None
               ) -> tuple[Pose, list[dict]]:
     """Damped Gauss-Newton on the model's cost from its anchor.
 
-    The prior (ref, lam) adds lam * |log(ref^-1 T)|^2 to the cost, with the
-    identity as its right Jacobian. Each iteration solves (H + mu I) xi =
-    -g, mu starting at MU0, and accepts T exp(xi) only if it strictly lowers
-    the cost, so the returned pose never costs more than the anchor. A
+    A prior pose ref adds OVERLAP_WEIGHT * |log(ref^-1 T)|^2 to the cost,
+    with the identity as its right Jacobian. Each iteration solves
+    (H + mu I) xi = -g, mu starting at MU0, and accepts T exp(xi) only if
+    it strictly lowers the cost, so the returned pose never costs more than
+    the anchor. A
     candidate's cost is the current one plus `CostModel.change`, so small
     steps are judged as finely far from the anchor as near it. The loop
     ends after MAX_INNER iterations or once a step's largest entry drops
@@ -342,14 +348,14 @@ def lm_refine(model: CostModel, prior: tuple[Pose, float] | None = None
         """The prior's cost and twist at pose; (0, None) without a prior."""
         if prior is None:
             return 0.0, None
-        rho = prior_residual(prior[0], pose)
-        return prior[1] * float(rho @ rho), rho
+        rho = prior_residual(prior, pose)
+        return OVERLAP_WEIGHT * float(rho @ rho), rho
 
     def normal_equations(pose: Pose, rho: np.ndarray | None):
         h, g = model.normal_equations(pose)
         if prior is not None:
-            h += prior[1] * np.eye(6)
-            g += prior[1] * rho
+            h += OVERLAP_WEIGHT * np.eye(6)
+            g += OVERLAP_WEIGHT * rho
         return h, g
 
     data = model.f0

@@ -297,14 +297,14 @@ class SimDataset:
     rig_name: str = ""
 
 
-def generate_dataset(scene: Scene, trajectory: Trajectory, rig: RigConfig | Pose,
+def generate_dataset(scene: Scene, trajectory: Trajectory, rig: RigConfig,
                      model: LidarModel, seed: int, rig_name: str = "") -> SimDataset:
     """Simulate synchronized sweeps of both sensors along the trajectory.
 
     Sensor A scans at the trajectory poses; sensor B at those poses composed
     with the rig extrinsic. Raises EmptyFrame if any sweep has no returns.
     """
-    extrinsic = rig.to_pose() if isinstance(rig, RigConfig) else rig
+    extrinsic = rig.to_pose()
     ends = pc.scan_end_poses(trajectory, model.scan_period)
     frames_a: list[Frame] = []
     frames_b: list[Frame] = []

@@ -37,7 +37,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import check_rules
-from .grid import cell_box, pack_cells
+from .grid import cell_box, floor_cells, pack_cells
 from .ptplane import (COLLINEAR_EPS, MAX_DEV_FLOOR, cluster_sq_distance,
                       fit_clusters, fit_groups, plane_gate, planarity)
 
@@ -67,9 +67,9 @@ class VoxelParams:
         ))
 
 
-def confidence_weight(point_count, sigma_lambda, eta, gamma):
-    """point_count / (1 + sigma_lambda) * exp(-gamma * eta), elementwise."""
-    return point_count / (1.0 + sigma_lambda) * np.exp(-gamma * eta)
+def confidence_weight(point_count, sigma_lambda, eta):
+    """point_count / (1 + sigma_lambda) * exp(-GAMMA * eta), elementwise."""
+    return point_count / (1.0 + sigma_lambda) * np.exp(-GAMMA * eta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +92,7 @@ class Planes:
         (centroids, eigenvalues, normals, moments), weighted here."""
         centroids, evals, normals, moments = fit
         weights = confidence_weight(counts, np.std(evals, axis=1),
-                                    planarity(evals), GAMMA)
+                                    planarity(evals))
         return cls(counts, centroids, moments, evals, normals, weights)
 
     def __len__(self) -> int:
@@ -167,6 +167,8 @@ def build_adaptive(points: np.ndarray,
     it passes `ptplane.plane_gate` with floor MAX_DEV_FLOOR; discarded when
     it holds fewer than min_points points, is collinear, or is not planar at
     max_depth; subdivided otherwise, and its points go on to the next depth.
+    Raises InvalidParams when int64 cannot index a depth's cells
+    (`grid.floor_cells`, `grid.pack_cells`).
     """
     params = params or VoxelParams()
     params.validate()
@@ -182,8 +184,7 @@ def build_adaptive(points: np.ndarray,
     for depth in range(params.max_depth + 1):
         if len(active) == 0:
             break
-        cells = np.floor(points[active] / (params.l_parent / 2 ** depth)
-                         ).astype(np.int64)
+        cells = floor_cells(points[active], params.l_parent / 2 ** depth)
         keys = pack_cells(cells)
         # members of one cell are a run of the key-sorted order, ascending
         # in point index

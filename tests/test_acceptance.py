@@ -291,7 +291,7 @@ class TestCriterion9:
                                  noisy_odometry_run):
         rows, _ = trials_config1
         results = [r["result"] for r in rows]
-        lba_windows = [w for r in rows for w in r["lba_windows"]]
+        lba_windows = [w for r in rows for w in r["lba"].window_results]
         env_runs, env_lba = envelope_runs
         results += [r for _, r, _ in env_runs]
         lba_windows += env_lba.window_results

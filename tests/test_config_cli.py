@@ -228,6 +228,8 @@ class TestCalibrateCommand:
         assert "e_trans" in text
         report = (calib_out / "calibration_report.txt").read_text()
         assert "iter,objective,update_norm,frames_used" in report
+        # one comment per line of the effective config
+        assert "# config lba.window = 8" in report.splitlines()
         e_line = [ln for ln in report.splitlines() if ln.startswith("e_trans_m")]
         assert float(e_line[0].split()[1]) < 1e-6
 
@@ -449,9 +451,13 @@ class TestExitCodes:
         assert "the reason" in capsys.readouterr().err
 
     def test_every_package_error_is_mapped(self):
-        package = {c for c in vars(errors).values() if isinstance(c, type)
-                   and issubclass(c, errors.LidarCalibError)}
-        package.discard(errors.LidarCalibError)
+        # every subclass, wherever defined: one left out of `cli.main`
+        # would exit 1 with a traceback
+        package, pending = set(), [errors.LidarCalibError]
+        while pending:
+            subclasses = pending.pop().__subclasses__()
+            package.update(subclasses)
+            pending.extend(subclasses)
         assert package == {e for e, _ in MAPPED_ERRORS} - {OSError}
 
     def test_invalid_params_exits_2(self, tmp_path, capsys):

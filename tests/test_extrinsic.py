@@ -667,8 +667,11 @@ class TestCalibrate:
         ds, index, anchors = room_calib_setup
         result = ext.calibrate(index, ds.frames_b, anchors, ds.extrinsic)
         path = tmp_path / "report.txt"
-        ext.write_report(path, result, gt=ds.extrinsic, config_echo={"n": 30})
+        ext.write_report(path, result, gt=ds.extrinsic,
+                         config="sim.frames = 30\nlba.window = 8\n")
         text = path.read_text()
+        assert text.startswith("# config sim.frames = 30\n"
+                               "# config lba.window = 8\n")
         assert "iter,objective,update_norm,frames_used" in text
         assert "frames_used,reject_dist,skipped_frames\n" in text
         rows = [ln.split(",") for ln in text.splitlines() if ln.count(",") == 5][1:]

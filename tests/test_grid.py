@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from lidarcalib import pointcloud as pc
+from lidarcalib import voxelmap as vm
 from lidarcalib.errors import InvalidParams
 from lidarcalib.grid import pack_cells
 
@@ -44,3 +46,23 @@ class TestPackCells:
     def test_box_beyond_int64_raises(self, cells):
         with pytest.raises(InvalidParams, match="int64"):
             pack_cells(np.array(cells, dtype=np.int64))
+
+
+class TestFloorCells:
+    """A cell size too small for int64 cells is refused, naming the point,
+    before the cast would wrap the indices."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_voxel_downsample_refuses_a_tiny_leaf(self):
+        points = np.random.default_rng(0).uniform(1.0, 5.0, size=(1000, 3))
+        x, y, z = points[0]
+        with pytest.raises(InvalidParams, match=(
+                rf"point 0 \({x:.9g}, {y:.9g}, {z:.9g}\) has no int64 cell "
+                r"at cell size 1e-300")):
+            pc.voxel_downsample(pc.Frame(points), 1e-300)
+
+    @pytest.mark.filterwarnings("error")
+    def test_build_adaptive_refuses_a_tiny_parent_cell(self):
+        points = np.random.default_rng(1).uniform(1.0, 5.0, size=(1000, 3))
+        with pytest.raises(InvalidParams, match="point 0 .* cell size 1e-300"):
+            vm.build_adaptive(points, vm.VoxelParams(l_parent=1e-300))

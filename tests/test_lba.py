@@ -22,12 +22,12 @@ FAST = lba.LbaParams(downsample_leaf=0.25)
 def normal_equations(model, pose, prior=None):
     """Gauss-Newton (H, g) at pose, as `ptplane.lm_refine` takes them from
     the model: H = D^T Q D = J^T W J, g = D^T (b + Q dx) = J^T W r, plus
-    lam * I and lam * rho for a prior. g is half the gradient of the cost."""
+    OVERLAP_WEIGHT * I and OVERLAP_WEIGHT * rho for a prior pose. g is half
+    the gradient of the cost."""
     h, g = model.normal_equations(pose)
     if prior is not None:
-        ref, lam = prior
-        h += lam * np.eye(6)
-        g += lam * ptplane.prior_residual(ref, pose)
+        h += ptplane.OVERLAP_WEIGHT * np.eye(6)
+        g += ptplane.OVERLAP_WEIGHT * ptplane.prior_residual(prior, pose)
     return h, g
 
 
@@ -231,7 +231,7 @@ class TestPointToPlaneCost:
                                        b.weights)]
         for ref, t in zip(refs[1:], poses[1:]):
             xi = geo.log_se3(geo.compose(geo.inverse(ref), t))
-            terms.append(lba.OVERLAP_WEIGHT * float(xi @ xi))
+            terms.append(ptplane.OVERLAP_WEIGHT * float(xi @ xi))
         cost = lba.point_to_plane_cost(poses, models_at(batches, poses), refs)
         assert cost == pytest.approx(math.fsum(terms), rel=1e-12)
 
@@ -269,7 +269,7 @@ class TestPointToPlaneCost:
         poses = [Pose.identity(), pose1]
         overlap = [Pose.identity(), ref]
         models = models_at(batches, poses)
-        _, g = normal_equations(models[0], pose1, (ref, lba.OVERLAP_WEIGHT))
+        _, g = normal_equations(models[0], pose1, ref)
         h = 1e-6
         for k in range(6):
             delta = np.zeros(6)
@@ -307,7 +307,8 @@ class TestOptimizeWindow:
     def test_recovers_from_perturbed_init(self):
         scene = sim.builtin_scene("corridor")
         traj = sim.make_trajectory("line", 6.0, 8, start=(2.0, 0.0, 1.5))
-        ds = sim.generate_dataset(scene, traj, Pose.identity(), MODEL, 3)
+        ds = sim.generate_dataset(scene, traj, sim.RigConfig(0, 0, 0, 0, 0, 0),
+                                  MODEL, 3)
         frames = [pc.voxel_downsample(f, 0.25) for f in deskewed_frames(ds)]
         rng = np.random.default_rng(4)
         init = [traj.poses[0]]
@@ -331,7 +332,8 @@ class TestOptimizeWindow:
         traj = sim.make_trajectory("line", 1.0, 2, start=(0.0, 0.0, 2.0))
         model = sim.LidarModel(horizontal_res_deg=3.0, vertical_fov_deg=110.0,
                                range_sigma=0.0)
-        ds = sim.generate_dataset(scene, traj, Pose.identity(), model, 6)
+        ds = sim.generate_dataset(scene, traj, sim.RigConfig(0, 0, 0, 0, 0, 0),
+                                  model, 6)
         frames = [pc.voxel_downsample(f, 0.25) for f in deskewed_frames(ds)]
         with pytest.raises(DegenerateGeometry, match="frame 1"):
             lba.optimize_window(frames, list(traj.poses), 0, FAST)
@@ -375,7 +377,7 @@ class TestOptimizeWindow:
         for k, (_, prior) in enumerate(solves):
             j = k % per_round + 1
             if j < n_overlap:
-                assert prior[0] is init[j] and prior[1] == lba.OVERLAP_WEIGHT
+                assert prior is init[j]
             else:
                 assert prior is None
         assert result.final_cost < result.initial_cost
@@ -385,7 +387,7 @@ class TestOptimizeWindow:
         ties = []
         for j in range(1, n_overlap):
             xi = geo.log_se3(geo.compose(geo.inverse(init[j]), refined[j]))
-            ties.append(lba.OVERLAP_WEIGHT * float(np.sum(xi ** 2)))
+            ties.append(ptplane.OVERLAP_WEIGHT * float(np.sum(xi ** 2)))
         assert math.fsum(ties) > 1e-6 * result.final_cost
         assert result.final_cost == pytest.approx(data + math.fsum(ties),
                                                   rel=1e-12)

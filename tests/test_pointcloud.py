@@ -307,7 +307,7 @@ class TestScanEndPoses:
         rng = np.random.default_rng(7)
         poses = [random_pose(rng) for _ in range(4)]
         traj = pc.Trajectory(np.arange(4) * 0.1, poses)
-        ends = pc.scan_end_poses(traj)
+        ends = pc.scan_end_poses(traj, 0.1)
         for j in range(3):
             np.testing.assert_allclose(ends[j].as_matrix(), poses[j + 1].as_matrix())
 
@@ -315,7 +315,7 @@ class TestScanEndPoses:
         xi = np.array([0.0, 0.0, 0.1, 0.5, 0.0, 0.0])
         poses = [geo.exp_se3(xi * k) for k in range(3)]
         traj = pc.Trajectory(np.arange(3) * 0.1, poses)
-        ends = pc.scan_end_poses(traj)
+        ends = pc.scan_end_poses(traj, 0.1)
         expected = geo.exp_se3(xi * 3)
         np.testing.assert_allclose(ends[-1].as_matrix(), expected.as_matrix(), atol=1e-9)
 

@@ -253,7 +253,7 @@ class TestObservability:
         with pytest.raises(Unobservable, match="six degrees of freedom"):
             lm_refine(model)
         with pytest.raises(Unobservable):
-            lm_refine(model, (Pose.identity(), 1e3))
+            lm_refine(model, Pose.identity())
 
 
 def reference_jacobian(batch, pose):
@@ -272,8 +272,8 @@ def reference_lm(batch, pose, prior=None):
         cost = float(batch.weights @ (r * r))
         rho = None
         if prior is not None:
-            rho = prior_residual(prior[0], pose)
-            cost += prior[1] * float(rho @ rho)
+            rho = prior_residual(prior, pose)
+            cost += ptplane.OVERLAP_WEIGHT * float(rho @ rho)
         return cost, r, rho
 
     def assemble(pose, r, rho):
@@ -281,8 +281,8 @@ def reference_lm(batch, pose, prior=None):
         h = jac.T @ (batch.weights[:, None] * jac)
         g = jac.T @ (batch.weights * r)
         if prior is not None:
-            h += prior[1] * np.eye(6)
-            g += prior[1] * rho
+            h += ptplane.OVERLAP_WEIGHT * np.eye(6)
+            g += ptplane.OVERLAP_WEIGHT * rho
         return h, g
 
     cost, r, rho = evaluate(pose)
@@ -343,7 +343,7 @@ class TestCostModel:
             truth = random_pose(rng)
             batch = random_batch(rng, truth=truth)
             start = geo.compose(truth, offset(rng, 0.2, 10.0))
-            prior = ((geo.compose(truth, offset(rng, 0.01, 0.5)), 30.0)
+            prior = (geo.compose(truth, offset(rng, 0.01, 0.5))
                      if with_prior else None)
             pose, trace = lm_refine(model_of(batch, start), prior)
             ref = reference_lm(batch, start, prior)

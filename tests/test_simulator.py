@@ -240,7 +240,8 @@ class TestGenerateDataset:
     def test_identity_rig_matches_sensor_a(self):
         scene = sim.builtin_scene("room")
         traj = sim.make_trajectory("line", 1.0, 3)
-        ds = sim.generate_dataset(scene, traj, Pose.identity(), COARSE, 5)
+        ds = sim.generate_dataset(scene, traj, sim.RigConfig(0, 0, 0, 0, 0, 0),
+                                  COARSE, 5)
         for fa, fb in zip(ds.frames_a, ds.frames_b):
             np.testing.assert_array_equal(fa.positions, fb.positions)
 

@@ -15,6 +15,7 @@ import lidarcalib
 
 PACKAGE = Path(lidarcalib.__file__).parent
 TESTS = Path(__file__).parent
+SCRIPTS = TESTS.parent / "scripts"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -32,7 +33,8 @@ def unused_imports(path: Path) -> list[str]:
             if name not in used]
 
 
-MODULES = sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")])
+MODULES = sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py"),
+                  *SCRIPTS.glob("*.py")])
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")

@@ -119,28 +119,27 @@ class TestFitPlane:
 
 class TestConfidenceWeight:
     def test_neutral_attenuations(self):
-        for gamma in (0.0, 0.5, 3.0):
-            assert vm.confidence_weight(100, 0.0, 0.0, gamma) == pytest.approx(100.0)
+        assert vm.confidence_weight(100, 0.0, 0.0) == pytest.approx(100.0)
 
     def test_direct_formula(self):
         expected = 50.0 * math.exp(-0.1)
-        assert vm.confidence_weight(100, 1.0, 0.1, 1.0) == pytest.approx(expected, abs=1e-9)
+        assert vm.GAMMA == 1.0
+        assert vm.confidence_weight(100, 1.0, 0.1) == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(45.242, abs=1e-3)
 
     def test_linear_in_count(self):
-        w1 = vm.confidence_weight(50, 0.3, 0.05, 1.0)
-        w2 = vm.confidence_weight(100, 0.3, 0.05, 1.0)
+        w1 = vm.confidence_weight(50, 0.3, 0.05)
+        w2 = vm.confidence_weight(100, 0.3, 0.05)
         assert w2 == pytest.approx(2.0 * w1)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(3, 10000), st.floats(0.0, 10.0), st.floats(0.0, 1.0),
-           st.floats(0.0, 5.0))
-    def test_matches_closed_form_and_monotone(self, m, sigma, eta, gamma):
-        w = vm.confidence_weight(m, sigma, eta, gamma)
-        assert w == pytest.approx(m / (1.0 + sigma) * math.exp(-gamma * eta))
-        assert vm.confidence_weight(m, sigma, eta + 0.1, gamma + 1e-3) <= w + 1e-12
-        assert vm.confidence_weight(m, sigma + 0.1, eta, gamma) <= w + 1e-12
-        assert vm.confidence_weight(m + 1, sigma, eta, gamma) >= w - 1e-12
+    @given(st.integers(3, 10000), st.floats(0.0, 10.0), st.floats(0.0, 1.0))
+    def test_matches_closed_form_and_monotone(self, m, sigma, eta):
+        w = vm.confidence_weight(m, sigma, eta)
+        assert w == pytest.approx(m / (1.0 + sigma) * math.exp(-vm.GAMMA * eta))
+        assert vm.confidence_weight(m, sigma, eta + 0.1) <= w + 1e-12
+        assert vm.confidence_weight(m, sigma + 0.1, eta) <= w + 1e-12
+        assert vm.confidence_weight(m + 1, sigma, eta) >= w - 1e-12
 
 
 def single_plane_map(rng, size=10.0, spacing=0.05):
